@@ -79,9 +79,9 @@ fn main() {
         });
     }
 
-    // Lockstep vs idle-skipping kernel on a latency-bound workload (long
-    // DRAM waits — the skip kernel's best case) and a compute-bound one
-    // (its worst case: every cycle has due work, the scan is pure
+    // Lockstep vs event kernel on a latency-bound workload (long DRAM
+    // waits — the event kernel's best case) and a compute-bound one (its
+    // worst case: every cycle has due work, the calendar is pure
     // overhead).
     for workload in ["505.mcf-like", "523.xalancbmk-like"] {
         for kernel in tus_sim::KernelKind::ALL {

@@ -17,9 +17,6 @@
 //!   baseline, TUS, SSB, CSB and SPB, behind one [`policy::Policy`] enum.
 //! * [`system`] — [`System`]: cores + policies + memory, ticked cycle by
 //!   cycle, with run loops, progress watchdogs and statistics.
-//! * [`gang`] — [`SystemGang`]: gang-scheduled execution of many
-//!   seed-varied systems in one interleaved pass, merged by local
-//!   virtual time, with per-member retirement.
 //!
 //! # Quickstart
 //!
@@ -38,14 +35,12 @@
 //! assert_eq!(stats.get("core0.cpu.committed"), 2.0);
 //! ```
 
-pub mod gang;
 pub mod lex;
 pub mod policy;
 pub mod system;
 pub mod wcb;
 pub mod woq;
 
-pub use gang::SystemGang;
 pub use lex::{AuthorizationUnit, ConflictDecision};
 pub use policy::{Policy, PolicyOccupancy};
 pub use system::{

@@ -175,7 +175,7 @@ impl Policy {
     /// Earliest cycle at or after `now` at which [`Policy::drain`] would
     /// change any buffer, cache, network, or counter state, or `None`
     /// when nothing will change until another component acts first (the
-    /// idle-skipping kernel's per-policy contract; see
+    /// event kernel's per-policy contract; see
     /// [`tus_sim::Schedulable`] for the conservatism rules).
     pub fn next_work(&self, sb: &StoreBuffer, ctrl: &PrivateCache, now: Cycle) -> Option<Cycle> {
         match self {

@@ -22,12 +22,17 @@ use tus_mem::{CacheEvent, MemDeadlockSnapshot, MemorySystem, Network, PrivateCac
 use tus_sim::calendar::Calendar;
 use tus_sim::sched::earliest;
 use tus_sim::trace::{Attribution, TraceEvent, TraceRecord, Tracer};
-use tus_sim::{Addr, CoreId, Cycle, KernelKind, PolicyKind, Schedulable, SimConfig, SimRng, StatSet};
+use tus_sim::{Addr, CoreId, Cycle, KernelKind, PolicyKind, SimConfig, SimRng, StatSet};
 
 use crate::policy::{Policy, PolicyOccupancy};
 
 /// Cycles without global progress after which a run aborts.
 const WATCHDOG_CYCLES: u64 = 500_000;
+
+/// What a run step reports when the progress watchdog fires.
+const NO_PROGRESS: DeadlockKind = DeadlockKind::NoProgress {
+    cycles: WATCHDOG_CYCLES,
+};
 
 /// Ring capacity used when tracing is armed through the process-wide
 /// default ([`set_trace_default`]) rather than an explicit
@@ -51,15 +56,6 @@ pub fn set_trace_default(on: bool) {
 pub fn trace_default() -> bool {
     TRACE_DEFAULT.load(Ordering::Relaxed)
 }
-
-/// After a next-work scan finds due work, the **legacy skip kernel** ticks
-/// this many further cycles without re-scanning (see `System::advance`).
-/// Busy stretches pay the machine-wide scan once per `SCAN_BACKOFF + 1`
-/// cycles instead of every cycle; entering an idle jump is deferred by at
-/// most this many ticks, which the jump itself then absorbs. The default
-/// event-driven kernel has no scan and therefore no backoff: per-unit
-/// calendar keys replace the machine-wide `next_work` walk entirely.
-const SCAN_BACKOFF: u32 = 7;
 
 /// Why a run loop gave up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,13 +170,12 @@ impl RunGoal {
 }
 
 /// Per-run control state extracted from the run loop so a run can be
-/// advanced one kernel step at a time: the progress watchdog, the legacy
-/// skip kernel's scan backoff, and the run's goal and cycle budget.
-/// Created by [`System::begin_run`], consumed by [`System::run_step`].
+/// advanced one kernel step at a time: the progress watchdog, and the
+/// run's goal and cycle budget. Created by [`System::begin_run`],
+/// consumed by [`System::run_step`].
 #[derive(Debug)]
 pub struct RunCtl {
     watchdog: Watchdog,
-    unscanned: u32,
     goal: RunGoal,
     max_cycles: u64,
 }
@@ -206,14 +201,15 @@ pub struct System {
     policies: Vec<Policy>,
     mem: MemorySystem,
     now: Cycle,
-    /// System-level tracer (bulk-idle spans from the idle-aware kernels).
+    /// System-level tracer (bulk-idle spans from the event kernel's idle
+    /// jumps).
     tracer: Tracer,
     /// Reused buffer for the per-core cache-event drain (bounded by the
     /// events one controller can raise in a cycle).
     event_scratch: Vec<CacheEvent>,
     /// Event-kernel calendar: unit 0 is the memory fabric, unit `1 + i`
     /// is core `i`'s slice. Re-seeded conservatively at every run-loop
-    /// entry; unused by the lockstep and skip kernels.
+    /// entry; unused by the lockstep kernel.
     cal: Calendar,
     /// Event-kernel idle accounting: `charged[i]` is the first cycle core
     /// `i`'s stall/occupancy counters have *not* yet absorbed. The gap up
@@ -456,51 +452,6 @@ impl System {
         }
     }
 
-    /// Machine-wide earliest next-work cycle: the minimum over the memory
-    /// system (network, directory, per-core controllers), every drain
-    /// policy, and every core pipeline. `None` means no component will
-    /// ever act again without external input — the watchdog's domain.
-    /// Returns early once any component claims work at or before `now`.
-    fn next_work(&self, now: Cycle) -> Option<Cycle> {
-        // Cheapest checks first: an actively dispatching core answers
-        // `Some(now)` after one or two branch tests, and this function
-        // runs before every tick — the memory walk (network queues,
-        // directory, every controller) must only be paid once the cores
-        // are actually quiet.
-        let mut next: Option<Cycle> = None;
-        for i in 0..self.cores.len() {
-            let drained = self.policies[i].drained();
-            next = earliest(next, self.cores[i].next_work_at(now, drained));
-            if next.is_some_and(|c| c <= now) {
-                return next;
-            }
-            next = earliest(
-                next,
-                self.policies[i].next_work(self.cores[i].sb(), &self.mem.ctrls[i], now),
-            );
-            if next.is_some_and(|c| c <= now) {
-                return next;
-            }
-        }
-        earliest(next, self.mem.next_work(now))
-    }
-
-    /// Charges `n` skipped cycles to every component's stall/occupancy
-    /// counters — exactly what `n` lockstep ticks would have recorded in
-    /// this (idle) state — and advances the clock past them.
-    fn skip_idle(&mut self, n: u64) {
-        let now = self.now;
-        for i in 0..self.cores.len() {
-            let drained = self.policies[i].drained();
-            self.policies[i].charge_idle(self.cores[i].sb(), &mut self.mem.ctrls[i], n);
-            self.cores[i].charge_idle(n, now, drained);
-        }
-        // One bulk-idle span per jump keeps traced timelines gap-free
-        // under the skip kernel.
-        self.tracer.emit(now, n, TraceEvent::BulkIdle);
-        self.now += n;
-    }
-
     // --- event-driven kernel --------------------------------------------
     //
     // Unit 0 is the memory fabric (the whole `MemorySystem::tick`, kept
@@ -590,9 +541,8 @@ impl System {
     /// due this cycle (fabric first, then cores ascending — the lockstep
     /// order), or jumps the clock to the earliest future key. Returns the
     /// deadlock kind when the progress watchdog fires; the caller keeps
-    /// the budget check, like [`System::advance`].
+    /// the budget check (`now < max_cycles`).
     fn advance_event(&mut self, watchdog: &mut Watchdog, max_cycles: u64) -> Option<DeadlockKind> {
-        let no_progress = DeadlockKind::NoProgress { cycles: WATCHDOG_CYCLES };
         let now = self.now;
         match self.cal.next_key() {
             Some(k) if k <= now => {
@@ -645,14 +595,17 @@ impl System {
                     );
                 }
                 self.now += 1;
-                (!watchdog.check(self)).then_some(no_progress)
+                (!watchdog.check(self)).then_some(NO_PROGRESS)
             }
             horizon => {
                 // No unit is due: jump to the earliest key (or, when the
-                // machine is quiesced, to the budget/watchdog bound),
-                // with the same clamping arithmetic as the skip kernel.
-                // Nothing is charged here — idle spans are materialized
-                // per unit by `flush_idle` when the unit next runs.
+                // machine is quiesced, to the budget/watchdog bound):
+                // lockstep would spend pure idle ticks up to there with
+                // the progress signature frozen, each one advancing the
+                // watchdog, so the jump is clamped to the tick on which
+                // the watchdog would fire. Nothing is charged here — idle
+                // spans are materialized per unit by `flush_idle` when
+                // the unit next runs.
                 let sig = self.progress_signature();
                 let until_work = match horizon {
                     Some(at) => at.raw() - now.raw(),
@@ -664,83 +617,24 @@ impl System {
                 self.tracer.emit(now, n, TraceEvent::BulkIdle);
                 self.now += n;
                 watchdog.advance_idle(sig, n);
-                (n == cap).then_some(no_progress)
+                (n == cap).then_some(NO_PROGRESS)
             }
         }
     }
 
-    /// Advances the machine: one lockstep tick, or — under the
-    /// idle-skipping kernel — a bulk-charged jump over a span in which no
-    /// component has work. Returns the deadlock kind when the progress
-    /// watchdog fires. The caller is responsible for the budget check
-    /// (`now < max_cycles`) before each call.
-    ///
-    /// `unscanned` is the caller-kept scan-backoff budget: when a scan
-    /// finds due work, the next [`SCAN_BACKOFF`] calls tick without
-    /// re-scanning. Ticking is exactly what lockstep does, so this is
-    /// equivalence-preserving by construction; it only defers *entering*
-    /// an idle jump by at most [`SCAN_BACKOFF`] cycles, trading a sliver
-    /// of each long skip window for not paying the machine-wide scan on
-    /// every busy cycle.
-    fn advance(
-        &mut self,
-        watchdog: &mut Watchdog,
-        max_cycles: u64,
-        unscanned: &mut u32,
-    ) -> Option<DeadlockKind> {
-        let no_progress = DeadlockKind::NoProgress { cycles: WATCHDOG_CYCLES };
-        if self.cfg.kernel == KernelKind::Lockstep {
-            self.tick();
-            return (!watchdog.check(self)).then_some(no_progress);
-        }
-        if *unscanned > 0 {
-            *unscanned -= 1;
-            self.tick();
-            return (!watchdog.check(self)).then_some(no_progress);
-        }
-        match self.next_work(self.now) {
-            Some(at) if at <= self.now => {
-                *unscanned = SCAN_BACKOFF;
-                self.tick();
-                (!watchdog.check(self)).then_some(no_progress)
-            }
-            horizon => {
-                // Nothing will change before `horizon`: lockstep would
-                // spend pure idle ticks up to there with the progress
-                // signature frozen, each one charged to the same stall
-                // counters and each one advancing the watchdog. Charge
-                // them in bulk, bounded by the cycle budget and by the
-                // tick on which the watchdog would fire.
-                let sig = self.progress_signature();
-                let until_work = match horizon {
-                    Some(at) => at.raw() - self.now.raw(),
-                    None => u64::MAX,
-                };
-                let until_budget = max_cycles - self.now.raw();
-                let cap = watchdog.idle_capacity(sig);
-                let n = until_work.min(until_budget).min(cap);
-                self.skip_idle(n);
-                watchdog.advance_idle(sig, n);
-                (n == cap).then_some(no_progress)
-            }
-        }
-    }
-
-    /// Begins a stepping run towards `goal`: resets the per-run control
-    /// state (progress watchdog, scan backoff) and — under the event
-    /// kernel — conservatively re-seeds the calendar, exactly as the
-    /// monolithic run loop did at entry. Drive the run with
-    /// [`System::run_step`]; the `try_run_*` convenience loops are thin
-    /// wrappers over this pair, so a stepped run is bit-identical to a
-    /// monolithic one by construction (a gang interleaving many systems'
-    /// steps relies on exactly this).
+    /// Begins a stepping run towards `goal`: resets the progress watchdog
+    /// and — under the event kernel — conservatively re-seeds the
+    /// calendar, exactly as the monolithic run loop did at entry. Drive
+    /// the run with [`System::run_step`]; the `try_run_*` convenience
+    /// loops are thin wrappers over this pair, so a stepped run (a
+    /// wall-clock-bounded one, say) is bit-identical to a monolithic one
+    /// by construction.
     pub fn begin_run(&mut self, goal: RunGoal, max_cycles: u64) -> RunCtl {
         if self.cfg.kernel == KernelKind::Event {
             self.seed_calendar();
         }
         RunCtl {
             watchdog: Watchdog::new(),
-            unscanned: 0,
             goal,
             max_cycles,
         }
@@ -766,10 +660,12 @@ impl System {
                 self.abort_report(DeadlockKind::BudgetExhausted { budget }),
             ));
         }
-        let step = if self.cfg.kernel == KernelKind::Event {
-            self.advance_event(&mut ctl.watchdog, ctl.max_cycles)
-        } else {
-            self.advance(&mut ctl.watchdog, ctl.max_cycles, &mut ctl.unscanned)
+        let step = match self.cfg.kernel {
+            KernelKind::Event => self.advance_event(&mut ctl.watchdog, ctl.max_cycles),
+            KernelKind::Lockstep => {
+                self.tick();
+                (!ctl.watchdog.check(self)).then_some(NO_PROGRESS)
+            }
         };
         match step {
             Some(kind) => StepOutcome::Dead(Box::new(self.abort_report(kind))),
@@ -1200,10 +1096,9 @@ mod tests {
 
     // --- kernel equivalence ---------------------------------------------
     //
-    // The idle-skipping and event-driven kernels must be observationally
-    // identical to the lockstep kernel: same StatSet (every counter,
-    // including stall and occupancy integrals), same final cycle, same
-    // deadlock verdicts.
+    // The event-driven kernel must be observationally identical to the
+    // lockstep kernel: same StatSet (every counter, including stall and
+    // occupancy integrals), same final cycle, same deadlock verdicts.
 
     use tus_cpu::TraceSource;
     use tus_sim::KernelKind;
@@ -1224,8 +1119,6 @@ mod tests {
 
     fn assert_kernels_agree(cfg: &SimConfig, mk: impl Fn() -> Vec<Box<dyn TraceSource>>, seed: u64) {
         let lock = run_kernel(cfg, mk(), seed, KernelKind::Lockstep, 4_000_000);
-        let skip = run_kernel(cfg, mk(), seed, KernelKind::Skip, 4_000_000);
-        assert_eq!(lock, skip, "skip kernel diverged for {:?}", cfg.policy);
         let event = run_kernel(cfg, mk(), seed, KernelKind::Event, 4_000_000);
         assert_eq!(lock, event, "event kernel diverged for {:?}", cfg.policy);
     }
@@ -1261,7 +1154,7 @@ mod tests {
     }
 
     /// Two cores contending for the same lines exercise the conflict,
-    /// relinquish and grant-hold paths under TUS; the skip kernel must
+    /// relinquish and grant-hold paths under TUS; the event kernel must
     /// not perturb any of them.
     #[test]
     fn kernels_agree_two_core_contention() {
@@ -1308,10 +1201,8 @@ mod tests {
                 sys.try_run_committed(400, 2_000_000).map(|s| (sys.now(), s))
             };
             let lock = run(KernelKind::Lockstep).expect("lockstep deadlock");
-            for kernel in [KernelKind::Skip, KernelKind::Event] {
-                let other = run(kernel).expect("kernel deadlock");
-                assert_eq!(lock, other, "run_committed diverged for {policy} under {kernel:?}");
-            }
+            let event = run(KernelKind::Event).expect("event kernel deadlock");
+            assert_eq!(lock, event, "run_committed diverged for {policy}");
         }
     }
 
@@ -1340,9 +1231,9 @@ mod tests {
                 tracks.iter().any(|(_, recs)| !recs.is_empty()),
                 "tracing armed but no records captured under {kernel:?}"
             );
-            // The idle-aware kernels must explain idle jumps with
-            // bulk-idle spans.
-            if kernel != KernelKind::Lockstep {
+            // The event kernel must explain idle jumps with bulk-idle
+            // spans.
+            if kernel == KernelKind::Event {
                 let sys_track = tracks.iter().find(|(n, _)| n == "system").expect("system track");
                 assert!(
                     sys_track.1.iter().any(|r| matches!(r.ev, tus_sim::TraceEvent::BulkIdle)),
@@ -1353,7 +1244,7 @@ mod tests {
     }
 
     /// A too-small cycle budget must trip `BudgetExhausted` at the same
-    /// cycle under both kernels (the skip kernel clamps its jumps to the
+    /// cycle under both kernels (the event kernel clamps its jumps to the
     /// budget horizon rather than overshooting it).
     #[test]
     fn kernels_agree_on_budget_exhaustion() {
@@ -1361,14 +1252,8 @@ mod tests {
         let mk = || -> Vec<Box<dyn TraceSource>> { vec![Box::new(burst_trace(16, 4, 0x80_000))] };
         let lock = run_kernel(&cfg, mk(), 41, KernelKind::Lockstep, 200);
         assert!(lock.is_err(), "budget of 200 cycles unexpectedly sufficed");
-        for kernel in [KernelKind::Skip, KernelKind::Event] {
-            let other = run_kernel(&cfg, mk(), 41, kernel, 200);
-            assert_eq!(
-                lock.as_ref().map_err(|e| *e).err(),
-                other.as_ref().map_err(|e| *e).err(),
-                "budget verdicts diverged under {kernel:?}"
-            );
-        }
+        let event = run_kernel(&cfg, mk(), 41, KernelKind::Event, 200);
+        assert_eq!(lock.err(), event.err(), "budget verdicts diverged");
     }
 
     /// A genuine no-progress hang (a fence that can never drain is not

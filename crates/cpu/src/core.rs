@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use tus_sim::sched::earliest;
 use tus_sim::stats::names;
 use tus_sim::trace::{AttrClass, Attribution, TraceEvent, TraceRecord, Tracer};
-use tus_sim::{Addr, CoreId, Cycle, Schedulable, SimConfig, StatSet};
+use tus_sim::{Addr, CoreId, Cycle, SimConfig, StatSet};
 
 use crate::sb::{ForwardResult, StoreBuffer};
 use crate::trace::{OpClass, TraceInst, TraceSource};
@@ -53,8 +53,8 @@ pub enum StallReason {
 
 /// What `dispatch` would do this cycle if nothing else changes first — a
 /// read-only mirror of the first iteration of the dispatch loop, used by
-/// the idle-skipping kernel both to detect pending work and to attribute
-/// skipped cycles to the same stall counter lockstep would have bumped.
+/// the event kernel both to detect pending work and to attribute skipped
+/// cycles to the same stall counter lockstep would have bumped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispatchClass {
     /// The front end has no instruction to offer (`frontend_idle`).
@@ -953,16 +953,6 @@ impl Core {
     }
 }
 
-impl Schedulable for Core {
-    fn next_work(&self, now: Cycle) -> Option<Cycle> {
-        // Without the policy's fence answer, assume drained: that weakens
-        // the fence-blocked test and can only over-claim work, which is the
-        // safe direction for the skip kernel. The system kernel uses
-        // `next_work_at` with the real answer.
-        self.next_work_at(now, true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1221,7 +1211,7 @@ mod tests {
     fn busy_core_claims_work_now() {
         let core = default_core(vec![TraceInst::alu(); 10]);
         // Nothing fetched yet: the refill stage alone is pending work.
-        assert_eq!(core.next_work(Cycle::ZERO), Some(Cycle::ZERO));
+        assert_eq!(core.next_work_at(Cycle::ZERO, true), Some(Cycle::ZERO));
     }
 
     #[test]

@@ -291,8 +291,8 @@ impl StoreBuffer {
         self.occupancy_samples += 1;
     }
 
-    /// Samples occupancy for `n` cycles at once (the idle-skipping kernel
-    /// charging a stretch of cycles during which the SB did not change).
+    /// Samples occupancy for `n` cycles at once (the event kernel charging
+    /// a stretch of cycles during which the SB did not change).
     pub fn sample_occupancy_n(&mut self, n: u64) {
         self.occupancy_sum += n * self.entries.len() as u64;
         self.occupancy_samples += n;

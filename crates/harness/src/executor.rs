@@ -7,14 +7,9 @@
 //!
 //! * **Parallelism** — [`Executor::run_many`] fans the deduplicated spec
 //!   list out over a worker pool of scoped `std` threads (`--jobs N`,
-//!   default [`std::thread::available_parallelism`]). Results land in
-//!   per-spec slots, so output order — and therefore every table and CSV
-//!   byte — is independent of scheduling.
-//! * **Lane batching** — specs that share a machine configuration and
-//!   differ only in seed (one [`RunSpec::lane_key`]) are claimed by a
-//!   worker as a unit and executed via [`run_lane`], building the
-//!   `SimConfig` and energy model once per lane instead of once per run
-//!   (`--no-batch` disables this; results are bit-identical either way).
+//!   default [`std::thread::available_parallelism`]), one spec per job.
+//!   Results land in per-spec slots, so output order — and therefore
+//!   every table and CSV byte — is independent of scheduling.
 //! * **Memoization** — each [`RunSpec`] has a stable content key
 //!   ([`RunSpec::memo_key`]); results are cached in-process across all
 //!   figures of an `all` run, and optionally on disk (under
@@ -36,7 +31,7 @@ use tus_sim::hash::fx_hash_one;
 use tus_sim::StatSet;
 
 use crate::errors::{panic_message, HarnessError};
-use crate::runner::{run_lane_mode, try_run_budget, try_run_wall, RunResult, RunSpec};
+use crate::runner::{run, try_run_budget, try_run_wall, RunResult, RunSpec};
 
 /// Locks a mutex, recovering the data on poisoning.
 ///
@@ -77,8 +72,6 @@ impl ExecCounters {
 /// A parallel, memoizing simulation executor.
 pub struct Executor {
     jobs: usize,
-    batching: bool,
-    gang: bool,
     cache_dir: Option<PathBuf>,
     memo: Mutex<HashMap<String, RunResult>>,
     executed: AtomicU64,
@@ -102,35 +95,12 @@ impl Executor {
     pub fn new(jobs: usize, cache_dir: Option<PathBuf>) -> Self {
         Executor {
             jobs: jobs.max(1),
-            batching: true,
-            gang: true,
             cache_dir,
             memo: Mutex::new(HashMap::new()),
             executed: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
         }
-    }
-
-    /// Enables or disables lane batching (`--no-batch`); on by default.
-    ///
-    /// Batching changes scheduling granularity only — results are
-    /// bit-identical either way, since every simulation is independently
-    /// seeded and lanes share nothing mutable.
-    pub fn batching(mut self, on: bool) -> Self {
-        self.batching = on;
-        self
-    }
-
-    /// Enables or disables gang-scheduled lane execution (`--no-gang`);
-    /// on by default. With gang on, a lane's seed-varied members run in
-    /// one interleaved pass ([`tus::SystemGang`]) instead of back to
-    /// back; members are independent machines, so results are
-    /// bit-identical either way (the CI gang-equivalence job diffs the
-    /// CSV trees to prove it).
-    pub fn gang(mut self, on: bool) -> Self {
-        self.gang = on;
-        self
     }
 
     /// The machine's available parallelism (the `--jobs` default).
@@ -311,86 +281,45 @@ impl Executor {
             .expect("one spec, one result")
     }
 
-    /// Partitions `todo` into *lanes*: runs of specs sharing a
-    /// [`RunSpec::lane_key`] (config-identical, seed-varied), in
-    /// first-seen order. With batching off, every spec is its own lane.
-    fn lanes(&self, todo: &[RunSpec]) -> Vec<Vec<usize>> {
-        if !self.batching {
-            return (0..todo.len()).map(|i| vec![i]).collect();
-        }
-        let mut by_key: HashMap<String, usize> = HashMap::new();
-        let mut lanes: Vec<Vec<usize>> = Vec::new();
-        for (i, spec) in todo.iter().enumerate() {
-            let slot = *by_key.entry(spec.lane_key()).or_insert_with(|| {
-                lanes.push(Vec::new());
-                lanes.len() - 1
-            });
-            lanes[slot].push(i);
-        }
-        lanes
-    }
-
-    /// Runs `todo` (already deduplicated) on scoped worker threads,
-    /// returning per-spec result slots plus the first captured panic
-    /// message, if any job panicked.
+    /// Runs `todo` (already deduplicated) on scoped worker threads, one
+    /// spec per job, returning per-spec result slots plus the first
+    /// captured panic message, if any job panicked.
     ///
-    /// Work is claimed a lane at a time: a worker that grabs a lane runs
-    /// every seed in it via [`run_lane`], amortizing configuration and
-    /// energy-model construction across the batch. Results scatter back
-    /// into per-spec slots, so output order is independent of both
-    /// scheduling and batching.
-    ///
-    /// A panic inside a lane is caught at the lane boundary: that lane's
-    /// slots stay `None`, every other lane (including lanes claimed later
-    /// by the same worker) still runs, and no lock is left poisoned.
+    /// A panic inside a job is caught at the job boundary: that spec's
+    /// slot stays `None`, every other job (including jobs claimed later by
+    /// the same worker) still runs, and no lock is left poisoned.
     fn execute(&self, todo: &[RunSpec]) -> (Vec<Option<RunResult>>, Option<String>) {
-        let n = todo.len();
-        let lanes = self.lanes(todo);
-        let jobs = self.jobs.min(lanes.len());
         let panicked: Mutex<Option<String>> = Mutex::new(None);
-        fn record_panic(slot: &Mutex<Option<String>>, payload: Box<dyn std::any::Any + Send>) {
-            lock_unpoisoned(slot).get_or_insert_with(|| panic_message(&*payload));
-        }
-        if jobs <= 1 {
-            let mut out: Vec<Option<RunResult>> = (0..n).map(|_| None).collect();
-            for lane in &lanes {
-                let specs: Vec<RunSpec> = lane.iter().map(|&i| todo[i].clone()).collect();
-                match std::panic::catch_unwind(AssertUnwindSafe(|| run_lane_mode(&specs, self.gang))) {
-                    Ok(results) => {
-                        for (&i, r) in lane.iter().zip(results) {
-                            out[i] = Some(r);
-                        }
-                    }
-                    Err(payload) => record_panic(&panicked, payload),
+        let job = |spec: &RunSpec| match std::panic::catch_unwind(AssertUnwindSafe(|| run(spec))) {
+            Ok(result) => Some(result),
+            Err(payload) => {
+                lock_unpoisoned(&panicked).get_or_insert_with(|| panic_message(&*payload));
+                None
+            }
+        };
+        let jobs = self.jobs.min(todo.len());
+        let out = if jobs <= 1 {
+            todo.iter().map(job).collect()
+        } else {
+            let next = AtomicUsize::new(0);
+            let slots: Vec<Mutex<Option<RunResult>>> =
+                todo.iter().map(|_| Mutex::new(None)).collect();
+            std::thread::scope(|s| {
+                for _ in 0..jobs {
+                    s.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(spec) = todo.get(i) else {
+                            break;
+                        };
+                        *lock_unpoisoned(&slots[i]) = job(spec);
+                    });
                 }
-            }
-            return (out, panicked.into_inner().unwrap_or_else(PoisonError::into_inner));
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<RunResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let l = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(lane) = lanes.get(l) else {
-                        break;
-                    };
-                    let specs: Vec<RunSpec> = lane.iter().map(|&i| todo[i].clone()).collect();
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| run_lane_mode(&specs, self.gang))) {
-                        Ok(results) => {
-                            for (&i, r) in lane.iter().zip(results) {
-                                *lock_unpoisoned(&slots[i]) = Some(r);
-                            }
-                        }
-                        Err(payload) => record_panic(&panicked, payload),
-                    }
-                });
-            }
-        });
-        let out = slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect();
+            });
+            slots
+                .into_iter()
+                .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+                .collect()
+        };
         (out, panicked.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 
@@ -562,36 +491,6 @@ mod tests {
         );
     }
 
-    /// Lane batching groups seed-varied specs, claims them as a unit,
-    /// and produces byte-identical results to the unbatched executor.
-    #[test]
-    fn lane_batching_matches_unbatched_bit_for_bit() {
-        let mut specs = Vec::new();
-        for seed in [1, 2, 3] {
-            specs.push(RunSpec {
-                seed,
-                ..quick_spec("502.gcc1-like", PolicyKind::Tus, 114)
-            });
-        }
-        specs.push(quick_spec("557.xz-like", PolicyKind::Baseline, 32));
-
-        let batched = Executor::new(2, None);
-        assert_eq!(
-            batched.lanes(&specs).len(),
-            2,
-            "three seeds of one config and one other config = two lanes"
-        );
-        let unbatched = Executor::new(2, None).batching(false);
-        assert_eq!(unbatched.lanes(&specs).len(), specs.len());
-
-        let a = batched.run_many(&specs);
-        let b = unbatched.run_many(&specs);
-        assert_eq!(batched.counters().executed, specs.len() as u64);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(encode_result(x, "k"), encode_result(y, "k"));
-        }
-    }
-
     #[test]
     fn memo_persists_across_calls() {
         let ex = Executor::new(1, None);
@@ -649,10 +548,12 @@ mod tests {
     }
 
     /// A deliberately panicking job must not take down later jobs: the
-    /// panic is caught at the lane boundary, reported as a structured
+    /// panic is caught at the job boundary, reported as a structured
     /// [`HarnessError::JobPanicked`], and the same executor — same memo
     /// map, same locks — serves subsequent batches normally (no mutex
-    /// poisoning cascade).
+    /// poisoning cascade). Seed-varied copies of both specs share the
+    /// batch: each bomb is contained on its own, and each healthy job
+    /// still matches a standalone run bit for bit.
     #[test]
     fn panicking_job_does_not_poison_later_jobs() {
         let bomb = RunSpec {
@@ -663,10 +564,11 @@ mod tests {
             ..quick_spec("502.gcc1-like", PolicyKind::Tus, 114)
         };
         let good = quick_spec("557.xz-like", PolicyKind::Baseline, 32);
+        let reseed = |spec: &RunSpec| RunSpec { seed: 7, ..spec.clone() };
 
         let ex = Executor::new(2, None);
         let err = ex
-            .run_many_checked(&[bomb.clone(), good.clone()])
+            .run_many_checked(&[bomb.clone(), reseed(&bomb), good.clone(), reseed(&good)])
             .expect_err("batch containing the bomb must error");
         match &err {
             HarnessError::JobPanicked { what } => {
@@ -675,65 +577,29 @@ mod tests {
             other => panic!("expected JobPanicked, got {other:?}"),
         }
 
-        // The good job that shared the batch already ran and was
+        // The good jobs that shared the batch already ran and were
         // memoized; a follow-up batch is served without re-execution and
         // fresh work still executes.
         let before = ex.counters();
+        let goods = [good.clone(), reseed(&good)];
+        let mut follow_up = goods.to_vec();
+        follow_up.push(quick_spec("505.mcf-like", PolicyKind::Ssb, 64));
         let results = ex
-            .run_many_checked(&[good.clone(), quick_spec("505.mcf-like", PolicyKind::Ssb, 64)])
+            .run_many_checked(&follow_up)
             .expect("later jobs unaffected by the earlier panic");
-        assert_eq!(results.len(), 2);
+        assert_eq!(results.len(), 3);
         let since = ex.counters().since(before);
-        assert_eq!(since.memo_hits, 1, "pre-panic result still served from memo");
+        assert_eq!(since.memo_hits, 2, "pre-panic results still served from memo");
         assert_eq!(since.executed, 1);
+        for (spec, r) in goods.iter().zip(&results) {
+            let key = spec.memo_key();
+            assert_eq!(encode_result(r, &key), encode_result(&run(spec), &key));
+        }
 
         // The single-spec daemon path reports the same panic structurally.
         let err = ex.try_run_one(&bomb, None).expect_err("bomb via try_run_one");
         assert!(matches!(err, HarnessError::JobPanicked { .. }));
         assert!(ex.try_run_one(&good, None).is_ok());
-    }
-
-    /// A panic inside a **gang-scheduled multi-seed lane** is contained
-    /// by the same lane-boundary `catch_unwind`: the whole lane reports
-    /// [`HarnessError::JobPanicked`] (its members share one gang pass),
-    /// and unrelated lanes on the same executor are untouched.
-    #[test]
-    fn panicking_gang_lane_is_contained_at_the_lane_boundary() {
-        let bomb = RunSpec {
-            tweak: Some(crate::runner::Tweak {
-                name: "panic-injection",
-                apply: |_| panic!("injected gang panic"),
-            }),
-            ..quick_spec("502.gcc1-like", PolicyKind::Tus, 114)
-        };
-        let bombs = [
-            RunSpec { seed: 1, ..bomb.clone() },
-            RunSpec { seed: 2, ..bomb.clone() },
-        ];
-        assert_eq!(bombs[0].lane_key(), bombs[1].lane_key(), "one gang lane");
-        let good = [
-            RunSpec { seed: 1, ..quick_spec("557.xz-like", PolicyKind::Baseline, 32) },
-            RunSpec { seed: 2, ..quick_spec("557.xz-like", PolicyKind::Baseline, 32) },
-        ];
-
-        let ex = Executor::new(2, None); // gang on by default
-        let all: Vec<RunSpec> = bombs.iter().chain(good.iter()).cloned().collect();
-        let err = ex.run_many_checked(&all).expect_err("gang lane with the bomb must error");
-        match &err {
-            HarnessError::JobPanicked { what } => {
-                assert!(what.contains("injected gang panic"), "{what}")
-            }
-            other => panic!("expected JobPanicked, got {other:?}"),
-        }
-
-        // The healthy gang lane still runs to completion on the same
-        // executor, bit-identical to its solo members.
-        let results = ex.run_many_checked(&good).expect("healthy lane unaffected");
-        for (spec, r) in good.iter().zip(&results) {
-            let solo = crate::runner::run(spec);
-            let key = spec.memo_key();
-            assert_eq!(encode_result(r, &key), encode_result(&solo, &key));
-        }
     }
 
     /// A truncated or bit-flipped `.runcache` entry must behave as a

@@ -79,7 +79,7 @@ fn fuzz_usage() -> ! {
         "usage: tus-harness fuzz [--programs N] [--seeds N] [--seed N] [--jobs N]\n\
          \x20                      [--policy base|SSB|CSB|SPB|TUS] [--out DIR]\n\
          \x20                      [--replay FILE] [--save-corpus N] [--no-shrink]\n\
-         \x20                      [--kernel lockstep|skip|event]\n\
+         \x20                      [--kernel lockstep|event]\n\
          \x20                      [--coherence mesi|tardis] [--trace]\n\
          checks N random litmus programs across all five policies against the\n\
          x86-TSO reference model; failures are shrunk and persisted under\n\

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! tus-harness <experiment> [--quick|--full] [--seed N] [--out DIR]
-//!             [--parallel-cap N] [--jobs N] [--no-cache] [--no-batch]
-//!             [--no-gang] [--kernel K] [--coherence C]
+//!             [--parallel-cap N] [--jobs N] [--no-cache] [--kernel K]
+//!             [--coherence C]
 //! tus-harness fuzz [--programs N] [--seeds N] [--seed N] [--jobs N]
 //!             [--policy P] [--out DIR] [--replay FILE] [--save-corpus N]
 //!             [--no-shrink] [--kernel K] [--coherence C]
@@ -12,30 +12,27 @@
 //!             [--seeds N] [--no-reduction] [--no-lazy] [--stats]
 //!             [--policy P] [--kernel K] [--coherence C] [--out DIR] [--jobs N]
 //! tus-harness bench-kernel [--quick|--full] [--seed N] [--out DIR]
-//!             [--parallel-cap N] [--jobs N] [--no-batch]
+//!             [--parallel-cap N] [--jobs N]
 //! tus-harness bench-hotpath [--quick|--full] [--seed N] [--out DIR]
 //!             [--parallel-cap N] [--jobs N] [--kernel K]
-//!             [--no-batch] [--no-gang] [--min-sims-per-sec X]
+//!             [--min-sims-per-sec X]
 //!
 //! experiments: table1 fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15
 //!              intext ablation coherence all
-//! kernels (K): lockstep skip event (default: event)
+//! kernels (K): lockstep event (default: event)
 //! coherence backends (C): mesi tardis (default: mesi)
 //! ```
 //!
 //! Runs are executed by a worker pool (`--jobs`, default: available
-//! parallelism), deduplicated across figures, batched by machine
-//! configuration (`--no-batch` disables lane batching), gang-scheduled
-//! within each lane (`--no-gang` falls back to per-sim execution), and
-//! memoized on disk under `<out>/.runcache` (`--no-cache` disables the
-//! disk cache).
+//! parallelism), deduplicated across figures, and memoized on disk
+//! under `<out>/.runcache` (`--no-cache` disables the disk cache).
 //! All of this is output-neutral: simulations are seeded and
 //! deterministic, so the tables and CSVs are byte-identical to a
 //! sequential, uncached run — under **any** simulation kernel
 //! (`--kernel`), which is what the CI kernel-equivalence job checks.
 //! Each experiment reports wall-clock time and simulation throughput;
 //! `all` additionally writes `BENCH_harness.json` next to the CSVs, and
-//! `bench-kernel` runs the whole suite cold under all three kernels and
+//! `bench-kernel` runs the whole suite cold under both kernels and
 //! writes `BENCH_kernel.json` with the measured per-kernel wall-clock.
 //! `bench-hotpath` runs the suite cold once (no memoization, no disk
 //! cache) and **appends** a timestamped entry to `BENCH_hotpath.json`,
@@ -52,8 +49,8 @@ use tus_sim::{CoherenceKind, KernelKind};
 fn usage() -> ! {
     eprintln!(
         "usage: tus-harness <experiment> [--quick|--full] [--seed N] [--out DIR]\n\
-         \x20                  [--parallel-cap N] [--jobs N] [--no-cache] [--no-batch]\n\
-         \x20                  [--no-gang] [--kernel K] [--coherence C] [--trace]\n\
+         \x20                  [--parallel-cap N] [--jobs N] [--no-cache] [--kernel K]\n\
+         \x20                  [--coherence C] [--trace]\n\
          \x20      tus-harness fuzz [--programs N] [--seeds N] [--seed N] [--jobs N]\n\
          \x20                  [--policy P] [--out DIR] [--replay FILE] [--no-shrink]\n\
          \x20                  [--kernel K] [--coherence C] [--trace]\n\
@@ -68,16 +65,20 @@ fn usage() -> ! {
          \x20      tus-harness client (--connect HOST:PORT | --socket PATH) [--wait SECS]\n\
          \x20                  <ping|point|experiment|fuzz|trace|counters|shutdown> [...]\n\
          \x20      tus-harness bench-kernel [--quick|--full] [--seed N] [--out DIR]\n\
-         \x20                  [--parallel-cap N] [--jobs N] [--no-batch]\n\
+         \x20                  [--parallel-cap N] [--jobs N]\n\
          \x20      tus-harness bench-hotpath [--quick|--full] [--seed N] [--out DIR]\n\
          \x20                  [--parallel-cap N] [--jobs N] [--kernel K]\n\
-         \x20                  [--no-batch] [--no-gang] [--min-sims-per-sec X]\n\
+         \x20                  [--min-sims-per-sec X]\n\
          experiments: table1 fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15 intext ablation\n\
          \x20            coherence all\n\
-         kernels (K): lockstep skip event (default: event)\n\
-         coherence backends (C): mesi tardis (default: mesi)\n\
+         kernels (K): {} (default: {})\n\
+         coherence backends (C): {} (default: {})\n\
          --trace arms the structured event recorder in every simulation\n\
-         (observation-only: outputs and memo keys are unchanged)"
+         (observation-only: outputs and memo keys are unchanged)",
+        KernelKind::ALL.map(|k| k.label()).join(" "),
+        KernelKind::default(),
+        CoherenceKind::ALL.map(|c| c.label()).join(" "),
+        CoherenceKind::default(),
     );
     std::process::exit(2);
 }
@@ -139,7 +140,7 @@ fn write_bench_json(out: &std::path::Path, timings: &[Timing]) -> std::io::Resul
 /// of each in `<out>/BENCH_kernel.json`. The CSVs land in per-kernel
 /// subdirectories, so a byte-level diff of the two trees doubles as an
 /// equivalence check. Returns the process exit code.
-fn bench_kernel(opt: &Options, jobs: usize, batch: bool) -> i32 {
+fn bench_kernel(opt: &Options, jobs: usize) -> i32 {
     let mut rows: Vec<(KernelKind, f64, ExecCounters)> = Vec::new();
     for kernel in KernelKind::ALL {
         let kopt = Options {
@@ -147,7 +148,7 @@ fn bench_kernel(opt: &Options, jobs: usize, batch: bool) -> i32 {
             out: opt.out.join("bench-kernel").join(kernel.label()),
             ..opt.clone()
         };
-        let ex = Executor::new(jobs, None).batching(batch);
+        let ex = Executor::new(jobs, None);
         eprintln!(
             "[bench-kernel: running all experiments, {kernel} kernel, {} backend]",
             opt.coherence
@@ -238,15 +239,14 @@ const HOTPATH_BASELINE_SIMS_PER_SEC: f64 = 4.77;
 /// `--min-sims-per-sec`, exits non-zero when measured throughput falls
 /// below the floor — the CI perf-smoke contract. Returns the process
 /// exit code.
-fn bench_hotpath(opt: &Options, jobs: usize, batch: bool, gang: bool, floor: Option<f64>) -> i32 {
+fn bench_hotpath(opt: &Options, jobs: usize, floor: Option<f64>) -> i32 {
     let hopt = Options {
         out: opt.out.join("bench-hotpath"),
         ..opt.clone()
     };
-    let ex = Executor::new(jobs, None).batching(batch).gang(gang);
-    let gang_label = if gang { "gang" } else { "solo" };
+    let ex = Executor::new(jobs, None);
     eprintln!(
-        "[bench-hotpath: running all experiments cold, {} kernel, {} backend, {gang_label} lanes]",
+        "[bench-hotpath: running all experiments cold, {} kernel, {} backend]",
         hopt.kernel, hopt.coherence
     );
     let started = std::time::Instant::now();
@@ -262,11 +262,10 @@ fn bench_hotpath(opt: &Options, jobs: usize, batch: bool, gang: bool, floor: Opt
     eprintln!(
         "[bench-hotpath: {seconds:.1}s, {} sims, {sims_per_sec:.2} sims/s, \
          {speedup:.2}x over the {HOTPATH_BASELINE_SIMS_PER_SEC} sims/s baseline \
-         ({} kernel, {} backend, {gang_label} lanes)]",
+         ({} kernel, {} backend)]",
         counters.executed, hopt.kernel, hopt.coherence
     );
-    if let Err(e) = write_bench_hotpath_json(&opt.out, &hopt, gang, seconds, counters, sims_per_sec)
-    {
+    if let Err(e) = write_bench_hotpath_json(&opt.out, &hopt, seconds, counters, sims_per_sec) {
         eprintln!("bench-hotpath: cannot write BENCH_hotpath.json: {e}");
         return 2;
     }
@@ -309,7 +308,6 @@ fn host_fingerprint() -> String {
 fn write_bench_hotpath_json(
     out: &std::path::Path,
     hopt: &Options,
-    gang: bool,
     seconds: f64,
     counters: ExecCounters,
     sims_per_sec: f64,
@@ -321,7 +319,7 @@ fn write_bench_hotpath_json(
         .map_or(0, |d| d.as_secs());
     let entry = format!(
         "  {{\"unix_time\": {unix_time}, \"host\": \"{}\", \
-         \"kernel\": \"{}\", \"coherence\": \"{}\", \"gang\": {gang}, \
+         \"kernel\": \"{}\", \"coherence\": \"{}\", \
          \"seconds\": {seconds:.3}, \
          \"sims\": {}, \"sims_per_sec\": {sims_per_sec:.2}, \
          \"baseline_sims_per_sec\": {HOTPATH_BASELINE_SIMS_PER_SEC:.2}, \
@@ -378,8 +376,6 @@ fn main() {
     let mut cmd = None;
     let mut jobs = Executor::default_jobs();
     let mut cache = true;
-    let mut batch = true;
-    let mut gang = true;
     let mut min_sims_per_sec = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -408,9 +404,6 @@ fn main() {
                     .unwrap_or_else(|| usage())
             }
             "--no-cache" => cache = false,
-            "--no-batch" => batch = false,
-            "--gang" => gang = true,
-            "--no-gang" => gang = false,
             "--min-sims-per-sec" => {
                 min_sims_per_sec = Some(
                     it.next()
@@ -438,13 +431,13 @@ fn main() {
     }
     let Some(cmd) = cmd else { usage() };
     if cmd == "bench-kernel" {
-        std::process::exit(bench_kernel(&opt, jobs, batch));
+        std::process::exit(bench_kernel(&opt, jobs));
     }
     if cmd == "bench-hotpath" {
-        std::process::exit(bench_hotpath(&opt, jobs, batch, gang, min_sims_per_sec));
+        std::process::exit(bench_hotpath(&opt, jobs, min_sims_per_sec));
     }
     let cache_dir = cache.then(|| opt.out.join(".runcache"));
-    let ex = Executor::new(jobs, cache_dir).batching(batch).gang(gang);
+    let ex = Executor::new(jobs, cache_dir);
 
     let run_timed = |name: &'static str, f: fn(&Executor, &Options)| -> Timing {
         let before = ex.counters();

@@ -1,8 +1,6 @@
-//! Single-simulation execution with warm-up subtraction, plus the
-//! gang-scheduled lane path (all seeds of a lane in one interleaved
-//! pass; see [`tus::SystemGang`]).
+//! Single-simulation execution with warm-up subtraction.
 
-use tus::{RunGoal, StepOutcome, System, SystemGang};
+use tus::{RunGoal, StepOutcome, System};
 use tus_energy::{EnergyBreakdown, EnergyModel};
 use tus_sim::stats::names;
 use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimConfig, StatSet};
@@ -124,14 +122,13 @@ pub struct RunSpec {
     pub insts: u64,
     /// Seed.
     pub seed: u64,
-    /// Simulation kernel (lockstep or idle-skipping). The kernels are
+    /// Simulation kernel (lockstep or event-driven). The kernels are
     /// observationally identical, but the key keeps them distinct so an
     /// equivalence sweep actually runs both instead of hitting the cache.
     pub kernel: KernelKind,
     /// Coherence backend (MESI directory or Tardis timestamps). Unlike
     /// the kernel, backends are *not* observationally identical — leases
-    /// change timing — so the dimension must split both memo and lane
-    /// keys.
+    /// change timing — so the dimension must split the memo key.
     pub coherence: CoherenceKind,
     /// Extra configuration hook (ablations).
     pub tweak: Option<Tweak>,
@@ -186,28 +183,6 @@ impl RunSpec {
             self.warmup,
             self.insts,
             self.seed,
-            self.kernel.label(),
-            self.coherence.label(),
-            self.tweak.map_or("-", |t| t.name),
-        )
-    }
-
-    /// The spec's *lane*: every memo-key dimension except the seed.
-    ///
-    /// Two specs in the same lane simulate the same machine on the same
-    /// workload shape and differ only in their random seed, so a batch
-    /// executor can build the [`SimConfig`] and energy model once and
-    /// run the whole lane on one worker ([`run_lane`]).
-    pub fn lane_key(&self) -> String {
-        format!(
-            "v{}|{}|{}|sb{}|c{}|w{}|i{}|k{}|co{}|{}",
-            CACHE_FORMAT_VERSION,
-            self.workload.name,
-            self.policy.label(),
-            self.sb_entries,
-            self.cores,
-            self.warmup,
-            self.insts,
             self.kernel.label(),
             self.coherence.label(),
             self.tweak.map_or("-", |t| t.name),
@@ -285,80 +260,19 @@ pub fn try_run_budget(
 ) -> Result<RunResult, Box<tus::DeadlockReport>> {
     let cfg = spec.config();
     let model = EnergyModel::from_config(&cfg);
-    try_run_with(spec, &cfg, &model, budget)
-}
-
-/// Executes a *lane* gang-scheduled ([`run_lane_mode`] with gang on) —
-/// the executor's default path.
-pub fn run_lane(specs: &[RunSpec]) -> Vec<RunResult> {
-    run_lane_mode(specs, true)
-}
-
-/// Executes a *lane*: specs sharing one [`RunSpec::lane_key`] (identical
-/// machine configuration, differing only in seed). The [`SimConfig`] and
-/// [`EnergyModel`] are built once and shared across the lane, amortizing
-/// per-run setup; each result is bit-identical to a standalone [`run`]
-/// because both construction paths are pure functions of the spec.
-///
-/// With `gang` on, all K seed-varied members execute in **one
-/// interleaved pass** under a [`SystemGang`]: a merged calendar pops
-/// whichever member's local clock is earliest, members retire
-/// individually on finish/deadlock/budget, and — because members are
-/// fully independent machines — every result is still bit-identical to
-/// the per-sim path (`gang` off), which the CI gang-equivalence job
-/// enforces by diffing the CSV trees.
-pub fn run_lane_mode(specs: &[RunSpec], gang: bool) -> Vec<RunResult> {
-    let Some(first) = specs.first() else {
-        return Vec::new();
-    };
-    let cfg = first.config();
-    let model = EnergyModel::from_config(&cfg);
-    debug_assert!(
-        specs.iter().all(|s| s.lane_key() == first.lane_key()),
-        "run_lane requires config-identical specs"
-    );
-    if gang {
-        return run_lane_gang(specs, &cfg, &model);
-    }
-    specs
-        .iter()
-        .map(|s| {
-            try_run_with(s, &cfg, &model, None)
-                .unwrap_or_else(|r| panic!("simulation gave up:\n{r}"))
-        })
-        .collect()
-}
-
-/// The gang lane: build every member system, run one interleaved
-/// warm-up phase, then one interleaved measure phase, and assemble each
-/// member's result exactly as the solo path does. Warm-up and measure
-/// are separate gang phases — the same two back-to-back `run_committed`
-/// calls a solo run makes, so per-member snapshots cannot differ.
-fn run_lane_gang(specs: &[RunSpec], cfg: &SimConfig, model: &EnergyModel) -> Vec<RunResult> {
-    let first = &specs[0];
-    let total = first.warmup + first.insts;
-    let budget = default_budget(first);
-    let systems = specs.iter().map(|s| build_system(s, cfg)).collect();
-    let mut gang = SystemGang::new(systems);
-    let warms = if first.warmup > 0 {
-        gang.run_phase(RunGoal::Committed(first.warmup), budget)
+    let mut sys = build_system(spec, &cfg);
+    let total = spec.warmup + spec.insts;
+    let budget = budget.unwrap_or_else(|| default_budget(spec));
+    let warm = if spec.warmup > 0 {
+        sys.try_run_committed(spec.warmup, budget)?
     } else {
-        specs.iter().map(|_| Ok(StatSet::new())).collect()
+        StatSet::new()
     };
-    let ends = gang.run_phase(RunGoal::Committed(total), budget);
-    specs
-        .iter()
-        .zip(warms.into_iter().zip(ends))
-        .map(|(spec, (warm, end))| {
-            let warm = warm.unwrap_or_else(|r| panic!("simulation gave up:\n{r}"));
-            let end = end.unwrap_or_else(|r| panic!("simulation gave up:\n{r}"));
-            assemble_result(spec, model, &warm, &end)
-        })
-        .collect()
+    let end = sys.try_run_committed(total, budget)?;
+    Ok(assemble_result(spec, &model, &warm, &end))
 }
 
-/// Builds the member system a spec describes (pure function of the
-/// spec, shared by the solo and gang paths).
+/// Builds the system a spec describes (a pure function of the spec).
 fn build_system(spec: &RunSpec, cfg: &SimConfig) -> System {
     let total = spec.warmup + spec.insts;
     let traces = spec.workload.traces(spec.cores, spec.seed, total + 10_000);
@@ -366,8 +280,8 @@ fn build_system(spec: &RunSpec, cfg: &SimConfig) -> System {
 }
 
 /// Subtracts the warm-up snapshot and derives the measured metrics —
-/// the single place a [`RunResult`] is assembled, so the solo, gang and
-/// wall-clock paths cannot drift apart.
+/// the single place a [`RunResult`] is assembled, so the cycle-budget
+/// and wall-clock paths cannot drift apart.
 fn assemble_result(
     spec: &RunSpec,
     model: &EnergyModel,
@@ -392,24 +306,6 @@ fn assemble_result(
         edp,
         stats,
     }
-}
-
-fn try_run_with(
-    spec: &RunSpec,
-    cfg: &SimConfig,
-    model: &EnergyModel,
-    budget: Option<u64>,
-) -> Result<RunResult, Box<tus::DeadlockReport>> {
-    let mut sys = build_system(spec, cfg);
-    let total = spec.warmup + spec.insts;
-    let budget = budget.unwrap_or_else(|| default_budget(spec));
-    let warm = if spec.warmup > 0 {
-        sys.try_run_committed(spec.warmup, budget)?
-    } else {
-        StatSet::new()
-    };
-    let end = sys.try_run_committed(total, budget)?;
-    Ok(assemble_result(spec, model, &warm, &end))
 }
 
 /// How many kernel steps a wall-clock-bounded run takes between host
@@ -550,7 +446,9 @@ mod tests {
 
     /// The v4 bump made the event kernel the default: default keys must
     /// carry the `kevent` dimension, differ from every other kernel's
-    /// key, and miss any key minted under the previous version.
+    /// key, and miss any key minted under the previous version. The full
+    /// default key is pinned byte for byte: any change to it orphans
+    /// every `.runcache` entry, so it must come with a version bump.
     #[test]
     fn memo_key_records_event_kernel_default() {
         let spec = RunSpec::new(
@@ -560,7 +458,10 @@ mod tests {
             Scale::Quick,
         );
         assert_eq!(spec.kernel, KernelKind::Event);
-        assert!(spec.memo_key().contains("|kevent|"), "{}", spec.memo_key());
+        assert_eq!(
+            spec.memo_key(),
+            "v5|502.gcc1-like|TUS|sb114|c1|w5000|i40000|s42|kevent|comesi|-"
+        );
         let mut keys = std::collections::HashSet::new();
         for kernel in KernelKind::ALL {
             let k = RunSpec { kernel, ..spec.clone() }.memo_key();
@@ -588,50 +489,8 @@ mod tests {
         let tardis = RunSpec { coherence: CoherenceKind::Tardis, ..spec.clone() };
         assert!(tardis.memo_key().contains("|cotardis|"), "{}", tardis.memo_key());
         assert_ne!(spec.memo_key(), tardis.memo_key());
-        assert_ne!(spec.lane_key(), tardis.lane_key(), "backend must split the lane");
         // Bump-miss: a v4-era key can never alias a v5 key.
         assert_ne!(spec.memo_key(), spec.memo_key_versioned(4));
-    }
-
-    /// A lane groups specs that differ only in seed, and lane-batched
-    /// execution is bit-identical to standalone runs (the config and
-    /// energy model are pure functions of the spec).
-    #[test]
-    fn lane_key_groups_seeds_and_run_lane_matches_run() {
-        let base = RunSpec {
-            warmup: 500,
-            insts: 3_000,
-            ..RunSpec::new(
-                by_name("502.gcc1-like").expect("exists"),
-                PolicyKind::Tus,
-                114,
-                Scale::Quick,
-            )
-        };
-        let a = RunSpec { seed: 1, ..base.clone() };
-        let b = RunSpec { seed: 2, ..base.clone() };
-        assert_eq!(a.lane_key(), b.lane_key(), "seed must not split a lane");
-        assert_ne!(a.memo_key(), b.memo_key());
-        for other in [
-            RunSpec { sb_entries: 32, ..base.clone() },
-            RunSpec { policy: PolicyKind::Baseline, ..base.clone() },
-            RunSpec { kernel: KernelKind::Lockstep, ..base.clone() },
-            RunSpec { coherence: CoherenceKind::Tardis, ..base.clone() },
-            RunSpec { insts: base.insts + 1, ..base.clone() },
-        ] {
-            assert_ne!(a.lane_key(), other.lane_key(), "config change must split the lane");
-        }
-
-        // The gang-scheduled lane (the default), the per-sim lane, and
-        // standalone runs must all produce bit-identical results.
-        let lane = run_lane(&[a.clone(), b.clone()]);
-        let solo_lane = run_lane_mode(&[a.clone(), b.clone()], false);
-        let (solo_a, solo_b) = (run(&a), run(&b));
-        use crate::executor::encode_result;
-        assert_eq!(encode_result(&lane[0], "k"), encode_result(&solo_a, "k"));
-        assert_eq!(encode_result(&lane[1], "k"), encode_result(&solo_b, "k"));
-        assert_eq!(encode_result(&solo_lane[0], "k"), encode_result(&solo_a, "k"));
-        assert_eq!(encode_result(&solo_lane[1], "k"), encode_result(&solo_b, "k"));
     }
 
     #[test]

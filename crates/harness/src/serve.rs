@@ -502,7 +502,10 @@ fn parse_policy(label: &str) -> Result<tus_sim::PolicyKind, HarnessError> {
 
 fn parse_kernel(label: &str) -> Result<KernelKind, HarnessError> {
     KernelKind::parse(label).ok_or_else(|| HarnessError::Protocol {
-        what: format!("unknown kernel {label:?}; known: lockstep skip event"),
+        what: format!(
+            "unknown kernel {label:?}; known: {}",
+            KernelKind::ALL.map(|k| k.label()).join(" ")
+        ),
     })
 }
 

@@ -67,7 +67,7 @@ impl Default for TraceOptions {
 fn trace_usage() -> ! {
     eprintln!(
         "usage: tus-harness trace [WORKLOAD] [--policy base|SSB|CSB|SPB|TUS]\n\
-         \x20                       [--sb N] [--kernel lockstep|skip] [--seed N]\n\
+         \x20                       [--sb N] [--kernel lockstep|event] [--seed N]\n\
          \x20                       [--coherence mesi|tardis] [--insts N] [--cap N] [--out DIR]\n\
          runs one traced simulation, writes Chrome-trace JSON (load it in\n\
          chrome://tracing or ui.perfetto.dev) and prints the per-core\n\

@@ -1,5 +1,5 @@
-//! The idle-skipping and event-driven kernels must be observationally
-//! identical to the lockstep kernel on real experiment points: every
+//! The event-driven kernel must be observationally identical to the
+//! lockstep kernel on real experiment points: every
 //! metric the harness ever serializes — cycles, IPC, stall fractions,
 //! energy components and the full raw `StatSet` — is compared through
 //! the cache's bit-exact codec (`encode_result` stores floats as their
@@ -53,16 +53,13 @@ fn kernels_are_bit_identical_on_figure_points() {
             // iff every measured bit does.
             encode_result(&run(&s), "point")
         };
-        let lockstep = under(KernelKind::Lockstep);
-        for kernel in [KernelKind::Skip, KernelKind::Event] {
-            assert_eq!(
-                lockstep,
-                under(kernel),
-                "{kernel} kernel diverged from lockstep on point {i} ({}, {}, sb{})",
-                spec.workload.name,
-                spec.policy.label(),
-                spec.sb_entries,
-            );
-        }
+        assert_eq!(
+            under(KernelKind::Lockstep),
+            under(KernelKind::Event),
+            "event kernel diverged from lockstep on point {i} ({}, {}, sb{})",
+            spec.workload.name,
+            spec.policy.label(),
+            spec.sb_entries,
+        );
     }
 }

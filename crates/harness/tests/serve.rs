@@ -182,10 +182,11 @@ fn unknown_workload_is_a_structured_error_and_daemon_survives() {
     server.shutdown();
 }
 
-/// An unknown coherence backend in the request headers is a structured
-/// protocol-error frame (never a panic), a valid `coherence=tardis`
-/// point runs under the timestamp backend, and the two backends memoize
-/// under distinct keys — all on one surviving connection.
+/// An unknown coherence backend or kernel in the request headers is a
+/// structured protocol-error frame (never a panic) listing the valid
+/// names, a valid `coherence=tardis` point runs under the timestamp
+/// backend, and the two backends memoize under distinct keys — all on
+/// one surviving connection.
 #[test]
 fn coherence_backend_header_is_validated_and_routed() {
     let server = start(|_| {});
@@ -197,6 +198,14 @@ fn coherence_backend_header_is_validated_and_routed() {
     let (token, message) = decode_error(&err.body);
     assert_eq!(token, "protocol");
     assert!(message.contains("moesi") && message.contains("tardis"), "lists valid backends");
+
+    let frames = request_on(&mut s, FrameKind::RunPoint, &format!("{POINT}kernel=skip\n"));
+    let err = terminal(&frames);
+    assert_eq!(err.kind, FrameKind::Error);
+    let (token, message) = decode_error(&err.body);
+    assert_eq!(token, "protocol");
+    assert!(message.contains("\"skip\""), "names the bad kernel: {message}");
+    assert!(message.ends_with("known: lockstep event"), "lists valid kernels: {message}");
 
     // Same connection: the tardis leg of the same point simulates fine.
     let frames = request_on(&mut s, FrameKind::RunPoint, &format!("{POINT}coherence=tardis\n"));

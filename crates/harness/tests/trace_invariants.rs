@@ -121,16 +121,16 @@ fn tracing_is_observation_only() {
 
 /// The two kernels agree on attribution, not just on stats: the same
 /// run produces the same per-core category totals under lockstep and
-/// idle-skipping execution.
+/// event-driven execution.
 #[test]
 fn kernels_agree_on_attribution() {
     for policy in [PolicyKind::Baseline, PolicyKind::Tus] {
         let lock = run_one("557.xz-like", policy, KernelKind::Lockstep, 7, true);
-        let skip = run_one("557.xz-like", policy, KernelKind::Skip, 7, true);
-        assert_eq!(lock.stats, skip.stats, "{}: kernels diverge", policy.label());
-        for (l, s) in lock.end_attr.iter().zip(&skip.end_attr) {
+        let event = run_one("557.xz-like", policy, KernelKind::Event, 7, true);
+        assert_eq!(lock.stats, event.stats, "{}: kernels diverge", policy.label());
+        for (l, e) in lock.end_attr.iter().zip(&event.end_attr) {
             for (class, n) in l.iter() {
-                assert_eq!(n, s.get(class), "{}: {class:?} differs", policy.label());
+                assert_eq!(n, e.get(class), "{}: {class:?} differs", policy.label());
             }
         }
     }

@@ -58,8 +58,8 @@ pub struct Replay {
 /// system (and through it the policy layer and core model) needs from a
 /// coherence home node.
 ///
-/// Implementations also provide [`Schedulable`] so the idle-skipping and
-/// event-driven kernels can compute the fabric's next-work cycle.
+/// Implementations also provide [`Schedulable`] so the event-driven
+/// kernel can compute the fabric's next-work cycle.
 pub trait CoherenceBackend: Schedulable {
     /// Handles one inbound message (request, response or eviction notice).
     fn handle(&mut self, msg: Msg, net: &mut Network, mem: &mut MainMemory, now: Cycle);

@@ -188,7 +188,7 @@ impl Network {
     ///
     /// Jitter is drawn in [`Network::send`], never while a message waits,
     /// so the earliest delivery cycle is fixed once the message is queued —
-    /// which makes it safe for the idle-skipping kernel to jump to it.
+    /// which makes it safe for the event kernel to jump to it.
     pub fn next_due(&self) -> Option<Cycle> {
         self.queues.iter().filter_map(|q| q.next_due()).min()
     }

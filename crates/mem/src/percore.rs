@@ -22,8 +22,7 @@
 use tus_sim::stats::names;
 use tus_sim::trace::{TraceEvent, TraceRecord, Tracer};
 use tus_sim::{
-    Addr, CoherenceKind, CoreId, Cycle, DelayQueue, FxHashMap, LineAddr, Schedulable, SimConfig,
-    StatSet,
+    Addr, CoherenceKind, CoreId, Cycle, DelayQueue, FxHashMap, LineAddr, SimConfig, StatSet,
 };
 
 use crate::cache::CacheArray;
@@ -70,8 +69,8 @@ pub enum StoreWriteOutcome {
 }
 
 /// What [`PrivateCache::write_line_visible`] would do for a line *right
-/// now*, without doing it — a read-only mirror used by the idle-skipping
-/// kernel to decide whether a blocked store drain is pending work, a
+/// now*, without doing it — a read-only mirror used by the event kernel
+/// to decide whether a blocked store drain is pending work, a
 /// counting retry (chargeable in bulk), or fully quiet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreAttemptClass {
@@ -1921,19 +1920,6 @@ impl PrivateCache {
         out.set("invs_received", s.invs_received as f64);
         out.set("l2_evictions", s.l2_evictions as f64);
         out
-    }
-}
-
-impl Schedulable for PrivateCache {
-    fn next_work(&self, now: Cycle) -> Option<Cycle> {
-        // Undelivered events must reach the policy/core layer next tick.
-        if !self.events.is_empty() {
-            return Some(now);
-        }
-        // The controller's own tick only drains the deferred-forward
-        // queue; everything else advances on inbound messages (tracked by
-        // the network) or on policy calls (tracked by the policy layer).
-        self.deferred_fwd.next_due()
     }
 }
 

@@ -251,9 +251,9 @@ impl MemorySystem {
     /// anything: an in-flight network delivery (to the directory *or* a
     /// core controller — both are received inside `tick`), a DRAM
     /// completion, or a controller's deferred external request coming of
-    /// age. Unlike the [`Schedulable`] impl this *excludes* pending
-    /// controller events: those are consumed by the per-core slice, not by
-    /// `tick`, so the event-driven kernel accounts them to the core unit.
+    /// age. This *excludes* pending controller events: those are consumed
+    /// by the per-core slice, not by `tick`, so the event-driven kernel
+    /// accounts them to the core unit.
     pub fn fabric_next_work(&self, now: Cycle) -> Option<Cycle> {
         let mut next = earliest(self.net.next_work(now), self.dir.next_work(now));
         for c in &self.ctrls {
@@ -285,25 +285,6 @@ impl MemorySystem {
         s.absorb("dir", &self.dir.export_stats());
         s.set("net.msgs", self.net.sent_count() as f64);
         s
-    }
-}
-
-impl Schedulable for MemorySystem {
-    /// Earliest cycle at which ticking the memory system could change
-    /// state: pending controller events, deferred external requests, DRAM
-    /// completions, or in-flight network messages. Directory replays never
-    /// persist across ticks (they are drained within the producing tick),
-    /// and the network's jitter RNG is only consulted in `send`, so an
-    /// idle stretch is provably a no-op until the reported cycle.
-    fn next_work(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = earliest(self.net.next_work(now), self.dir.next_work(now));
-        for c in &self.ctrls {
-            next = earliest(next, c.next_work(now));
-            if next.is_some_and(|c| c <= now) {
-                break;
-            }
-        }
-        next
     }
 }
 

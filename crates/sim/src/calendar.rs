@@ -2,9 +2,9 @@
 //!
 //! Each schedulable *unit* (the memory fabric, one per-core slice) owns a
 //! small integer id and at most one live key in the calendar: the earliest
-//! cycle at which ticking that unit could change machine state (the same
-//! [`Schedulable`] contract the idle-skipping kernel scans for, but kept
-//! incrementally instead of recomputed machine-wide every cycle).
+//! cycle at which ticking that unit could change machine state (the
+//! [`Schedulable`] contract, kept incrementally per unit instead of
+//! recomputed machine-wide every cycle).
 //!
 //! # Ordering
 //!
@@ -41,13 +41,13 @@
 //! pop order — strictly `(due, id)` ascending — is preserved by merging
 //! the bucket cursor with the heap head at every pop.
 //!
+//! [`Schedulable`]: crate::Schedulable
 //! [`schedule`]: Calendar::schedule
 //! [`pop_due`]: Calendar::pop_due
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::sched::Schedulable;
 use crate::types::Cycle;
 
 /// One heap entry: `(due, id)` gives the pop order, `stamp` identifies
@@ -250,96 +250,6 @@ impl Calendar {
     }
 }
 
-/// Merged gang calendar: orders the *members* of a simulation gang by
-/// local virtual time.
-///
-/// A gang runs K seed-varied member simulations in one interleaved pass.
-/// Each member owns a per-member [`Calendar`] ordering its internal units
-/// by `(due, unit)`; this queue merges the members themselves by
-/// `(due, sim)`, where `due` is the member's local clock (the cycle its
-/// next kernel step will act on). Popping the minimum and then letting
-/// the member's own calendar pick its due units realizes the full
-/// `(due, sim, unit)` order: strictly by virtual time, sims ascending on
-/// ties, units ascending within a sim.
-///
-/// Unlike [`Calendar`], members never *move* a pending key — a member's
-/// clock is monotone, and the gang re-keys a member only after popping
-/// it — so there are no stale entries and no stamps: each scheduled
-/// member has exactly one live heap entry. Members retire individually
-/// (finish, deadlock, budget): a retired member simply is not
-/// rescheduled, and the gang drains until the heap is empty.
-#[derive(Debug, Default)]
-pub struct GangCalendar {
-    heap: BinaryHeap<Reverse<(Cycle, usize)>>,
-    /// `keys[sim]`: the member's live key, or `None` when the member is
-    /// not scheduled (retired, or popped and not yet re-keyed).
-    keys: Vec<Option<Cycle>>,
-}
-
-impl GangCalendar {
-    /// An empty gang calendar for `members` member slots (ids
-    /// `0..members`).
-    pub fn new(members: usize) -> GangCalendar {
-        GangCalendar {
-            heap: BinaryHeap::with_capacity(members),
-            keys: vec![None; members],
-        }
-    }
-
-    /// Number of member slots.
-    pub fn members(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// The member's current live key, if scheduled.
-    pub fn key(&self, sim: usize) -> Option<Cycle> {
-        self.keys[sim]
-    }
-
-    /// Number of currently scheduled members.
-    pub fn scheduled(&self) -> usize {
-        self.keys.iter().flatten().count()
-    }
-
-    /// Schedules member `sim` at its local cycle `due`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the member is already scheduled (the gang must pop a
-    /// member before re-keying it — this is what keeps the heap free of
-    /// stale entries) or if `due` would move the member backwards past an
-    /// already-popped key (member clocks are monotone).
-    pub fn schedule(&mut self, sim: usize, due: Cycle) {
-        assert!(
-            self.keys[sim].is_none(),
-            "gang member {sim} scheduled twice without an intervening pop"
-        );
-        self.keys[sim] = Some(due);
-        self.heap.push(Reverse((due, sim)));
-    }
-
-    /// Pops the globally earliest `(due, sim)` entry, consuming the
-    /// member's key. Returns `None` when every member is retired.
-    pub fn pop_min(&mut self) -> Option<(Cycle, usize)> {
-        let Reverse((due, sim)) = self.heap.pop()?;
-        debug_assert_eq!(self.keys[sim], Some(due), "gang heap entry went stale");
-        self.keys[sim] = None;
-        Some((due, sim))
-    }
-}
-
-impl Schedulable for Calendar {
-    /// A calendar full of keys is itself schedulable: its next work is its
-    /// earliest live key. (Requires `&mut self` internally, so this clones
-    /// the settle logic read-only: stale heads are skipped, not popped.)
-    fn next_work(&self, _now: Cycle) -> Option<Cycle> {
-        // Read-only fallback: the heap may have stale heads, so fold over
-        // the live per-unit keys instead. O(units), used only in tests and
-        // assertions — the kernel calls `next_key` on the hot path.
-        self.keys.iter().flatten().min().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,62 +363,8 @@ mod tests {
                 }
                 let expect_min = model.iter().flatten().min().copied();
                 assert_eq!(cal.next_key(), expect_min, "round {round}: next_key");
-                assert_eq!(cal.next_work(now), expect_min, "round {round}: next_work");
             }
         }
-    }
-
-    /// Gang entries pop strictly in `(due, sim)` order, and a popped
-    /// member stays out until re-keyed.
-    #[test]
-    fn gang_pops_in_due_then_sim_order() {
-        let mut g = GangCalendar::new(4);
-        g.schedule(2, Cycle::new(5));
-        g.schedule(0, Cycle::new(9));
-        g.schedule(1, Cycle::new(5));
-        g.schedule(3, Cycle::new(2));
-        assert_eq!(g.scheduled(), 4);
-        assert_eq!(g.pop_min(), Some((Cycle::new(2), 3)));
-        // Tie on cycle 5: ascending member id.
-        assert_eq!(g.pop_min(), Some((Cycle::new(5), 1)));
-        assert_eq!(g.pop_min(), Some((Cycle::new(5), 2)));
-        assert_eq!(g.key(0), Some(Cycle::new(9)));
-        assert_eq!(g.pop_min(), Some((Cycle::new(9), 0)));
-        assert_eq!(g.pop_min(), None, "all members retired");
-    }
-
-    /// A retired member (never re-keyed after its pop) does not block the
-    /// drain; re-keyed members keep interleaving by virtual time.
-    #[test]
-    fn gang_members_retire_individually() {
-        let mut g = GangCalendar::new(3);
-        for sim in 0..3 {
-            g.schedule(sim, Cycle::ZERO);
-        }
-        let mut pops = Vec::new();
-        while let Some((due, sim)) = g.pop_min() {
-            pops.push((due, sim));
-            // Member 1 retires immediately; the others advance by
-            // different strides until cycle 12.
-            let stride = if sim == 0 { 3 } else { 5 };
-            if sim != 1 && due < Cycle::new(12) {
-                g.schedule(sim, due + stride);
-            }
-        }
-        // Virtual time never goes backwards across pops.
-        assert!(pops.windows(2).all(|w| w[0] <= w[1]), "{pops:?}");
-        assert_eq!(pops.iter().filter(|p| p.1 == 1).count(), 1, "member 1 popped once");
-        assert!(pops.iter().filter(|p| p.1 == 0).count() > 3);
-        assert_eq!(g.scheduled(), 0);
-    }
-
-    /// The no-stale-entry contract: double-scheduling a member panics.
-    #[test]
-    #[should_panic(expected = "scheduled twice")]
-    fn gang_rejects_double_schedule() {
-        let mut g = GangCalendar::new(2);
-        g.schedule(0, Cycle::new(1));
-        g.schedule(0, Cycle::new(2));
     }
 
     /// Property (satellite): the idle-jump arithmetic the kernel uses —

@@ -59,47 +59,37 @@ impl fmt::Display for PolicyKind {
 
 /// Which simulation kernel advances the clock.
 ///
-/// All three kernels produce bit-identical statistics; `Event` is the
-/// default because it ticks only the components whose calendar key is due
-/// (and jumps the clock over machine-wide idle stretches), instead of
-/// scanning every component each cycle. `Skip` is the legacy machine-wide
-/// idle-jump kernel, and `Lockstep` is kept as the reference for
+/// Both kernels produce bit-identical statistics; `Event` is the default
+/// because it ticks only the components whose calendar key is due (and
+/// jumps the clock over machine-wide idle stretches), instead of ticking
+/// every component each cycle. `Lockstep` is kept as the reference for
 /// differential checking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Tick every component every cycle (the reference kernel).
     Lockstep,
-    /// Jump the clock to the machine-wide next event when no component has
-    /// due work, charging the skipped cycles to the same counters.
-    Skip,
     /// Calendar-queue kernel: each unit (memory fabric, per-core slice)
     /// keeps a `next_work` key in a priority queue and only due units are
-    /// ticked; idle stretches are jumped like `Skip` but without scanning.
+    /// ticked; idle stretches are jumped, with the skipped cycles charged
+    /// to the same counters lockstep ticks would have bumped.
     Event,
 }
 
 impl KernelKind {
     /// Every kernel, lockstep (the reference) first.
-    pub const ALL: [KernelKind; 3] = [KernelKind::Lockstep, KernelKind::Skip, KernelKind::Event];
+    pub const ALL: [KernelKind; 2] = [KernelKind::Lockstep, KernelKind::Event];
 
-    /// Short label used in flags and cache keys ("lockstep", "skip",
-    /// "event").
+    /// Short label used in flags and cache keys ("lockstep", "event").
     pub fn label(self) -> &'static str {
         match self {
             KernelKind::Lockstep => "lockstep",
-            KernelKind::Skip => "skip",
             KernelKind::Event => "event",
         }
     }
 
     /// Parses a `--kernel` flag value.
     pub fn parse(s: &str) -> Option<KernelKind> {
-        match s {
-            "lockstep" => Some(KernelKind::Lockstep),
-            "skip" => Some(KernelKind::Skip),
-            "event" => Some(KernelKind::Event),
-            _ => None,
-        }
+        KernelKind::ALL.into_iter().find(|k| k.label() == s)
     }
 }
 
@@ -689,8 +679,7 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the simulation kernel (event-driven, idle-skipping or
-    /// lockstep).
+    /// Selects the simulation kernel (event-driven or lockstep).
     pub fn kernel(&mut self, k: KernelKind) -> &mut Self {
         self.cfg.kernel = k;
         self
@@ -812,6 +801,7 @@ mod tests {
             assert_eq!(KernelKind::parse(k.label()), Some(k));
         }
         assert_eq!(KernelKind::parse("warp"), None);
+        assert_eq!(KernelKind::parse("skip"), None);
     }
 
     #[test]

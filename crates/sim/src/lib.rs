@@ -12,8 +12,8 @@
 //! * [`config`] — the full Table I machine description ([`SimConfig`]) with
 //!   a builder, plus the store-drain policy selector ([`PolicyKind`]) and
 //!   the simulation-kernel selector ([`KernelKind`]).
-//! * [`sched`] — the [`Schedulable`] contract the idle-aware kernels use
-//!   to compute per-component next-event cycles.
+//! * [`sched`] — the [`Schedulable`] contract the event kernel uses to
+//!   compute per-component next-event cycles.
 //! * [`calendar`] — the priority queue of unit next-work keys
 //!   ([`Calendar`]) behind the event-driven kernel.
 //! * [`lineid`] — dense per-run line identifiers ([`LineId`],

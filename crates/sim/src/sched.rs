@@ -1,10 +1,11 @@
-//! Scheduling contract for the idle-skipping simulation kernel.
+//! Scheduling contract for the event-driven simulation kernel.
 //!
 //! Every simulated layer (cores, store-buffer policies, caches, network,
 //! directory) answers one question: *given the current cycle, when is the
 //! earliest cycle at which ticking you could change machine state?* The
-//! kernel takes the machine-wide minimum of those answers and, when it lies
-//! strictly in the future, jumps the clock straight there instead of
+//! event kernel keeps one such answer per unit in its [`Calendar`], ticks
+//! only the units whose key is due, and, when every key lies strictly in
+//! the future, jumps the clock straight to the earliest one instead of
 //! ticking idle components cycle by cycle.
 //!
 //! # Skip safety
@@ -23,12 +24,13 @@
 //! idle cycle to the same stall/occupancy counters the lockstep tick would
 //! have bumped, so `StatSet` output is bit-identical between kernels.
 //!
+//! [`Calendar`]: crate::Calendar
 //! [`DelayQueue::next_due`]: crate::DelayQueue::next_due
 
 use crate::event::DelayQueue;
 use crate::types::Cycle;
 
-/// A component the idle-skipping kernel can query for its next event.
+/// A component the event kernel can query for its next event.
 pub trait Schedulable {
     /// Earliest cycle `>= now` at which ticking this component could change
     /// simulated state, or `None` if it is fully quiesced (no pending work

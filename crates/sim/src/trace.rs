@@ -15,7 +15,7 @@
 //! * [`AttrClass`] / [`Attribution`] — the stall-attribution accountant.
 //!   Every core cycle is charged to **exactly one** class (useful
 //!   dispatch, empty front end, or one of the four dispatch-stall
-//!   causes), under both the lockstep and the idle-skipping kernels, so
+//!   causes), under both the lockstep and the event kernels, so
 //!   `sum(classes) == cycles` holds at any instant of any run. This is
 //!   always on — the charges are plain integer adds, independent of the
 //!   tracer — which is what lets the figures claim *where* cycles went
@@ -135,7 +135,7 @@ pub enum TraceEvent {
         /// The stall class covering the interval.
         class: AttrClass,
     },
-    /// Span: the idle-skipping kernel jumped the clock over a
+    /// Span: the event kernel jumped the clock over a
     /// machine-wide idle window (keeps timelines gap-free).
     BulkIdle,
     /// Instant: stores drained from the SB into the WCBs this cycle.

@@ -352,7 +352,7 @@ mod tests {
     }
 
     /// Both kernels observe the *identical* outcome set on litmus tests:
-    /// the skip kernel may not suppress or invent timings.
+    /// the event kernel may not suppress or invent timings.
     #[test]
     fn kernels_observe_identical_outcome_sets() {
         for t in all_litmus_tests()
@@ -364,11 +364,11 @@ mod tests {
                 let lock = check_conformance_at_kernel(
                     &t.program, &addrs, policy, 8, KernelKind::Lockstep,
                 );
-                let skip =
-                    check_conformance_at_kernel(&t.program, &addrs, policy, 8, KernelKind::Skip);
-                assert!(lock.conforms() && skip.conforms(), "{} non-conforming", t.name);
+                let event =
+                    check_conformance_at_kernel(&t.program, &addrs, policy, 8, KernelKind::Event);
+                assert!(lock.conforms() && event.conforms(), "{} non-conforming", t.name);
                 assert_eq!(
-                    lock.observed, skip.observed,
+                    lock.observed, event.observed,
                     "{} ({policy:?}): kernels observed different outcome sets",
                     t.name
                 );

@@ -735,7 +735,7 @@ mod tests {
         }
     }
 
-    /// The idle-skipping kernel must reach the same verdict as lockstep
+    /// The event-driven kernel must reach the same verdict as lockstep
     /// on generated fuzz cases — a differential check of the kernel
     /// itself (the full 500-case sweep is the harness `fuzz` subcommand
     /// run with `--kernel`).
@@ -745,11 +745,11 @@ mod tests {
         for i in 0..4 {
             let case = generate_case(&mut rng);
             let lock = check_case_kernel(&case, 3, KernelKind::Lockstep);
-            let skip = check_case_kernel(&case, 3, KernelKind::Skip);
+            let event = check_case_kernel(&case, 3, KernelKind::Event);
             assert_eq!(
                 lock.is_none(),
-                skip.is_none(),
-                "case {i}: kernels disagree (lockstep {lock:?}, skip {skip:?})\n{case}"
+                event.is_none(),
+                "case {i}: kernels disagree (lockstep {lock:?}, event {event:?})\n{case}"
             );
         }
     }
