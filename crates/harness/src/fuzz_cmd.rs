@@ -457,7 +457,7 @@ mod tests {
     }
 
     /// Replay of a hand-written passing corpus file returns 0; garbage
-    /// returns 2.
+    /// and an out-of-range location return 2.
     #[test]
     fn replay_roundtrip() {
         let dir = std::env::temp_dir().join("tus-fuzz-replay-test");
@@ -475,6 +475,11 @@ mod tests {
         };
         assert_eq!(run_fuzz(&opt), 0);
         std::fs::write(&path, "garbage").expect("write");
+        assert_eq!(run_fuzz(&opt), 2);
+        // A location index past the decoder's cap is a parse error, not
+        // an allocation of the index's size.
+        std::fs::write(&path, "tusfuzz v1\nseeds 1\nthread\nst 4000000000000 1\n")
+            .expect("write");
         assert_eq!(run_fuzz(&opt), 2);
     }
 }

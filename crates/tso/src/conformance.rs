@@ -284,7 +284,31 @@ pub fn check_conformance_matrix(
     kernel: KernelKind,
     coherence: CoherenceKind,
 ) -> ConformanceReport {
-    let allowed = tso_outcomes(prog);
+    check_conformance_against(
+        tso_outcomes(prog),
+        prog,
+        addrs,
+        policy,
+        seeds,
+        kernel,
+        coherence,
+    )
+}
+
+/// [`check_conformance_matrix`] against a reference set the caller has
+/// already computed with [`tso_outcomes`]. The set depends only on the
+/// program, so a caller checking several policies computes it once and
+/// passes it on from one report's [`ConformanceReport::allowed`] to the
+/// next call.
+pub fn check_conformance_against(
+    allowed: BTreeSet<Outcome>,
+    prog: &Program,
+    addrs: &[Addr],
+    policy: PolicyKind,
+    seeds: u64,
+    kernel: KernelKind,
+    coherence: CoherenceKind,
+) -> ConformanceReport {
     let mut observed = BTreeSet::new();
     let mut timeouts = Vec::new();
     let mut truncated_seeds = Vec::new();

@@ -17,8 +17,11 @@
 
 use tus_sim::{Addr, CoherenceKind, KernelKind, PolicyKind, SimRng};
 
-use crate::conformance::{check_conformance_matrix, default_addrs};
+use crate::conformance::{
+    check_conformance_against, check_conformance_matrix, default_addrs, ConformanceReport,
+};
 use crate::prog::{LOp, Loc, Outcome, Program, Thread};
+use crate::refmodel::tso_outcomes;
 
 /// Maximum threads per generated program (one simulator core each).
 pub const MAX_THREADS: usize = 4;
@@ -237,6 +240,12 @@ pub fn check_policy_matrix(
 ) -> Option<CaseFailure> {
     let report =
         check_conformance_matrix(&case.program, &case.addrs, policy, seeds, kernel, coherence);
+    first_failure(policy, &report)
+}
+
+/// The first failure in `report`, checked in the order violation,
+/// timeout, truncation.
+fn first_failure(policy: PolicyKind, report: &ConformanceReport) -> Option<CaseFailure> {
     if let Some(o) = report.violations.first() {
         return Some(CaseFailure {
             policy,
@@ -272,16 +281,31 @@ pub fn check_case_kernel(case: &FuzzCase, seeds: u64, kernel: KernelKind) -> Opt
 }
 
 /// [`check_case_kernel`] under an explicit coherence backend: all five
-/// drain policies, one kernel, one backend.
+/// drain policies, one kernel, one backend. The reference set depends
+/// only on the program, so it is computed once for all five.
 pub fn check_case_matrix(
     case: &FuzzCase,
     seeds: u64,
     kernel: KernelKind,
     coherence: CoherenceKind,
 ) -> Option<CaseFailure> {
-    PolicyKind::ALL
-        .iter()
-        .find_map(|&p| check_policy_matrix(case, p, seeds, kernel, coherence))
+    let mut allowed = tso_outcomes(&case.program);
+    for policy in PolicyKind::ALL {
+        let report = check_conformance_against(
+            allowed,
+            &case.program,
+            &case.addrs,
+            policy,
+            seeds,
+            kernel,
+            coherence,
+        );
+        if let Some(f) = first_failure(policy, &report) {
+            return Some(f);
+        }
+        allowed = report.allowed;
+    }
+    None
 }
 
 /// Drops threads that became empty and compacts location indices,
@@ -479,6 +503,13 @@ where
 /// Corpus file format tag.
 const CORPUS_HEADER: &str = "tusfuzz v1";
 
+/// Location indices a corpus file may use are below this cap. The
+/// address map and the reference model's state are sized by the
+/// location count, so [`decode_case`] refuses a larger index before
+/// allocating anything from it. The generator emits at most
+/// [`MAX_LOCS`] locations and the litmus library at most 3.
+pub const MAX_CORPUS_LOCS: usize = 64;
+
 /// Serializes a case (plus the policy/seed count that failed it, for
 /// replay) into the `results/fuzz-corpus/` text format.
 pub fn encode_case(case: &FuzzCase, policy: Option<PolicyKind>, seeds: u64) -> String {
@@ -531,6 +562,16 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     v.map_err(|e| format!("bad number {s:?}: {e}"))
 }
 
+fn parse_loc(s: &str) -> Result<Loc, String> {
+    let loc = parse_u64(s)?;
+    if loc >= MAX_CORPUS_LOCS as u64 {
+        return Err(format!(
+            "location {loc} is past the cap of {MAX_CORPUS_LOCS} locations"
+        ));
+    }
+    Ok(Loc(loc as usize))
+}
+
 fn parse_policy(label: &str) -> Result<PolicyKind, String> {
     PolicyKind::ALL
         .into_iter()
@@ -570,11 +611,11 @@ pub fn decode_case(text: &str) -> Result<CorpusEntry, String> {
                 let t = threads.last_mut().ok_or("op before any `thread` line")?;
                 let op = match kw {
                     "st" => LOp::Store {
-                        loc: Loc(parse_u64(parts.next().ok_or("st needs a location")?)? as usize),
+                        loc: parse_loc(parts.next().ok_or("st needs a location")?)?,
                         val: parse_u64(parts.next().ok_or("st needs a value")?)?,
                     },
                     "ld" => LOp::Load {
-                        loc: Loc(parse_u64(parts.next().ok_or("ld needs a location")?)? as usize),
+                        loc: parse_loc(parts.next().ok_or("ld needs a location")?)?,
                     },
                     _ => LOp::Fence,
                 };
@@ -672,6 +713,14 @@ mod tests {
         assert!(decode_case("not a corpus file").is_err());
         assert!(decode_case("tusfuzz v1\nst 0 1").is_err(), "op before thread");
         assert!(decode_case("tusfuzz v1\npolicy nope\nthread\nmf").is_err());
+        // A huge location index is refused before the default address
+        // map is sized from it.
+        let huge = decode_case("tusfuzz v1\nseeds 1\nthread\nst 4000000000000 1")
+            .expect_err("location past the cap");
+        assert!(huge.contains(&MAX_CORPUS_LOCS.to_string()), "{huge}");
+        let last = MAX_CORPUS_LOCS - 1;
+        assert!(decode_case(&format!("tusfuzz v1\nthread\nld {MAX_CORPUS_LOCS}")).is_err());
+        assert!(decode_case(&format!("tusfuzz v1\nthread\nld {last}")).is_ok());
     }
 
     #[test]

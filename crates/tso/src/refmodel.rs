@@ -12,46 +12,164 @@
 //!
 //! [`tso_outcomes`] enumerates every reachable final state by exhaustive
 //! DFS over these transitions (with state memoization), giving the exact
-//! set of TSO-allowed outcomes for small litmus programs.
+//! set of TSO-allowed outcomes for small litmus programs. It prunes no
+//! transition: it is the oracle that [`crate::check`]'s pruned policy
+//! machines and the simulator are held to.
+//!
+//! A search state is one flat `u64` slice: the shared memory, each
+//! thread's pc, each thread's buffer occupancy `k`, then per thread one
+//! observation slot per load in its program. Buffer contents are not
+//! stored. A FIFO buffer always holds exactly the youngest `k` of its
+//! thread's executed stores, and those are the stores before its pc, so
+//! `(pc, k)` determines the buffer. The loads before the pc fill the
+//! first observation slots and the rest stay 0. The encoding is thus
+//! one-to-one with the explicit state (memory, pcs, buffer contents,
+//! observations), and memoizing on it merges exactly the states the
+//! explicit machine would.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use tus_sim::FxHashSet;
 
 use crate::prog::{LOp, Outcome, Program};
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct State {
-    mem: Vec<u64>,
-    pcs: Vec<usize>,
-    sbs: Vec<VecDeque<(usize, u64)>>,
-    obs: Vec<Vec<u64>>,
+/// Where each part of a search state sits in its slice, and what a
+/// thread's pc says about the prefix it has executed.
+struct Layout {
+    /// Locations: memory is `state[..locs]`.
+    locs: usize,
+    /// Threads: thread `t`'s pc is `state[locs + t]`, its occupancy
+    /// `state[locs + threads + t]`.
+    threads: usize,
+    /// Per thread, its stores as `(location, value)` in program order.
+    stores: Vec<Vec<(usize, u64)>>,
+    /// Per thread and pc, how many stores and loads precede that pc.
+    before: Vec<Vec<(usize, usize)>>,
+    /// Thread `t`'s observation slots are `state[obs[t]..obs[t + 1]]`;
+    /// the last entry is the slice width.
+    obs: Vec<usize>,
 }
 
-impl State {
-    fn initial(prog: &Program) -> Self {
-        State {
-            mem: vec![0; prog.locations()],
-            pcs: vec![0; prog.threads.len()],
-            sbs: vec![VecDeque::new(); prog.threads.len()],
-            obs: prog.threads.iter().map(|_| Vec::new()).collect(),
+impl Layout {
+    fn new(prog: &Program) -> Self {
+        let locs = prog.locations();
+        let threads = prog.threads.len();
+        let mut stores = Vec::with_capacity(threads);
+        let mut before = Vec::with_capacity(threads);
+        let mut obs = vec![locs + 2 * threads];
+        for t in &prog.threads {
+            let mut s = Vec::new();
+            let mut loads = 0;
+            let mut b = vec![(0, 0)];
+            for op in &t.ops {
+                match *op {
+                    LOp::Store { loc, val } => s.push((loc.0, val)),
+                    LOp::Load { .. } => loads += 1,
+                    LOp::Fence => {}
+                }
+                b.push((s.len(), loads));
+            }
+            obs.push(obs[obs.len() - 1] + loads);
+            stores.push(s);
+            before.push(b);
+        }
+        Layout {
+            locs,
+            threads,
+            stores,
+            before,
+            obs,
         }
     }
 
-    fn is_final(&self, prog: &Program) -> bool {
-        self.pcs
-            .iter()
-            .zip(&prog.threads)
-            .all(|(&pc, t)| pc == t.ops.len())
-            && self.sbs.iter().all(|sb| sb.is_empty())
+    fn width(&self) -> usize {
+        self.obs[self.threads]
     }
 
-    fn outcome(&self) -> Outcome {
+    fn pc_slot(&self, t: usize) -> usize {
+        self.locs + t
+    }
+
+    fn occupancy_slot(&self, t: usize) -> usize {
+        self.locs + self.threads + t
+    }
+
+    fn outcome(&self, s: &[u64]) -> Outcome {
         Outcome {
-            regs: self.obs.clone(),
-            mem: self.mem.clone(),
+            regs: (0..self.threads)
+                .map(|t| s[self.obs[t]..self.obs[t + 1]].to_vec())
+                .collect(),
+            mem: s[..self.locs].to_vec(),
         }
     }
+}
+
+/// Enumerates the final states reachable from the all-zero state. With
+/// `write_through` a store updates memory at once and buffers stay
+/// empty: the sequentially consistent machine.
+fn reachable_outcomes(prog: &Program, write_through: bool) -> BTreeSet<Outcome> {
+    let lay = Layout::new(prog);
+    let mut outcomes = BTreeSet::new();
+    // Every state ever pushed, sharing its allocation with the DFS
+    // stack: a state is pushed, and so expanded, at most once.
+    let mut seen: FxHashSet<Rc<[u64]>> = FxHashSet::default();
+    let initial: Rc<[u64]> = vec![0; lay.width()].into();
+    seen.insert(initial.clone());
+    let mut stack = vec![initial];
+    let mut n = vec![0; lay.width()];
+    while let Some(s) = stack.pop() {
+        let is_final = prog.threads.iter().enumerate().all(|(t, th)| {
+            s[lay.pc_slot(t)] as usize == th.ops.len() && s[lay.occupancy_slot(t)] == 0
+        });
+        if is_final {
+            outcomes.insert(lay.outcome(&s));
+            continue;
+        }
+        let mut push = |state: &[u64]| {
+            if !seen.contains(state) {
+                let state: Rc<[u64]> = state.into();
+                seen.insert(state.clone());
+                stack.push(state);
+            }
+        };
+        for (t, th) in prog.threads.iter().enumerate() {
+            let pc = s[lay.pc_slot(t)] as usize;
+            let k = s[lay.occupancy_slot(t)] as usize;
+            let (stored, loaded) = lay.before[t][pc];
+            // The buffer, oldest first.
+            let buffer = &lay.stores[t][stored - k..stored];
+            // Transition 1: drain the oldest buffered store.
+            if let Some(&(loc, val)) = buffer.first() {
+                n.copy_from_slice(&s);
+                n[loc] = val;
+                n[lay.occupancy_slot(t)] -= 1;
+                push(&n);
+            }
+            // Transition 2: execute the next instruction.
+            let Some(op) = th.ops.get(pc) else {
+                continue;
+            };
+            n.copy_from_slice(&s);
+            match *op {
+                LOp::Store { loc, val } if write_through => n[loc.0] = val,
+                LOp::Store { .. } => n[lay.occupancy_slot(t)] += 1,
+                LOp::Load { loc } => {
+                    // Read own SB (youngest entry) first, else memory.
+                    n[lay.obs[t] + loaded] = buffer
+                        .iter()
+                        .rev()
+                        .find(|&&(l, _)| l == loc.0)
+                        .map_or(s[loc.0], |&(_, v)| v);
+                }
+                LOp::Fence if k > 0 => continue,
+                LOp::Fence => {}
+            }
+            n[lay.pc_slot(t)] += 1;
+            push(&n);
+        }
+    }
+    outcomes
 }
 
 /// Computes the exact set of x86-TSO-allowed outcomes of `prog`.
@@ -71,96 +189,13 @@ impl State {
 /// assert!(outs.iter().any(|o| o.regs == vec![vec![0], vec![0]]));
 /// ```
 pub fn tso_outcomes(prog: &Program) -> BTreeSet<Outcome> {
-    let mut outcomes = BTreeSet::new();
-    let mut seen: FxHashSet<State> = FxHashSet::default();
-    let mut stack = vec![State::initial(prog)];
-    while let Some(s) = stack.pop() {
-        if !seen.insert(s.clone()) {
-            continue;
-        }
-        if s.is_final(prog) {
-            outcomes.insert(s.outcome());
-            continue;
-        }
-        for t in 0..prog.threads.len() {
-            // Transition 1: drain the oldest buffered store.
-            if let Some(&(loc, val)) = s.sbs[t].front() {
-                let mut n = s.clone();
-                n.sbs[t].pop_front();
-                n.mem[loc] = val;
-                stack.push(n);
-            }
-            // Transition 2: execute the next instruction.
-            let pc = s.pcs[t];
-            let Some(op) = prog.threads[t].ops.get(pc) else {
-                continue;
-            };
-            match *op {
-                LOp::Store { loc, val } => {
-                    let mut n = s.clone();
-                    n.sbs[t].push_back((loc.0, val));
-                    n.pcs[t] += 1;
-                    stack.push(n);
-                }
-                LOp::Load { loc } => {
-                    let mut n = s.clone();
-                    // Read own SB (youngest entry) first, else memory.
-                    let v = s.sbs[t]
-                        .iter()
-                        .rev()
-                        .find(|&&(l, _)| l == loc.0)
-                        .map(|&(_, v)| v)
-                        .unwrap_or(s.mem[loc.0]);
-                    n.obs[t].push(v);
-                    n.pcs[t] += 1;
-                    stack.push(n);
-                }
-                LOp::Fence => {
-                    if s.sbs[t].is_empty() {
-                        let mut n = s.clone();
-                        n.pcs[t] += 1;
-                        stack.push(n);
-                    }
-                }
-            }
-        }
-    }
-    outcomes
+    reachable_outcomes(prog, false)
 }
 
 /// Computes the *sequentially consistent* outcomes (no store buffering) —
 /// useful to demonstrate which outcomes are TSO-only relaxations.
 pub fn sc_outcomes(prog: &Program) -> BTreeSet<Outcome> {
-    let mut outcomes = BTreeSet::new();
-    let mut seen: FxHashSet<State> = FxHashSet::default();
-    let mut stack = vec![State::initial(prog)];
-    while let Some(s) = stack.pop() {
-        if !seen.insert(s.clone()) {
-            continue;
-        }
-        if s.is_final(prog) {
-            outcomes.insert(s.outcome());
-            continue;
-        }
-        for t in 0..prog.threads.len() {
-            let pc = s.pcs[t];
-            let Some(op) = prog.threads[t].ops.get(pc) else {
-                continue;
-            };
-            let mut n = s.clone();
-            match *op {
-                LOp::Store { loc, val } => n.mem[loc.0] = val,
-                LOp::Load { loc } => {
-                    let v = n.mem[loc.0];
-                    n.obs[t].push(v);
-                }
-                LOp::Fence => {}
-            }
-            n.pcs[t] += 1;
-            stack.push(n);
-        }
-    }
-    outcomes
+    reachable_outcomes(prog, true)
 }
 
 #[cfg(test)]
@@ -230,6 +265,20 @@ mod tests {
         let outs = tso_outcomes(&p);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs.first().expect("one").mem, vec![7, 9]);
+    }
+
+    #[test]
+    fn empty_programs_have_one_empty_outcome() {
+        // Zero threads gives a zero-width state; a lone fence, no memory.
+        for p in [
+            Program::default(),
+            Program::new(vec![thread(vec![mfence()])]),
+        ] {
+            let outs = tso_outcomes(&p);
+            assert_eq!(outs.len(), 1, "{p:?}");
+            assert!(outs.iter().all(|o| o.mem.is_empty()));
+            assert_eq!(outs, sc_outcomes(&p));
+        }
     }
 
     #[test]

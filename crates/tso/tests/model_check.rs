@@ -1,6 +1,7 @@
 //! Oracle and soundness tests for the bounded model checker.
 //!
-//! Three legs, mirroring how much trust `tus-harness check` deserves:
+//! Four legs, mirroring how much trust `tus-harness check` and the
+//! reference model deserve:
 //!
 //! 1. **Litmus oracles** — on SB, MP, LB and IRIW the enumerated
 //!    reachable set of *every* policy must equal the known x86-TSO
@@ -13,16 +14,21 @@
 //! 3. **Pruning soundness** — store-buffer reduction and lazy-TSO are
 //!    exploration optimizations; with them on vs. off the enumerated
 //!    sets must be identical on 50 random small programs.
+//! 4. **Reference model vs. explorer** — the explorer's unpruned
+//!    baseline machine is the same unbounded FIFO machine as `refmodel`,
+//!    written independently over explicit buffer contents; the two sets
+//!    must be equal on 100 generated programs at the generator's full
+//!    bounds (up to 4 threads and 12 ops).
 
 use std::collections::BTreeSet;
 
 use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimRng};
 use tus_tso::check::{explore_policy, CheckConfig};
 use tus_tso::conformance::try_run_once_matrix;
-use tus_tso::fuzz::generate_case;
+use tus_tso::fuzz::{generate_case, MAX_OPS, MAX_THREADS};
 use tus_tso::litmus::all_litmus_tests;
 use tus_tso::prog::{Outcome, Program};
-use tus_tso::RunVerdict;
+use tus_tso::{tso_outcomes, RunVerdict};
 
 /// The litmus library's program for `name`.
 fn litmus_program(name: &str) -> Program {
@@ -220,4 +226,34 @@ fn prunings_are_outcome_preserving_on_random_programs() {
     }
     assert!(total_pruned > 0, "the reduction never engaged across 50 programs");
     assert!(total_levels >= 2, "lazy deepening never went past SC across 50 programs");
+}
+
+/// The reference model equals an independent implementation of the same
+/// machine: on the first 100 cases of fuzz stream 1 (the stream the
+/// `verify` benchmark and CI's fuzz job check, 4-thread cases included),
+/// `tso_outcomes` returns exactly the set that the explorer's baseline
+/// machine reaches with both prunings off.
+#[test]
+fn reference_model_matches_unpruned_explorer_at_generator_bounds() {
+    let unpruned = CheckConfig {
+        reduction: false,
+        lazy: false,
+        max_threads: MAX_THREADS,
+        max_ops: MAX_OPS,
+        sim_seeds: 0,
+        ..CheckConfig::default()
+    };
+    let mut four_threads = 0;
+    for i in 0..100u64 {
+        let case = generate_case(&mut SimRng::seed(1).fork(i + 1));
+        let (explored, _) = explore_policy(&case.program, PolicyKind::Baseline, &unpruned)
+            .unwrap_or_else(|b| panic!("case {i}: {b}"));
+        assert_eq!(
+            tso_outcomes(&case.program),
+            explored,
+            "case {i}: the reference model and the explorer disagree on\n{case}"
+        );
+        four_threads += usize::from(case.program.threads.len() == 4);
+    }
+    assert!(four_threads > 0, "no 4-thread case among the 100");
 }
