@@ -186,9 +186,10 @@ pub enum StepOutcome {
     /// The machine advanced (a tick or an idle jump); the goal is not yet
     /// met. Step again.
     Running,
-    /// The goal was met; statistics ledgers are materialized and the
-    /// snapshot equals what the monolithic run loop would return.
-    Done(StatSet),
+    /// The goal was met; statistics ledgers are materialized, so
+    /// [`System::export_stats`] now returns what the monolithic run loop
+    /// would.
+    Done,
     /// The run gave up (budget exhausted or the progress watchdog
     /// fired); the report equals the monolithic loop's.
     Dead(Box<DeadlockReport>),
@@ -643,16 +644,18 @@ impl System {
     /// One iteration of the run loop started by [`System::begin_run`]:
     /// checks the goal, then the cycle budget, then advances the machine
     /// one kernel step (a tick, or an idle jump). Statistics ledgers are
-    /// fully materialized on every exit, so a [`StepOutcome::Done`]
-    /// snapshot or [`StepOutcome::Dead`] report equals what the
-    /// monolithic loop would have produced. After `Done` the system
+    /// fully materialized on every exit, so [`System::export_stats`]
+    /// after [`StepOutcome::Done`], or a [`StepOutcome::Dead`] report,
+    /// equals what the monolithic loop would have produced. `Done`
+    /// carries no snapshot: a caller that reads no statistics (the
+    /// litmus runs of `tus-tso`) builds none. After `Done` the system
     /// remains runnable — begin another run to continue (the
     /// warm-up/measure pattern).
     pub fn run_step(&mut self, ctl: &mut RunCtl) -> StepOutcome {
         if ctl.goal.met(self) {
             self.flush_all_idle();
             self.check_attribution();
-            return StepOutcome::Done(self.export_stats());
+            return StepOutcome::Done;
         }
         if self.now.raw() >= ctl.max_cycles {
             let budget = ctl.max_cycles;
@@ -682,12 +685,20 @@ impl System {
         self.deadlock_report(kind)
     }
 
-    fn run_loop(&mut self, max_cycles: u64, goal: RunGoal) -> Result<StatSet, Box<DeadlockReport>> {
+    /// Runs towards `goal` — [`System::begin_run`], then
+    /// [`System::run_step`] until it finishes — without exporting
+    /// statistics. Returns a [`DeadlockReport`] on budget exhaustion or a
+    /// watchdog trip.
+    pub fn try_run_until(
+        &mut self,
+        goal: RunGoal,
+        max_cycles: u64,
+    ) -> Result<(), Box<DeadlockReport>> {
         let mut ctl = self.begin_run(goal, max_cycles);
         loop {
             match self.run_step(&mut ctl) {
                 StepOutcome::Running => {}
-                StepOutcome::Done(stats) => return Ok(stats),
+                StepOutcome::Done => return Ok(()),
                 StepOutcome::Dead(report) => return Err(report),
             }
         }
@@ -728,7 +739,8 @@ impl System {
     /// [`DeadlockReport`] instead of aborting the process, so callers
     /// (the fuzzer in particular) can record it as a counterexample.
     pub fn try_run_to_completion(&mut self, max_cycles: u64) -> Result<StatSet, Box<DeadlockReport>> {
-        self.run_loop(max_cycles, RunGoal::Completion)
+        self.try_run_until(RunGoal::Completion, max_cycles)?;
+        Ok(self.export_stats())
     }
 
     /// Runs until [`System::finished`], aborting after `max_cycles` or on
@@ -754,7 +766,8 @@ impl System {
         insts: u64,
         max_cycles: u64,
     ) -> Result<StatSet, Box<DeadlockReport>> {
-        self.run_loop(max_cycles, RunGoal::Committed(insts))
+        self.try_run_until(RunGoal::Committed(insts), max_cycles)?;
+        Ok(self.export_stats())
     }
 
     /// Runs until every core has committed at least `insts` instructions

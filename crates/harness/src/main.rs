@@ -11,8 +11,6 @@
 //!             [--seed N] [--max-threads N] [--max-ops N] [--max-states N]
 //!             [--seeds N] [--no-reduction] [--no-lazy] [--stats]
 //!             [--policy P] [--kernel K] [--coherence C] [--out DIR] [--jobs N]
-//! tus-harness bench-kernel [--quick|--full] [--seed N] [--out DIR]
-//!             [--parallel-cap N] [--jobs N]
 //! tus-harness bench-hotpath [--quick|--full] [--seed N] [--out DIR]
 //!             [--parallel-cap N] [--jobs N] [--kernel K]
 //!             [--min-sims-per-sec X]
@@ -30,17 +28,12 @@
 //! deterministic, so the tables and CSVs are byte-identical to a
 //! sequential, uncached run — under **any** simulation kernel
 //! (`--kernel`), which is what the CI kernel-equivalence job checks.
-//! Each experiment reports wall-clock time and simulation throughput;
-//! `all` additionally writes `BENCH_harness.json` next to the CSVs, and
-//! `bench-kernel` runs the whole suite cold under both kernels and
-//! writes `BENCH_kernel.json` with the measured per-kernel wall-clock.
-//! `bench-hotpath` runs the suite cold once (no memoization, no disk
-//! cache) and **appends** a timestamped entry to `BENCH_hotpath.json`,
-//! so the file accumulates a throughput trajectory across optimization
-//! rounds; `--min-sims-per-sec` makes it exit non-zero below a floor
-//! (the CI perf-smoke contract).
-
-use std::io::Write as _;
+//! Each experiment reports wall-clock time and simulation throughput on
+//! stderr. `bench-hotpath` runs the suite cold once (no memoization, no
+//! disk cache) and **appends** a timestamped entry to
+//! `BENCH_hotpath.json`, so the file accumulates a throughput trajectory
+//! across optimization rounds; `--min-sims-per-sec` makes it exit
+//! non-zero below a floor (the CI perf-smoke contract).
 
 use tus_harness::experiments::{self, Options, EXPERIMENTS};
 use tus_harness::{ExecCounters, Executor, Scale};
@@ -64,8 +57,6 @@ fn usage() -> ! {
          \x20                  [--handlers N] [--out DIR] [--no-cache] [--max-budget N]\n\
          \x20      tus-harness client (--connect HOST:PORT | --socket PATH) [--wait SECS]\n\
          \x20                  <ping|point|experiment|fuzz|trace|counters|shutdown> [...]\n\
-         \x20      tus-harness bench-kernel [--quick|--full] [--seed N] [--out DIR]\n\
-         \x20                  [--parallel-cap N] [--jobs N]\n\
          \x20      tus-harness bench-hotpath [--quick|--full] [--seed N] [--out DIR]\n\
          \x20                  [--parallel-cap N] [--jobs N] [--kernel K]\n\
          \x20                  [--min-sims-per-sec X]\n\
@@ -110,119 +101,6 @@ fn report(t: &Timing) {
         t.counters.memo_hits,
         t.counters.disk_hits,
     );
-}
-
-/// Writes `BENCH_harness.json`: per-experiment wall-clock seconds and
-/// simulation throughput (hand-rolled JSON; the workspace is std-only).
-fn write_bench_json(out: &std::path::Path, timings: &[Timing]) -> std::io::Result<()> {
-    std::fs::create_dir_all(out)?;
-    let mut f = std::fs::File::create(out.join("BENCH_harness.json"))?;
-    writeln!(f, "{{")?;
-    for (i, t) in timings.iter().enumerate() {
-        let comma = if i + 1 < timings.len() { "," } else { "" };
-        writeln!(
-            f,
-            "  \"{}\": {{\"seconds\": {:.3}, \"sims\": {}, \"sims_per_sec\": {:.2}, \"memo_hits\": {}, \"disk_hits\": {}}}{comma}",
-            t.name,
-            t.seconds,
-            t.counters.executed,
-            t.sims_per_sec(),
-            t.counters.memo_hits,
-            t.counters.disk_hits,
-        )?;
-    }
-    writeln!(f, "}}")?;
-    Ok(())
-}
-
-/// `bench-kernel`: runs the full experiment suite **cold** (fresh
-/// executor, no disk cache) once per kernel and records the wall-clock
-/// of each in `<out>/BENCH_kernel.json`. The CSVs land in per-kernel
-/// subdirectories, so a byte-level diff of the two trees doubles as an
-/// equivalence check. Returns the process exit code.
-fn bench_kernel(opt: &Options, jobs: usize) -> i32 {
-    let mut rows: Vec<(KernelKind, f64, ExecCounters)> = Vec::new();
-    for kernel in KernelKind::ALL {
-        let kopt = Options {
-            kernel,
-            out: opt.out.join("bench-kernel").join(kernel.label()),
-            ..opt.clone()
-        };
-        let ex = Executor::new(jobs, None);
-        eprintln!(
-            "[bench-kernel: running all experiments, {kernel} kernel, {} backend]",
-            opt.coherence
-        );
-        let started = std::time::Instant::now();
-        experiments::all(&ex, &kopt);
-        let seconds = started.elapsed().as_secs_f64();
-        let counters = ex.counters();
-        eprintln!(
-            "[bench-kernel: {kernel} kernel took {seconds:.1}s, {} sims]",
-            counters.executed
-        );
-        rows.push((kernel, seconds, counters));
-    }
-    match write_bench_kernel_json(&opt.out, opt.coherence, &rows) {
-        Ok(()) => {
-            let lockstep = rows
-                .iter()
-                .find(|r| r.0 == KernelKind::Lockstep)
-                .map_or(0.0, |r| r.1);
-            let summary: Vec<String> = rows
-                .iter()
-                .map(|(k, s, _)| format!("{k} {s:.1}s ({:.2}x)", lockstep / s.max(1e-9)))
-                .collect();
-            eprintln!("[bench-kernel: {}]", summary.join(", "));
-            0
-        }
-        Err(e) => {
-            eprintln!("bench-kernel: cannot write BENCH_kernel.json: {e}");
-            2
-        }
-    }
-}
-
-/// Writes `BENCH_kernel.json`: cold wall-clock per kernel plus each
-/// kernel's speedup over lockstep (hand-rolled JSON; the workspace is
-/// std-only).
-fn write_bench_kernel_json(
-    out: &std::path::Path,
-    coherence: tus_sim::CoherenceKind,
-    rows: &[(KernelKind, f64, ExecCounters)],
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(out)?;
-    let mut f = std::fs::File::create(out.join("BENCH_kernel.json"))?;
-    writeln!(f, "{{")?;
-    writeln!(f, "  \"coherence\": \"{coherence}\",")?;
-    for (kernel, seconds, counters) in rows {
-        let sims_per_sec = if *seconds > 0.0 {
-            counters.executed as f64 / seconds
-        } else {
-            0.0
-        };
-        writeln!(
-            f,
-            "  \"{kernel}\": {{\"seconds\": {seconds:.3}, \"sims\": {}, \"sims_per_sec\": {sims_per_sec:.2}}},",
-            counters.executed,
-        )?;
-    }
-    let lockstep = rows.iter().find(|r| r.0 == KernelKind::Lockstep);
-    if let Some(l) = lockstep {
-        for (i, (kernel, seconds, _)) in rows.iter().enumerate() {
-            if *kernel == KernelKind::Lockstep {
-                continue;
-            }
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            writeln!(
-                f,
-                "  \"{kernel}_speedup\": {:.3}{comma}",
-                l.1 / seconds.max(1e-9)
-            )?;
-        }
-    }
-    writeln!(f, "}}")?;
-    Ok(())
 }
 
 /// Suite throughput (sims/sec, skip kernel, default scale) measured on
@@ -430,9 +308,6 @@ fn main() {
         }
     }
     let Some(cmd) = cmd else { usage() };
-    if cmd == "bench-kernel" {
-        std::process::exit(bench_kernel(&opt, jobs));
-    }
     if cmd == "bench-hotpath" {
         std::process::exit(bench_hotpath(&opt, jobs, min_sims_per_sec));
     }
@@ -452,16 +327,8 @@ fn main() {
 
     let started = std::time::Instant::now();
     if cmd == "all" {
-        let timings: Vec<Timing> = EXPERIMENTS
-            .iter()
-            .map(|&(name, f)| {
-                let t = run_timed(name, f);
-                report(&t);
-                t
-            })
-            .collect();
-        if let Err(e) = write_bench_json(&opt.out, &timings) {
-            eprintln!("warning: could not write BENCH_harness.json: {e}");
+        for &(name, f) in EXPERIMENTS {
+            report(&run_timed(name, f));
         }
     } else {
         let Some(&(name, f)) = EXPERIMENTS.iter().find(|&&(n, _)| n == cmd) else {

@@ -360,7 +360,7 @@ fn step_until(
                     return Err(Box::new(sys.abort_report(kind)));
                 }
             }
-            StepOutcome::Done(stats) => return Ok(stats),
+            StepOutcome::Done => return Ok(sys.export_stats()),
             StepOutcome::Dead(report) => return Err(report),
         }
     }

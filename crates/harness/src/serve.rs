@@ -55,6 +55,10 @@ const READ_POLL: Duration = Duration::from_millis(500);
 /// How long an accept loop sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
+/// After a malformed frame, how long the handler reads and discards
+/// what the client sent before it drops the connection.
+const DRAIN_WAIT: Duration = Duration::from_millis(100);
+
 /// Daemon configuration (the `serve` subcommand's flags).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -95,17 +99,25 @@ impl Default for ServeOptions {
 trait Conn: std::io::Read + std::io::Write + Send {
     /// Sets the read timeout (both stream types support it).
     fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()>;
+    /// Shuts down the write half: the peer reads what was sent, then EOF.
+    fn shutdown_write(&self) -> std::io::Result<()>;
 }
 
 impl Conn for TcpStream {
     fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
         TcpStream::set_read_timeout(self, d)
     }
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        self.shutdown(std::net::Shutdown::Write)
+    }
 }
 
 impl Conn for UnixStream {
     fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
         UnixStream::set_read_timeout(self, d)
+    }
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        self.shutdown(std::net::Shutdown::Write)
     }
 }
 
@@ -344,6 +356,24 @@ impl Acceptor<UnixStream> for UnixListener {
     }
 }
 
+/// Reads and discards input until EOF, an error or [`DRAIN_WAIT`] has
+/// passed. Closing a TCP socket with unread input sends a reset, which
+/// can destroy a reply the client has not read yet.
+fn drain(conn: &mut dyn Conn) {
+    let deadline = Instant::now() + DRAIN_WAIT;
+    let mut buf = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match conn.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
+}
+
 /// Serves one connection until EOF, a malformed frame, or shutdown.
 fn handle_conn(server: &Server, mut conn: Box<dyn Conn>) {
     loop {
@@ -357,6 +387,8 @@ fn handle_conn(server: &Server, mut conn: Box<dyn Conn>) {
                 server.errors.fetch_add(1, Ordering::Relaxed);
                 let e = HarnessError::Protocol { what };
                 let _ = write_frame(&mut conn, FrameKind::Error, &encode_error(&e));
+                let _ = conn.shutdown_write();
+                drain(conn.as_mut());
                 return;
             }
             Err(e)

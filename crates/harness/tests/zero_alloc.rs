@@ -8,6 +8,11 @@
 //! buffer reach its plateau, a 10 000-cycle measurement window must
 //! perform **zero** heap allocations.
 //!
+//! The same allocator also counts requested bytes, which pins what
+//! building a machine costs: the shared L3 gets a set's storage on the
+//! set's first fill, so a full-size machine must not request memory in
+//! proportion to its 64 MiB L3.
+//!
 //! The file is its own test binary (one `#[test]`) because the counting
 //! allocator is process-global.
 
@@ -22,10 +27,13 @@ use tus_sim::{Addr, PolicyKind, SimConfig};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by allocations and by the new sizes of reallocations.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { SystemAlloc.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -33,10 +41,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { SystemAlloc.alloc_zeroed(layout) }
     }
 }
@@ -46,6 +56,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn bytes_requested() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }
 
 /// An endless store-heavy workload cycling over a bounded line set, so
@@ -81,8 +95,29 @@ const WINDOW_CYCLES: u64 = 10_000;
 /// 50k+ over the warm-up and trips this bound.
 const TOTAL_ALLOC_BUDGET: u64 = 100_000;
 
+/// Ceiling on the bytes `System::new` requests for a full-size
+/// single-core machine. It requests about 2 MiB, mostly the private L2;
+/// the 64 MiB L3 adds only a `u32` per set until sets are filled. An L3
+/// that is allocated up front requests over 80 MiB.
+const FULL_SIZE_BUILD_BYTES: u64 = 8 << 20;
+
 #[test]
 fn steady_state_tus_run_allocates_nothing() {
+    // ---- construction cost: no storage in proportion to the L3 ----
+    let full = SimConfig::builder().policy(PolicyKind::Tus).build();
+    let before = bytes_requested();
+    let sys = System::new(&full, vec![Box::new(cyclic_store_trace())], 42);
+    let built = bytes_requested() - before;
+    drop(sys);
+    assert!(
+        built < FULL_SIZE_BUILD_BYTES,
+        "building a full-size single-core machine requested {:.1} MiB \
+         (ceiling {} MiB): some structure is allocated in proportion to \
+         cache capacity instead of on first use",
+        built as f64 / (1 << 20) as f64,
+        FULL_SIZE_BUILD_BYTES >> 20
+    );
+
     let cfg = SimConfig::builder()
         .policy(PolicyKind::Tus)
         .sb_entries(56)

@@ -16,15 +16,22 @@ use tus_sim::LineAddr;
 use crate::line::{ByteMask, LineData};
 use crate::mesi::Mesi;
 
-/// Builds a length-`n` `Vec<T>` directly from zeroed pages.
+/// Builds a length-`n` `Vec<T>` with one `alloc_zeroed` call instead of
+/// writing every element.
+///
+/// That is only as cheap as the allocator's zeroing. glibc serves a
+/// request above its mmap threshold with fresh pages, which come zeroed:
+/// construction is then page mapping, untouched pages cost no physical
+/// memory, and teardown is one unmap. That threshold starts at 128 KiB
+/// but rises to the size of the largest mmapped chunk the process has
+/// freed (at most 32 MiB), so once a process has dropped a machine,
+/// later arrays below the raised threshold come from reused heap memory
+/// that `alloc_zeroed` clears byte by byte, in time proportional to the
+/// array.
 ///
 /// # Safety
 ///
-/// The all-zero byte pattern must be a valid `T`. A large L3 is hundreds
-/// of thousands of ways; building its backing store element-by-element
-/// (or as one `Box` per way) dominated short runs. With zeroed pages,
-/// construction is O(1) page mapping, sets that are never touched never
-/// cost physical memory, and teardown is one unmap.
+/// The all-zero byte pattern must be a valid `T`.
 unsafe fn zeroed_vec<T>(n: usize) -> Vec<T> {
     let layout = std::alloc::Layout::array::<T>(n).expect("cache geometry overflows a Layout");
     if layout.size() == 0 {
@@ -152,18 +159,17 @@ impl CacheArray {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         assert!(ways > 0, "ways must be positive");
-        // A large L3 is hundreds of thousands of ways; building the
-        // backing store element-by-element dominated short runs (and one
-        // `Box` per way before that made teardown just as bad). The empty
-        // way is all-zero bytes — `Mesi::Invalid` is pinned to
-        // discriminant 0 (`repr(u8)`), the address/cycle/mask newtypes are
-        // plain `u64`s, and the payload is zeroed — so take zeroed pages
-        // straight from the allocator: construction is O(1) page mapping,
-        // sets that are never touched never cost physical memory, and
-        // teardown is one unmap.
+        // Building the backing store element by element dominated short
+        // runs, so ask the allocator for zeroed memory (see
+        // [`zeroed_vec`] for when that is page mapping and when it is a
+        // clear).
+        //
+        // SAFETY: the empty way is all-zero bytes — `Mesi::Invalid` is
+        // pinned to discriminant 0 (`repr(u8)`), the address/cycle/mask
+        // newtypes are plain `u64`s, and the rest are `bool`s and a `u64`.
         let n = sets * ways;
         let lines: Vec<CacheLineState> = unsafe { zeroed_vec(n) };
-        // All-zero is trivially valid for a byte array.
+        // SAFETY: all-zero is trivially valid for a byte array.
         let data: Vec<LineData> = unsafe { zeroed_vec(n) };
         #[cfg(debug_assertions)]
         {
@@ -357,6 +363,12 @@ impl CacheArray {
 /// and the LRU stamps and payloads live in parallel arrays that are only
 /// touched on a hit or an eviction decision.
 ///
+/// Storage is per set and made on first use: a set gets its block of
+/// `ways` tags, stamps and payloads on the first [`L3Cache::insert`]
+/// into it, and a lookup on a set that was never filled misses. A
+/// litmus program touches a handful of lines, so its machine pays for a
+/// handful of blocks plus one `u32` per set, not for the whole capacity.
+///
 /// Victim selection reproduces [`CacheArray::victim`] exactly for the
 /// all-evictable case (first empty way, else the first way with the
 /// strictly-lowest LRU stamp), and the stamp stream is the same
@@ -366,9 +378,9 @@ impl CacheArray {
 pub struct L3Cache {
     sets: usize,
     ways: usize,
-    /// `line.raw() + 1` per way; `0` = empty. The shift keeps the
-    /// all-zero byte pattern as the empty array so construction stays
-    /// O(1) zeroed-page mapping (see [`zeroed_vec`]).
+    /// Per set: `1 +` the index of its block, `0` = never filled.
+    block: Vec<u32>,
+    /// `line.raw() + 1` per way of every block; `0` = empty.
     tags: Vec<u64>,
     /// LRU stamps, parallel to `tags` (higher = more recently used).
     lru: Vec<u64>,
@@ -396,17 +408,13 @@ impl L3Cache {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         assert!(ways > 0, "ways must be positive");
-        let n = sets * ways;
-        // All-zero is the empty tag, stamp zero and a zero payload.
-        let tags: Vec<u64> = unsafe { zeroed_vec(n) };
-        let lru: Vec<u64> = unsafe { zeroed_vec(n) };
-        let data: Vec<LineData> = unsafe { zeroed_vec(n) };
         L3Cache {
             sets,
             ways,
-            tags,
-            lru,
-            data,
+            block: vec![0; sets],
+            tags: Vec::new(),
+            lru: Vec::new(),
+            data: Vec::new(),
             tick: 0,
         }
     }
@@ -415,17 +423,24 @@ impl L3Cache {
         (line.raw() as usize) & (self.sets - 1)
     }
 
+    /// Index of way 0 of `set`'s block, or `None` if the set was never
+    /// filled.
+    fn base(&self, set: usize) -> Option<usize> {
+        let b = self.block[set] as usize;
+        (b != 0).then(|| (b - 1) * self.ways)
+    }
+
     fn idx(&self, set: usize, way: usize) -> usize {
-        debug_assert!(set < self.sets && way < self.ways);
-        set * self.ways + way
+        debug_assert!(way < self.ways);
+        self.base(set).expect("way of a set that was never filled") + way
     }
 
     /// Finds the way holding `line`. Does not update LRU — use
     /// [`L3Cache::touch`] on an actual access.
     pub fn lookup(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_of(line);
+        let base = self.base(set)?;
         let tag = line.raw() + 1;
-        let base = set * self.ways;
         self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == tag)
@@ -458,7 +473,20 @@ impl L3Cache {
     /// overwrites it in full.
     pub fn insert(&mut self, line: LineAddr) -> (usize, usize) {
         let set = self.set_of(line);
-        let base = set * self.ways;
+        let base = match self.base(set) {
+            Some(base) => base,
+            None => {
+                // First fill of this set: append an empty block.
+                let base = self.tags.len();
+                self.block[set] =
+                    u32::try_from(base / self.ways + 1).expect("an L3 has under 2^32 sets");
+                let end = base + self.ways;
+                self.tags.resize(end, 0);
+                self.lru.resize(end, 0);
+                self.data.resize(end, [0; tus_sim::LINE_BYTES]);
+                base
+            }
+        };
         let ts = &self.tags[base..base + self.ways];
         let way = match ts.iter().position(|&t| t == 0) {
             Some(way) => way,
@@ -570,57 +598,69 @@ mod tests {
     /// touch+overwrite, miss → allocate+fill, interleaved with read
     /// probes) against both arrays and demands identical coordinates and
     /// payloads at every step — the bit-equivalence argument for swapping
-    /// the directory's L3 to [`L3Cache`].
+    /// the directory's L3 to [`L3Cache`]. Two inputs: a dense one whose
+    /// sets all fill and thrash, and a sparse one (256 sets, 4 ways)
+    /// whose fills stay in 16 sets, 8 lines each, while probes range over
+    /// 64 sets — so most probes land on sets that were never filled, and
+    /// every first insert into a set is checked against `CacheArray`.
     #[test]
     fn l3cache_matches_cachearray_decisions() {
-        let (sets, ways) = (8, 4);
-        let mut a = CacheArray::new(sets, ways);
-        let mut b = L3Cache::new(sets, ways);
-        let mut rng = 0x5eed_cafe_u64;
-        let mut bits = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        for step in 0..4000 {
-            let line = LineAddr::new(bits() % 64);
-            if bits() % 2 == 0 {
-                // fill_l3(line, data)
-                let data = [(step % 251) as u8; tus_sim::LINE_BYTES];
-                let at_a = match a.lookup(line) {
-                    Some((s, w)) => {
-                        *a.data_mut(s, w) = data;
+        // (sets, ways, line-address mask of fills, of probes)
+        for (sets, ways, fill_mask, probe_mask) in [(8, 4, 0x3f, 0x3f), (256, 4, 0x70f, 0x73f)] {
+            let mut a = CacheArray::new(sets, ways);
+            let mut b = L3Cache::new(sets, ways);
+            let mut rng = 0x5eed_cafe_u64;
+            let mut bits = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            for step in 0..4000 {
+                let r = bits();
+                if bits() % 2 == 0 {
+                    // fill_l3(line, data)
+                    let line = LineAddr::new(r & fill_mask);
+                    let data = [(step % 251) as u8; tus_sim::LINE_BYTES];
+                    let at_a = match a.lookup(line) {
+                        Some((s, w)) => {
+                            *a.data_mut(s, w) = data;
+                            a.touch(s, w);
+                            (s, w)
+                        }
+                        None => {
+                            let (s, w) = a.allocate(line).expect("all ways evictable");
+                            let (l, d) = a.way_and_data_mut(s, w);
+                            l.state = Mesi::Shared;
+                            *d = data;
+                            (s, w)
+                        }
+                    };
+                    let at_b = match b.lookup(line) {
+                        Some((s, w)) => {
+                            *b.data_mut(s, w) = data;
+                            b.touch(s, w);
+                            (s, w)
+                        }
+                        None => b.insert(line),
+                    };
+                    *b.data_mut(at_b.0, at_b.1) = data;
+                    assert_eq!(at_a, at_b, "{sets} sets, step {step}: placement diverged");
+                } else {
+                    // fetch_then_grant's probe: hit → touch + read payload.
+                    let line = LineAddr::new(r & probe_mask);
+                    let got_a = a.lookup(line);
+                    let got_b = b.lookup(line);
+                    assert_eq!(got_a, got_b, "{sets} sets, step {step}: hit/miss diverged");
+                    if let (Some((s, w)), Some(_)) = (got_a, got_b) {
                         a.touch(s, w);
-                        (s, w)
-                    }
-                    None => {
-                        let (s, w) = a.allocate(line).expect("all ways evictable");
-                        let (l, d) = a.way_and_data_mut(s, w);
-                        l.state = Mesi::Shared;
-                        *d = data;
-                        (s, w)
-                    }
-                };
-                let at_b = match b.lookup(line) {
-                    Some((s, w)) => {
-                        *b.data_mut(s, w) = data;
                         b.touch(s, w);
-                        (s, w)
+                        assert_eq!(
+                            a.data(s, w),
+                            b.data(s, w),
+                            "{sets} sets, step {step}: payload diverged"
+                        );
                     }
-                    None => b.insert(line),
-                };
-                *b.data_mut(at_b.0, at_b.1) = data;
-                assert_eq!(at_a, at_b, "step {step}: placement diverged");
-            } else {
-                // fetch_then_grant's probe: hit → touch + read payload.
-                let got_a = a.lookup(line);
-                let got_b = b.lookup(line);
-                assert_eq!(got_a, got_b, "step {step}: hit/miss diverged");
-                if let (Some((s, w)), Some(_)) = (got_a, got_b) {
-                    a.touch(s, w);
-                    b.touch(s, w);
-                    assert_eq!(a.data(s, w), b.data(s, w), "step {step}: payload diverged");
                 }
             }
         }

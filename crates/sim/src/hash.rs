@@ -11,9 +11,9 @@
 //! and rustc codebases (`FxHashMap`), implemented here from scratch so
 //! the workspace stays std-only. Every coherence event pays several map
 //! lookups in the directory and per-core caches; swapping SipHash for
-//! this hasher is a measurable end-to-end win (see `BENCH_harness.json`
-//! history) and makes iteration order a pure function of the insertion
-//! sequence.
+//! this hasher was a measurable end-to-end win (see the committed
+//! `results/BENCH_harness.json` snapshot) and makes iteration order a
+//! pure function of the insertion sequence.
 //!
 //! # Example
 //!

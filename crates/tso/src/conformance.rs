@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use tus::{DeadlockReport, System};
+use tus::{DeadlockReport, RunGoal, System};
 use tus_cpu::{TraceInst, VecTrace};
 use tus_sim::{Addr, CoherenceKind, KernelKind, PolicyKind, SimConfig, SimRng};
 
@@ -155,7 +155,7 @@ pub fn try_run_once_matrix(
     for i in 0..prog.threads.len() {
         sys.core_mut(i).record_loads(true);
     }
-    if let Err(report) = sys.try_run_to_completion(RUN_BUDGET) {
+    if let Err(report) = sys.try_run_until(RunGoal::Completion, RUN_BUDGET) {
         return RunVerdict::Timeout(report);
     }
     let regs: Vec<Vec<u64>> = (0..prog.threads.len())
