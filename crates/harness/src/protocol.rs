@@ -41,6 +41,12 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// garbage on the wire must not OOM the daemon.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// How many read timeouts one frame may meet after its first byte before
+/// [`read_frame`] gives up on it. With the daemon's 500 ms read poll that
+/// is 10 s of stalling. A timeout *before* a frame's first byte is not
+/// counted: it surfaces as an error, the daemon's idle tick.
+pub const MAX_FRAME_STALLS: u32 = 20;
+
 /// Frame discriminants. Requests have the high bit clear; replies set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -181,12 +187,22 @@ pub enum ReadOutcome {
 /// `Err`; garbage that arrived intact surfaces as
 /// [`ReadOutcome::Malformed`] so the server can answer it with a
 /// structured error instead of dying.
+///
+/// A read timeout (`WouldBlock` or `TimedOut`) before the frame's first
+/// byte is returned as that error, and nothing has been consumed. Once
+/// the first byte is in, timeouts are ridden out, so a frame that
+/// arrives in parts is read whole; one that meets [`MAX_FRAME_STALLS`]
+/// of them is [`ReadOutcome::Malformed`].
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<ReadOutcome> {
     let mut len_buf = [0u8; 4];
     // Distinguish clean EOF (no bytes at all) from a torn frame.
-    match r.read(&mut len_buf)? {
-        0 => return Ok(ReadOutcome::Eof),
-        n => r.read_exact(&mut len_buf[n..])?,
+    let n = r.read(&mut len_buf)?;
+    if n == 0 {
+        return Ok(ReadOutcome::Eof);
+    }
+    let mut stalls = 0;
+    if !read_rest(r, &mut len_buf[n..], &mut stalls)? {
+        return Ok(stalled());
     }
     let len = u32::from_le_bytes(len_buf);
     if len == 0 {
@@ -198,9 +214,10 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<ReadOutcome> {
         )));
     }
     let mut kind_buf = [0u8; 1];
-    r.read_exact(&mut kind_buf)?;
     let mut body = vec![0u8; len as usize - 1];
-    r.read_exact(&mut body)?;
+    if !(read_rest(r, &mut kind_buf, &mut stalls)? && read_rest(r, &mut body, &mut stalls)?) {
+        return Ok(stalled());
+    }
     let Some(kind) = FrameKind::from_u8(kind_buf[0]) else {
         return Ok(ReadOutcome::Malformed(format!(
             "unknown frame kind 0x{:02x}",
@@ -211,6 +228,34 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<ReadOutcome> {
         Ok(body) => Ok(ReadOutcome::Frame(Frame { kind, body })),
         Err(_) => Ok(ReadOutcome::Malformed("non-UTF-8 frame body".into())),
     }
+}
+
+/// Fills `buf` like `read_exact`, but counts read timeouts in `stalls`
+/// instead of failing on them. `Ok(false)` once `stalls` reaches
+/// [`MAX_FRAME_STALLS`].
+fn read_rest(r: &mut impl Read, mut buf: &mut [u8], stalls: &mut u32) -> std::io::Result<bool> {
+    use std::io::ErrorKind;
+    while !buf.is_empty() {
+        match r.read(buf) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => buf = &mut buf[n..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                *stalls += 1;
+                if *stalls >= MAX_FRAME_STALLS {
+                    return Ok(false);
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
+fn stalled() -> ReadOutcome {
+    ReadOutcome::Malformed(format!(
+        "frame stalled: {MAX_FRAME_STALLS} read timeouts after its first byte"
+    ))
 }
 
 /// Renders a [`HarnessError`] as an error-frame body: the stable kind
@@ -352,6 +397,78 @@ mod tests {
         buf.extend_from_slice(&100u32.to_le_bytes());
         buf.extend_from_slice(&[0x01, b'h', b'i']);
         assert!(read_frame(&mut std::io::Cursor::new(buf)).is_err());
+    }
+
+    /// Replays a script of reads: `Some(bytes)` delivers them (split
+    /// across calls if the caller's buffer is smaller), `None` is one
+    /// read timeout, and the end of the script is EOF.
+    struct Scripted(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// A frame that arrives in two parts with read timeouts between them
+    /// is read whole, whether it splits inside the length prefix (after
+    /// byte 2) or inside the body (after byte 5); a timeout before the
+    /// first byte is an error that consumes nothing.
+    #[test]
+    fn a_frame_split_by_read_timeouts_is_read_whole() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameKind::Ping, "hello").unwrap();
+        for split in [2, 5] {
+            let mut r = Scripted(
+                [
+                    None,
+                    Some(wire[..split].to_vec()),
+                    None,
+                    None,
+                    Some(wire[split..].to_vec()),
+                ]
+                .into(),
+            );
+            let idle = read_frame(&mut r).unwrap_err();
+            assert_eq!(idle.kind(), std::io::ErrorKind::WouldBlock);
+            match read_frame(&mut r).unwrap() {
+                ReadOutcome::Frame(f) => {
+                    assert_eq!(f.kind, FrameKind::Ping, "split after byte {split}");
+                    assert_eq!(f.body, "hello", "split after byte {split}");
+                }
+                other => panic!("split after byte {split}: {other:?}"),
+            }
+            assert!(matches!(read_frame(&mut r).unwrap(), ReadOutcome::Eof));
+        }
+    }
+
+    /// A frame whose rest never comes is malformed after
+    /// `MAX_FRAME_STALLS` timeouts, however many more would follow.
+    #[test]
+    fn a_stalled_frame_is_malformed() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameKind::Ping, "hello").unwrap();
+        for split in [2, 5] {
+            let mut script = vec![Some(wire[..split].to_vec())];
+            script.extend((0..MAX_FRAME_STALLS).map(|_| None));
+            script.push(Some(wire[split..].to_vec()));
+            let mut r = Scripted(script.into());
+            match read_frame(&mut r).unwrap() {
+                ReadOutcome::Malformed(what) => assert!(what.contains("stalled"), "{what}"),
+                other => panic!("split after byte {split}: {other:?}"),
+            }
+        }
     }
 
     #[test]

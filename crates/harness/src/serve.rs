@@ -397,8 +397,9 @@ fn handle_conn(server: &Server, mut conn: Box<dyn Conn>) {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                // Idle poll tick: keep waiting unless the daemon is
-                // shutting down.
+                // Idle poll tick (no byte of a next frame yet; one that
+                // has started is read whole): keep waiting unless the
+                // daemon is shutting down.
                 if server.shutting_down() {
                     return;
                 }

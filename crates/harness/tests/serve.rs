@@ -350,6 +350,38 @@ fn malformed_frames_get_protocol_errors_not_a_dead_daemon() {
     server.shutdown();
 }
 
+/// A request frame that arrives in two parts, further apart than the
+/// daemon's 500 ms read poll, is still one request: split inside the
+/// length prefix (after byte 2) or inside the body (after byte 5), it is
+/// answered with a `Pong`, and the connection and the daemon keep
+/// serving.
+#[test]
+fn a_frame_paused_mid_way_is_still_one_request() {
+    let server = start(|_| {});
+    let mut wire = Vec::new();
+    write_frame(&mut wire, FrameKind::Ping, "hello").expect("encode");
+    let mut s = server.dial();
+    for split in [2, 5] {
+        s.write_all(&wire[..split]).expect("send head");
+        s.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(800));
+        s.write_all(&wire[split..]).expect("send rest");
+        match read_frame(&mut s).expect("reply") {
+            ReadOutcome::Frame(f) => assert_eq!(
+                (f.kind, f.body.as_str()),
+                (FrameKind::Pong, "hello"),
+                "split after byte {split}"
+            ),
+            other => panic!("split after byte {split}: expected pong, got {other:?}"),
+        }
+    }
+    let frames = request_on(&mut s, FrameKind::Ping, "still here");
+    assert_eq!(terminal(&frames).body, "still here");
+    let frames = server.request(FrameKind::Ping, "new connection");
+    assert_eq!(terminal(&frames).kind, FrameKind::Pong);
+    server.shutdown();
+}
+
 /// The counters endpoint aggregates executor state across clients.
 #[test]
 fn counters_reflect_shared_executor_state() {

@@ -46,15 +46,12 @@ unsafe fn zeroed_vec<T>(n: usize) -> Vec<T> {
     }
 }
 
-/// State of one cache line (tag array + TUS extensions). The payload
-/// lives in a parallel array inside [`CacheArray`] — tag/state scans
-/// (lookup, victim search, writability probes) are the per-cycle hot
-/// path and must not drag 64-byte payloads through the host cache.
+/// State of one cache line (coherence state + TUS extensions). The tag
+/// and the payload live in arrays parallel to these records inside
+/// [`CacheArray`]: a lookup scans 8-byte tags, and the record and payload
+/// are touched only once a way is found.
 #[derive(Debug, Clone)]
 pub struct CacheLineState {
-    /// Line address stored in this way (valid only if `state != Invalid`
-    /// or `unauth`).
-    pub line: LineAddr,
     /// Coherence permission actually held for the line.
     pub state: Mesi,
     /// Dirty with respect to the next level (write-back).
@@ -87,7 +84,6 @@ impl CacheLineState {
     #[cfg(debug_assertions)]
     fn empty() -> Self {
         CacheLineState {
-            line: LineAddr::new(0),
             state: Mesi::Invalid,
             dirty: false,
             unauth: false,
@@ -112,9 +108,9 @@ impl CacheLineState {
     }
 
     /// Resets the way's metadata to empty. Callers almost always want
-    /// [`CacheArray::clear_way`], which also zeroes the payload.
+    /// [`CacheArray::clear_way`], which also zeroes the payload. The way's
+    /// tag is left as it was; it means nothing while the way is empty.
     pub fn clear(&mut self) {
-        self.line = LineAddr::new(0);
         self.state = Mesi::Invalid;
         self.dirty = false;
         self.unauth = false;
@@ -144,6 +140,9 @@ impl CacheLineState {
 pub struct CacheArray {
     sets: usize,
     ways: usize,
+    /// The line each way holds, parallel to `lines`. A tag is meaningful
+    /// only while its way is occupied: clearing a way leaves it stale.
+    tags: Vec<LineAddr>,
     lines: Vec<CacheLineState>,
     /// Line payloads, parallel to `lines` (structure-of-arrays split).
     data: Vec<LineData>,
@@ -165,10 +164,12 @@ impl CacheArray {
         // clear).
         //
         // SAFETY: the empty way is all-zero bytes — `Mesi::Invalid` is
-        // pinned to discriminant 0 (`repr(u8)`), the address/cycle/mask
-        // newtypes are plain `u64`s, and the rest are `bool`s and a `u64`.
+        // pinned to discriminant 0 (`repr(u8)`), the cycle/mask newtypes
+        // are plain `u64`s, and the rest are `bool`s and a `u64`.
         let n = sets * ways;
         let lines: Vec<CacheLineState> = unsafe { zeroed_vec(n) };
+        // SAFETY: `LineAddr` is a plain `u64`.
+        let tags: Vec<LineAddr> = unsafe { zeroed_vec(n) };
         // SAFETY: all-zero is trivially valid for a byte array.
         let data: Vec<LineData> = unsafe { zeroed_vec(n) };
         #[cfg(debug_assertions)]
@@ -176,8 +177,7 @@ impl CacheArray {
             let z = &lines[0];
             let e = CacheLineState::empty();
             debug_assert!(
-                z.line == e.line
-                    && z.state == e.state
+                z.state == e.state
                     && !z.dirty
                     && !z.unauth
                     && !z.ready
@@ -192,6 +192,7 @@ impl CacheArray {
         CacheArray {
             sets,
             ways,
+            tags,
             lines,
             data,
             tick: 0,
@@ -216,6 +217,11 @@ impl CacheArray {
     fn idx(&self, set: usize, way: usize) -> usize {
         debug_assert!(set < self.sets && way < self.ways);
         set * self.ways + way
+    }
+
+    /// The line `(set, way)` holds (meaningless if the way is empty).
+    pub fn line_at(&self, set: usize, way: usize) -> LineAddr {
+        self.tags[self.idx(set, way)]
     }
 
     /// Immutable access to a way.
@@ -261,13 +267,14 @@ impl CacheArray {
     /// LRU — use [`CacheArray::touch`] on an actual access.
     pub fn lookup(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_of(line);
-        for way in 0..self.ways {
-            let l = self.way(set, way);
-            if l.occupied() && l.line == line {
-                return Some((set, way));
-            }
-        }
-        None
+        let base = set * self.ways;
+        // Compare tags first: a record is read only on a tag match, which
+        // may be the stale tag of an emptied way.
+        self.tags[base..base + self.ways]
+            .iter()
+            .zip(&self.lines[base..base + self.ways])
+            .position(|(&t, l)| t == line && l.occupied())
+            .map(|way| (set, way))
     }
 
     /// LRU stamp of a way (higher = more recently used), for callers that
@@ -309,14 +316,22 @@ impl CacheArray {
         best.map(|(way, _)| (set, way))
     }
 
-    /// Convenience: finds a way for `line` and clears it, returning the
-    /// coordinates. The caller is responsible for having handled any
-    /// victim first (checked in debug builds via [`CacheArray::victim`]).
+    /// Empties `(set, way)`, tags it with `line` and marks it most
+    /// recently used, ready for the caller to fill. The caller must have
+    /// handled the way's previous occupant first.
+    pub fn install(&mut self, set: usize, way: usize, line: LineAddr) {
+        self.clear_way(set, way);
+        let i = self.idx(set, way);
+        self.tags[i] = line;
+        self.touch(set, way);
+    }
+
+    /// Convenience: [`CacheArray::victim`] then [`CacheArray::install`],
+    /// returning the coordinates. The way's previous occupant, if any, is
+    /// dropped without a write-back.
     pub fn allocate(&mut self, line: LineAddr) -> Option<(usize, usize)> {
         let (set, way) = self.victim(line)?;
-        self.clear_way(set, way);
-        self.way_mut(set, way).line = line;
-        self.touch(set, way);
+        self.install(set, way, line);
         Some((set, way))
     }
 
@@ -332,11 +347,11 @@ impl CacheArray {
             .count()
     }
 
-    /// Iterates over all occupied lines as `(set, way, &state)`.
-    pub fn iter_occupied(&self) -> impl Iterator<Item = (usize, usize, &CacheLineState)> {
+    /// Iterates over all occupied lines as `(set, way, line, &state)`.
+    pub fn iter_occupied(&self) -> impl Iterator<Item = (usize, usize, LineAddr, &CacheLineState)> {
         self.lines.iter().enumerate().filter_map(move |(i, l)| {
             if l.occupied() {
-                Some((i / self.ways, i % self.ways, l))
+                Some((i / self.ways, i % self.ways, self.tags[i], l))
             } else {
                 None
             }
@@ -582,10 +597,157 @@ mod tests {
         let mut c = CacheArray::new(2, 2);
         filled(&mut c, 0, Mesi::Shared);
         filled(&mut c, 1, Mesi::Modified);
-        let v: Vec<_> = c.iter_occupied().map(|(s, w, l)| (s, w, l.line)).collect();
+        let v: Vec<_> = c.iter_occupied().map(|(s, w, l, _)| (s, w, l)).collect();
         assert_eq!(v.len(), 2);
         assert!(v.iter().any(|&(s, _, l)| s == 0 && l == LineAddr::new(0)));
         assert!(v.iter().any(|&(s, _, l)| s == 1 && l == LineAddr::new(1)));
+    }
+
+    /// One way of the naive model: tag and record in one struct, so a
+    /// lookup is a plain scan. Emptying a way keeps its tag, as in
+    /// [`CacheArray`].
+    #[derive(Clone, Copy, Default)]
+    struct ModelWay {
+        tag: u64,
+        state: Mesi,
+        unauth: bool,
+        locked: bool,
+        lru: u64,
+    }
+
+    impl ModelWay {
+        fn occupied(&self) -> bool {
+            self.state != Mesi::Invalid || self.unauth || self.locked
+        }
+        fn evictable(&self) -> bool {
+            !self.unauth && !self.locked
+        }
+    }
+
+    /// A seeded random mix of allocations, installs, both kinds of
+    /// clear, state/unauth/locked flips and touches, checked after every
+    /// step against plain scans over a naive model. Clears leave stale
+    /// tags behind, which lookup must skip, and unauth flips on Invalid
+    /// ways make unauth-only occupants, which lookup must find.
+    #[test]
+    fn matches_a_naive_model() {
+        let (sets, ways) = (4, 4);
+        let mut c = CacheArray::new(sets, ways);
+        let mut m = vec![ModelWay::default(); sets * ways];
+        let mut tick = 0u64;
+        let mut rng = 0x7a6_5eed_u64;
+        let mut bits = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let model_victim = |m: &[ModelWay], set: usize| {
+            let ws = &m[set * ways..(set + 1) * ways];
+            if let Some(w) = ws.iter().position(|l| !l.occupied()) {
+                return Some(w);
+            }
+            let mut best: Option<(usize, u64)> = None;
+            for (w, l) in ws.iter().enumerate() {
+                if l.evictable() && best.is_none_or(|(_, lru)| l.lru < lru) {
+                    best = Some((w, l.lru));
+                }
+            }
+            best.map(|(w, _)| w)
+        };
+        for step in 0..20_000 {
+            let line = bits() % 32;
+            let set = (line as usize) % sets;
+            let way = (bits() as usize) % ways;
+            let i = set * ways + way;
+            match bits() % 9 {
+                0 => {
+                    let got = c.allocate(LineAddr::new(line));
+                    let want = model_victim(&m, set).map(|w| {
+                        tick += 1;
+                        m[set * ways + w] = ModelWay {
+                            tag: line,
+                            lru: tick,
+                            ..ModelWay::default()
+                        };
+                        (set, w)
+                    });
+                    assert_eq!(got, want, "step {step}: allocate {line}");
+                }
+                1 => {
+                    c.install(set, way, LineAddr::new(line));
+                    tick += 1;
+                    m[i] = ModelWay {
+                        tag: line,
+                        lru: tick,
+                        ..ModelWay::default()
+                    };
+                }
+                2 | 3 => {
+                    if step % 2 == 0 {
+                        c.clear_way(set, way);
+                    } else {
+                        c.way_mut(set, way).clear();
+                    }
+                    m[i] = ModelWay {
+                        tag: m[i].tag,
+                        lru: m[i].lru,
+                        ..ModelWay::default()
+                    };
+                }
+                4 => {
+                    let st = [Mesi::Invalid, Mesi::Shared, Mesi::Exclusive, Mesi::Modified]
+                        [(bits() % 4) as usize];
+                    c.way_mut(set, way).state = st;
+                    m[i].state = st;
+                }
+                5 => {
+                    let on = bits() % 2 == 0;
+                    c.way_mut(set, way).unauth = on;
+                    m[i].unauth = on;
+                }
+                6 => {
+                    let on = bits() % 3 == 0;
+                    c.way_mut(set, way).locked = on;
+                    m[i].locked = on;
+                }
+                _ => {
+                    c.touch(set, way);
+                    tick += 1;
+                    m[i].lru = tick;
+                }
+            }
+            for probe in 0..32u64 {
+                let p = LineAddr::new(probe);
+                let ps = (probe as usize) % sets;
+                let want = m[ps * ways..(ps + 1) * ways]
+                    .iter()
+                    .position(|l| l.occupied() && l.tag == probe)
+                    .map(|w| (ps, w));
+                assert_eq!(c.lookup(p), want, "step {step}: lookup {probe}");
+                assert_eq!(
+                    c.victim(p),
+                    model_victim(&m, ps).map(|w| (ps, w)),
+                    "step {step}: victim {probe}"
+                );
+                let free = m[ps * ways..(ps + 1) * ways]
+                    .iter()
+                    .filter(|l| !l.occupied() || l.evictable())
+                    .count();
+                assert_eq!(c.free_or_evictable_ways(p), free, "step {step}: free ways");
+            }
+            let got: Vec<_> = c
+                .iter_occupied()
+                .map(|(s, w, l, st)| (s, w, l.raw(), st.state, st.unauth, st.locked))
+                .collect();
+            let want: Vec<_> = m
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.occupied())
+                .map(|(i, l)| (i / ways, i % ways, l.tag, l.state, l.unauth, l.locked))
+                .collect();
+            assert_eq!(got, want, "step {step}: occupied ways");
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod msgs;
 pub mod net;
 pub mod percore;
 pub mod prefetch;
+mod slots;
 pub mod system;
 
 pub use backend::{CoherenceBackend, DirBackend, Directory, Replay, TardisDirectory};

@@ -31,6 +31,7 @@ use crate::mesi::Mesi;
 use crate::msgs::{CacheEvent, ConflictKind, FwdKind, Lease, Msg, ReqKind};
 use crate::net::{Network, Node};
 use crate::prefetch::StreamPrefetcher;
+use crate::slots::LineSlots;
 
 /// What a TUS probe of the L1D found for a line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,24 +106,21 @@ struct Waiter {
     size: usize,
 }
 
-/// One MSHR: a request in flight to the directory. Slots are stored in a
-/// flat array scanned linearly (the live population is bounded by the
-/// MSHR count plus demand-load oversubscription, i.e. small); a dead slot
-/// keeps its `waiters` buffer so reuse allocates nothing.
+/// One MSHR: a request in flight to the directory. In a 16-core PARSEC
+/// run a core has 25–81 of them live on average at a lookup and up to
+/// 150 at peak (demand loads oversubscribe the MSHR count), so they sit
+/// in a [`LineSlots`], not a scanned array; a freed MSHR keeps its
+/// `waiters` buffer so reuse allocates nothing.
 #[derive(Debug)]
-struct MshrSlot {
-    live: bool,
-    line: LineAddr,
+struct Mshr {
     kind: ReqKind,
     prefetch: bool,
     waiters: Vec<Waiter>,
 }
 
-impl MshrSlot {
-    fn empty() -> Self {
-        MshrSlot {
-            live: false,
-            line: LineAddr::new(0),
+impl Default for Mshr {
+    fn default() -> Self {
+        Mshr {
             kind: ReqKind::GetS,
             prefetch: false,
             waiters: Vec::new(),
@@ -130,47 +128,39 @@ impl MshrSlot {
     }
 }
 
-/// Loads parked on a not-ready unauthorized line. Same slot-array shape
-/// as [`MshrSlot`]; per-line arrival order is the `waiters` push order,
-/// which the wake path must preserve.
-#[derive(Debug)]
-struct UnauthWaitSlot {
-    live: bool,
-    line: LineAddr,
-    waiters: Vec<Waiter>,
-}
-
+/// An external request parked on a line (at most one per line by the
+/// one-transaction-per-line directory invariant).
 #[derive(Debug, Clone, Copy)]
 struct PendingFwd {
     kind: FwdKind,
     to_owner: bool,
 }
 
-/// A parked external request keyed by line (at most one per line by the
-/// one-transaction-per-line directory invariant).
-type FwdSlots = Vec<(bool, LineAddr, PendingFwd)>;
-
-fn fwd_find(slots: &FwdSlots, line: LineAddr) -> Option<usize> {
-    slots.iter().position(|s| s.0 && s.1 == line)
-}
-
-fn fwd_insert(slots: &mut FwdSlots, line: LineAddr, f: PendingFwd) {
-    debug_assert!(fwd_find(slots, line).is_none(), "one parked external per line");
-    if let Some(s) = slots.iter_mut().find(|s| !s.0) {
-        *s = (true, line, f);
-    } else {
-        slots.push((true, line, f));
+impl Default for PendingFwd {
+    fn default() -> Self {
+        PendingFwd {
+            kind: FwdKind::Inv,
+            to_owner: false,
+        }
     }
 }
 
-fn fwd_remove(slots: &mut FwdSlots, line: LineAddr) -> Option<PendingFwd> {
-    let i = fwd_find(slots, line)?;
-    slots[i].0 = false;
-    Some(slots[i].2)
+/// Swaps a freed slot's waiter list into `scratch` (cleared first), so
+/// the slot keeps a warm, empty buffer.
+fn take_waiters(slot: &mut Vec<Waiter>, scratch: &mut Vec<Waiter>) {
+    scratch.clear();
+    std::mem::swap(slot, scratch);
 }
 
-fn fwd_live(slots: &FwdSlots) -> usize {
-    slots.iter().filter(|s| s.0).count()
+/// Whether the private hierarchy holds write permission for `line`: M/E
+/// in the L1D (and not hidden as unauthorized) or in the L2.
+fn writable_in(l1d: &CacheArray, l2: &CacheArray, line: LineAddr) -> bool {
+    l1d.lookup(line).is_some_and(|(s, w)| {
+        let l = l1d.way(s, w);
+        !l.unauth && l.state.can_write()
+    }) || l2
+        .lookup(line)
+        .is_some_and(|(s, w)| l2.way(s, w).state.can_write())
 }
 
 /// Counters exported per core.
@@ -233,15 +223,16 @@ pub struct PrivateCache {
     l2_rt: u64,
     stream: Option<StreamPrefetcher>,
     unauth_forwarding: bool,
-    outstanding: Vec<MshrSlot>,
-    outstanding_live: usize,
-    unauth_waiters: Vec<UnauthWaitSlot>,
-    pending_fwd: FwdSlots,
-    delayed_fwd: FwdSlots,
+    outstanding: LineSlots<Mshr>,
+    /// Loads parked on a not-ready unauthorized line, in arrival order
+    /// (the wake path must preserve it).
+    unauth_waiters: LineSlots<Vec<Waiter>>,
+    pending_fwd: LineSlots<PendingFwd>,
+    delayed_fwd: LineSlots<PendingFwd>,
     deferred_fwd: DelayQueue<(LineAddr, FwdKind, bool)>,
     events: Vec<CacheEvent>,
-    /// Scratch for processing a dead MSHR's waiters without holding a
-    /// borrow on the slot array (swapped in and out, capacity retained).
+    /// Scratch for processing a freed slot's waiters without holding a
+    /// borrow on its container (swapped in and out, capacity retained).
     waiter_scratch: Vec<Waiter>,
     /// Tardis mode: the backend runs logical-timestamp coherence. All
     /// timestamp state below is dead (and stays 0/empty) under MESI.
@@ -272,8 +263,8 @@ impl std::fmt::Debug for PrivateCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrivateCache")
             .field("core", &self.core)
-            .field("outstanding", &self.outstanding_live)
-            .field("pending_fwd", &fwd_live(&self.pending_fwd))
+            .field("outstanding", &self.outstanding.len())
+            .field("pending_fwd", &self.pending_fwd.len())
             .finish()
     }
 }
@@ -295,11 +286,10 @@ impl PrivateCache {
                 None
             },
             unauth_forwarding: cfg.tus.l1d_unauth_forwarding,
-            outstanding: Vec::new(),
-            outstanding_live: 0,
-            unauth_waiters: Vec::new(),
-            pending_fwd: Vec::new(),
-            delayed_fwd: Vec::new(),
+            outstanding: LineSlots::new(),
+            unauth_waiters: LineSlots::new(),
+            pending_fwd: LineSlots::new(),
+            delayed_fwd: LineSlots::new(),
             deferred_fwd: DelayQueue::new(),
             events: Vec::new(),
             waiter_scratch: Vec::new(),
@@ -349,53 +339,25 @@ impl PrivateCache {
         self.core
     }
 
-    // --- MSHR slot array -------------------------------------------------
+    // --- MSHRs -----------------------------------------------------------
 
-    fn mshr_find(&self, line: LineAddr) -> Option<usize> {
-        self.outstanding.iter().position(|s| s.live && s.line == line)
+    /// Opens an MSHR for a new in-flight request on `line`, which has
+    /// none, and returns it with an empty (warm) waiter list.
+    fn mshr_open(&mut self, line: LineAddr, kind: ReqKind, prefetch: bool) -> &mut Mshr {
+        let m = self.outstanding.insert(line);
+        debug_assert!(m.waiters.is_empty());
+        m.kind = kind;
+        m.prefetch = prefetch;
+        m
     }
 
-    fn mshr_contains(&self, line: LineAddr) -> bool {
-        self.mshr_find(line).is_some()
-    }
-
-    /// Claims a slot (reusing a dead one, with its warm waiter buffer) for
-    /// a new in-flight request. The caller checked `line` has none.
-    fn mshr_insert(&mut self, line: LineAddr, kind: ReqKind, prefetch: bool) -> usize {
-        debug_assert!(self.mshr_find(line).is_none(), "one request per line");
-        self.outstanding_live += 1;
-        if let Some(i) = self.outstanding.iter().position(|s| !s.live) {
-            let s = &mut self.outstanding[i];
-            s.live = true;
-            s.line = line;
-            s.kind = kind;
-            s.prefetch = prefetch;
-            debug_assert!(s.waiters.is_empty());
-            return i;
+    /// Closes the MSHR for `line`, if any, and moves its waiters into
+    /// `waiter_scratch` (replacing its contents).
+    fn mshr_close_into_scratch(&mut self, line: LineAddr) {
+        match self.outstanding.remove(line) {
+            Some(m) => take_waiters(&mut m.waiters, &mut self.waiter_scratch),
+            None => self.waiter_scratch.clear(),
         }
-        let mut s = MshrSlot::empty();
-        s.live = true;
-        s.line = line;
-        s.kind = kind;
-        s.prefetch = prefetch;
-        self.outstanding.push(s);
-        self.outstanding.len() - 1
-    }
-
-    /// Kills the slot for `line` and moves its waiters into
-    /// `waiter_scratch` (replacing its contents). Returns whether a slot
-    /// existed.
-    fn mshr_remove_into_scratch(&mut self, line: LineAddr) -> bool {
-        let Some(i) = self.mshr_find(line) else {
-            self.waiter_scratch.clear();
-            return false;
-        };
-        self.outstanding_live -= 1;
-        let s = &mut self.outstanding[i];
-        s.live = false;
-        self.waiter_scratch.clear();
-        std::mem::swap(&mut self.waiter_scratch, &mut s.waiters);
-        true
     }
 
     /// Takes the events produced since the last call.
@@ -412,9 +374,9 @@ impl PrivateCache {
 
     /// Whether no request is outstanding and no external request pending.
     pub fn quiesced(&self) -> bool {
-        self.outstanding_live == 0
-            && fwd_live(&self.pending_fwd) == 0
-            && fwd_live(&self.delayed_fwd) == 0
+        self.outstanding.len() == 0
+            && self.pending_fwd.len() == 0
+            && self.delayed_fwd.len() == 0
             && self.deferred_fwd.is_empty()
     }
 
@@ -454,22 +416,22 @@ impl PrivateCache {
 
     /// Number of MSHRs still available.
     pub fn mshrs_free(&self) -> usize {
-        self.mshrs.saturating_sub(self.outstanding_live)
+        self.mshrs.saturating_sub(self.outstanding.len())
+    }
+
+    /// Whether every MSHR is taken (demand loads may still oversubscribe).
+    fn mshrs_full(&self) -> bool {
+        self.outstanding.len() >= self.mshrs
     }
 
     /// Number of requests in flight to the directory (diagnostics).
     pub fn outstanding_requests(&self) -> usize {
-        self.outstanding_live
+        self.outstanding.len()
     }
 
     /// Lines with a request in flight, sorted (diagnostics).
     pub fn outstanding_lines(&self) -> Vec<LineAddr> {
-        let mut v: Vec<LineAddr> = self
-            .outstanding
-            .iter()
-            .filter(|s| s.live)
-            .map(|s| s.line)
-            .collect();
+        let mut v: Vec<LineAddr> = self.outstanding.lines().collect();
         v.sort_by_key(|l| l.raw());
         v
     }
@@ -477,13 +439,13 @@ impl PrivateCache {
     /// External requests parked on this core: pending a policy decision
     /// plus explicitly delayed ones (diagnostics).
     pub fn parked_externals(&self) -> usize {
-        fwd_live(&self.pending_fwd) + fwd_live(&self.delayed_fwd) + self.deferred_fwd.len()
+        self.pending_fwd.len() + self.delayed_fwd.len() + self.deferred_fwd.len()
     }
 
     /// Whether a request for `line` is currently in flight to the
     /// directory.
     pub fn request_in_flight(&self, line: LineAddr) -> bool {
-        self.mshr_contains(line)
+        self.outstanding.contains(line)
     }
 
     /// Whether events are queued for the policy/core layer to consume.
@@ -521,7 +483,7 @@ impl PrivateCache {
         }
         // Miss path: `ensure_write_permission` is a no-op exactly when a
         // request is already in flight or MSHRs are exhausted.
-        if self.mshr_contains(line) || self.outstanding_live >= self.mshrs {
+        if self.outstanding.contains(line) || self.mshrs_full() {
             StoreAttemptClass::BlockedCounting
         } else {
             StoreAttemptClass::BlockedWouldRequest
@@ -539,16 +501,7 @@ impl PrivateCache {
     /// Whether the private hierarchy holds write permission for `line`
     /// (M/E in the L1D or the L2) — the CSB flush feasibility test.
     pub fn hierarchy_writable(&self, line: LineAddr) -> bool {
-        self.l1d
-            .lookup(line)
-            .is_some_and(|(s, w)| {
-                let l = self.l1d.way(s, w);
-                !l.unauth && l.state.can_write()
-            })
-            || self
-                .l2
-                .lookup(line)
-                .is_some_and(|(s, w)| self.l2.way(s, w).state.can_write())
+        writable_in(&self.l1d, &self.l2, line)
     }
 
     /// The coherent copy of a line held by this hierarchy, if any:
@@ -628,10 +581,9 @@ impl PrivateCache {
                 self.prefetch_read(h, now, net);
             }
         }
-        if let Some(i) = self.mshr_find(line) {
-            let o = &mut self.outstanding[i];
-            o.waiters.push(waiter);
-            o.prefetch = false;
+        if let Some(m) = self.outstanding.get_mut(line) {
+            m.waiters.push(waiter);
+            m.prefetch = false;
             return;
         }
         if let Some((s2, w2)) = self.l2.lookup(line) {
@@ -649,8 +601,7 @@ impl PrivateCache {
         // Demand loads may oversubscribe the MSHRs (they are effectively
         // reserved entries); only prefetches and store-permission requests
         // honor the cap strictly.
-        let i = self.mshr_insert(line, ReqKind::GetS, false);
-        self.outstanding[i].waiters.push(waiter);
+        self.mshr_open(line, ReqKind::GetS, false).waiters.push(waiter);
         net.send(
             Node::Core(self.core),
             Node::Dir,
@@ -676,15 +627,15 @@ impl PrivateCache {
     /// Issues a read prefetch for `line` if it is absent and an MSHR is
     /// free.
     pub fn prefetch_read(&mut self, line: LineAddr, now: Cycle, net: &mut Network) {
-        if self.mshr_contains(line)
-            || self.outstanding_live >= self.mshrs
+        if self.outstanding.contains(line)
+            || self.mshrs_full()
             || self.l1d.lookup(line).is_some()
             || self.l2.lookup(line).is_some()
         {
             return;
         }
         self.stats.prefetches += 1;
-        self.mshr_insert(line, ReqKind::GetS, true);
+        self.mshr_open(line, ReqKind::GetS, true);
         net.send(
             Node::Core(self.core),
             Node::Dir,
@@ -719,13 +670,13 @@ impl PrivateCache {
                 return true;
             }
         }
-        if self.mshr_contains(line) || self.outstanding_live >= self.mshrs {
+        if self.outstanding.contains(line) || self.mshrs_full() {
             return false;
         }
         if prefetch {
             self.stats.prefetches += 1;
         }
-        self.mshr_insert(line, ReqKind::GetM, prefetch);
+        self.mshr_open(line, ReqKind::GetM, prefetch);
         net.send(
             Node::Core(self.core),
             Node::Dir,
@@ -888,10 +839,8 @@ impl PrivateCache {
                 writable: l.state.can_write(),
             };
         }
-        if let Some(i) = self.mshr_find(line) {
-            if self.outstanding[i].kind == ReqKind::GetS {
-                return ProbeResult::Busy;
-            }
+        if self.outstanding.get(line).is_some_and(|m| m.kind == ReqKind::GetS) {
+            return ProbeResult::Busy;
         }
         ProbeResult::Miss {
             ways_free: self.l1d.free_or_evictable_ways(line),
@@ -916,12 +865,12 @@ impl PrivateCache {
     ) -> Result<(usize, usize), UnauthAllocError> {
         // A write-permission request already in flight (prefetch-at-commit
         // or a previous demand) is reused: the grant combines on arrival.
-        let getm_in_flight = match self.mshr_find(line) {
-            Some(i) if self.outstanding[i].kind == ReqKind::GetM => true,
+        let getm_in_flight = match self.outstanding.get(line) {
+            Some(m) if m.kind == ReqKind::GetM => true,
             Some(_) => return Err(UnauthAllocError::Outstanding),
             None => false,
         };
-        if !getm_in_flight && self.outstanding_live >= self.mshrs {
+        if !getm_in_flight && self.mshrs_full() {
             return Err(UnauthAllocError::MshrFull);
         }
         debug_assert!(self.l1d.lookup(line).is_none(), "use the hit paths");
@@ -940,9 +889,8 @@ impl PrivateCache {
             }
         });
         self.evict_l1_way(set, way);
-        self.l1d.clear_way(set, way);
+        self.l1d.install(set, way, line);
         let (l, ld) = self.l1d.way_and_data_mut(set, way);
-        l.line = line;
         l.unauth = true;
         l.mask = mask;
         match l2_copy {
@@ -961,11 +909,10 @@ impl PrivateCache {
             }
         }
         let ready = l.ready;
-        self.l1d.touch(set, way);
         self.stats.unauth_allocs += 1;
         self.stats.l1d_writes += 1;
         if !getm_in_flight && !ready {
-            self.mshr_insert(line, ReqKind::GetM, false);
+            self.mshr_open(line, ReqKind::GetM, false);
             net.send(
                 Node::Core(self.core),
                 Node::Dir,
@@ -1015,9 +962,9 @@ impl PrivateCache {
         let needs_request = {
             let l = self.l1d.way(set, way);
             debug_assert!(!l.unauth);
-            !l.state.can_write() && !self.mshr_contains(line)
+            !l.state.can_write() && !self.outstanding.contains(line)
         };
-        if needs_request && self.outstanding_live >= self.mshrs {
+        if needs_request && self.mshrs_full() {
             return Err(UnauthAllocError::MshrFull);
         }
         // Push the authorized dirty copy down to the L2 so a relinquish
@@ -1045,7 +992,7 @@ impl PrivateCache {
         self.l1d.touch(set, way);
         self.stats.l1d_writes += 1;
         if needs_request {
-            self.mshr_insert(line, ReqKind::GetM, false);
+            self.mshr_open(line, ReqKind::GetM, false);
             net.send(
                 Node::Core(self.core),
                 Node::Dir,
@@ -1076,13 +1023,14 @@ impl PrivateCache {
         if self.tardis {
             let mut floor = 0u64;
             for &(set, way) in coords {
-                let line = self.l1d.way(set, way).line;
+                let line = self.l1d.line_at(set, way);
                 floor = floor.max(self.tardis_lease(line).rts + 1);
             }
             self.tardis_advance_pts(floor, now);
         }
         for &(set, way) in coords {
-            let (prev, line) = {
+            let line = self.l1d.line_at(set, way);
+            let prev = {
                 let l = self.l1d.way_mut(set, way);
                 assert!(l.unauth && l.ready, "visibility flip requires ready unauthorized lines");
                 let prev = l.state;
@@ -1092,7 +1040,7 @@ impl PrivateCache {
                 l.state = Mesi::Modified;
                 l.dirty = true;
                 l.base_valid = true;
-                (prev, l.line)
+                prev
             };
             self.trace_mesi(line, prev, Mesi::Modified, now);
             // TUS × Tardis visibility rule: an unauthorized line's stores
@@ -1103,16 +1051,16 @@ impl PrivateCache {
         }
         for &(set, way) in coords {
             // All flips precede all answers (a delayed external on one
-            // line must observe the whole group visible); the line field
+            // line must observe the whole group visible); the way's tag
             // is stable, so re-reading it avoids a side list.
-            let line = self.l1d.way(set, way).line;
+            let line = self.l1d.line_at(set, way);
             self.set_l2_state(line, Mesi::Modified);
             // Answer external requests that were explicitly delayed, and
             // also ones still pending a policy decision (the decision was
             // made moot by the visibility flip racing ahead of it).
-            if let Some(f) = fwd_remove(&mut self.delayed_fwd, line) {
-                self.answer_fwd_visible(line, f, now, net);
-            } else if let Some(f) = fwd_remove(&mut self.pending_fwd, line) {
+            let parked = self.delayed_fwd.remove(line).copied();
+            let parked = parked.or_else(|| self.pending_fwd.remove(line).copied());
+            if let Some(f) = parked {
                 self.answer_fwd_visible(line, f, now, net);
             }
         }
@@ -1122,10 +1070,12 @@ impl PrivateCache {
     /// produced an [`CacheEvent::ExternalConflict`]; it will be answered
     /// when the line becomes visible.
     pub fn delay_external(&mut self, line: LineAddr) {
-        let f = fwd_remove(&mut self.pending_fwd, line)
+        let f = *self
+            .pending_fwd
+            .remove(line)
             .expect("delay_external without a pending external request");
         self.stats.delayed_externals += 1;
-        fwd_insert(&mut self.delayed_fwd, line, f);
+        *self.delayed_fwd.insert(line) = f;
     }
 
     /// Records the policy decision to *relinquish* the unauthorized line:
@@ -1133,8 +1083,9 @@ impl PrivateCache {
     /// L2, drops all permission, and keeps the unauthorized bytes + mask
     /// locally for a later retry (paper Fig. 5, steps 7–8).
     pub fn relinquish(&mut self, set: usize, way: usize, now: Cycle, net: &mut Network) {
-        let line = self.l1d.way(set, way).line;
-        let f = fwd_remove(&mut self.pending_fwd, line)
+        let line = self.l1d.line_at(set, way);
+        self.pending_fwd
+            .remove(line)
             .expect("relinquish without a pending external request");
         let (s2, w2) = self
             .l2
@@ -1156,7 +1107,6 @@ impl PrivateCache {
         // Loads that read the (previously combined) line must replay: the
         // remote writer will change the base bytes.
         self.events.push(CacheEvent::Invalidated { line });
-        let _ = f;
         let lease = self.lease_for_msg(line);
         self.leases.remove(&line);
         net.send(
@@ -1177,13 +1127,13 @@ impl PrivateCache {
     /// policy layer once the lex order allows it). Returns `false` when no
     /// MSHR is available or a request is already in flight.
     pub fn request_permission(&mut self, line: LineAddr, now: Cycle, net: &mut Network) -> bool {
-        if self.mshr_contains(line) {
+        if self.outstanding.contains(line) {
             return true;
         }
-        if self.outstanding_live >= self.mshrs {
+        if self.mshrs_full() {
             return false;
         }
-        self.mshr_insert(line, ReqKind::GetM, false);
+        self.mshr_open(line, ReqKind::GetM, false);
         net.send(
             Node::Core(self.core),
             Node::Dir,
@@ -1235,7 +1185,7 @@ impl PrivateCache {
         now: Cycle,
         net: &mut Network,
     ) {
-        self.mshr_remove_into_scratch(line);
+        self.mshr_close_into_scratch(line);
         // Tardis staleness gate: a read grant whose lease already ended
         // before this core's clock must not bind — a write the reader is
         // ordered after could carry `wts <= pts` without being in this
@@ -1254,8 +1204,9 @@ impl PrivateCache {
                     return;
                 }
                 self.stats.lease_renewals += 1;
-                let i = self.mshr_insert(line, ReqKind::GetS, prefetch);
-                std::mem::swap(&mut self.outstanding[i].waiters, &mut self.waiter_scratch);
+                let ws = std::mem::take(&mut self.waiter_scratch);
+                let m = self.mshr_open(line, ReqKind::GetS, prefetch);
+                self.waiter_scratch = std::mem::replace(&mut m.waiters, ws);
                 net.send(
                     Node::Core(self.core),
                     Node::Dir,
@@ -1377,39 +1328,17 @@ impl PrivateCache {
     }
 
     fn park_unauth_waiter(&mut self, line: LineAddr, w: Waiter) {
-        if let Some(s) = self
-            .unauth_waiters
-            .iter_mut()
-            .find(|s| s.live && s.line == line)
-        {
-            s.waiters.push(w);
-            return;
+        match self.unauth_waiters.get_mut(line) {
+            Some(ws) => ws.push(w),
+            None => self.unauth_waiters.insert(line).push(w),
         }
-        if let Some(s) = self.unauth_waiters.iter_mut().find(|s| !s.live) {
-            s.live = true;
-            s.line = line;
-            debug_assert!(s.waiters.is_empty());
-            s.waiters.push(w);
-            return;
-        }
-        self.unauth_waiters.push(UnauthWaitSlot {
-            live: true,
-            line,
-            waiters: vec![w],
-        });
     }
 
     fn wake_unauth_waiters(&mut self, line: LineAddr, set: usize, way: usize, now: Cycle) {
-        let Some(i) = self
-            .unauth_waiters
-            .iter()
-            .position(|s| s.live && s.line == line)
-        else {
+        let Some(parked) = self.unauth_waiters.remove(line) else {
             return;
         };
-        self.unauth_waiters[i].live = false;
-        self.waiter_scratch.clear();
-        std::mem::swap(&mut self.waiter_scratch, &mut self.unauth_waiters[i].waiters);
+        take_waiters(parked, &mut self.waiter_scratch);
         let ws = std::mem::take(&mut self.waiter_scratch);
         for w in &ws {
             let v = read_value(self.l1d.data(set, way), w.offset, w.size);
@@ -1531,45 +1460,50 @@ impl PrivateCache {
     /// clear that x86-style load→load ordering relies on. Expiring at the
     /// clock edge reuses the exact replay machinery invalidations drive
     /// under MESI.
+    ///
+    /// One pass over the lease map: a copy the hierarchy can write (M/E —
+    /// the owner is the timestamp authority and never self-downgrades)
+    /// gets `rts = pts` in place, so the sweep does not flag it again.
+    /// Only the other lapsed leases are collected for
+    /// [`PrivateCache::tardis_expire`]. Splitting the two is exact:
+    /// expiring one line never changes another line's writability,
+    /// unauth or locked bit, or MSHR.
     fn tardis_advance_pts(&mut self, candidate: u64, now: Cycle) {
         if !self.tardis || candidate <= self.pts {
             return;
         }
-        self.pts = candidate;
+        let pts = candidate;
+        self.pts = pts;
         let mut expired = std::mem::take(&mut self.expire_scratch);
         expired.clear();
-        expired.extend(
-            self.leases
-                .iter()
-                .filter(|(_, l)| l.rts < self.pts)
-                .map(|(&line, _)| line),
-        );
-        // Deterministic sweep order regardless of hash-map iteration.
-        expired.sort_by_key(|l| l.raw());
+        let (l1d, l2) = (&self.l1d, &self.l2);
+        for (&line, lease) in self.leases.iter_mut() {
+            if lease.rts < pts {
+                if writable_in(l1d, l2, line) {
+                    lease.rts = pts;
+                } else {
+                    expired.push(line);
+                }
+            }
+        }
+        // Deterministic sweep order regardless of hash-map iteration (the
+        // addresses are unique, so an unstable sort is as good).
+        expired.sort_unstable_by_key(|l| l.raw());
         for &line in &expired {
             self.tardis_expire(line, now);
         }
         self.expire_scratch = expired;
     }
 
-    /// Drops one expired copy, unless the line is exempt: owned (M/E —
-    /// the owner is the timestamp authority and never self-downgrades),
-    /// unauthorized or locked (woven into the TUS machinery), or mid-
-    /// upgrade (an MSHR in flight will refresh the lease on grant).
+    /// Drops one expired copy the hierarchy cannot write, unless the line
+    /// is exempt: unauthorized or locked (woven into the TUS machinery),
+    /// or mid-upgrade (an MSHR in flight will refresh the lease on grant).
     fn tardis_expire(&mut self, line: LineAddr, now: Cycle) {
-        if self.hierarchy_writable(line) {
-            // Owned copies never expire; refresh the tracked pair so the
-            // sweep does not flag them again.
-            if let Some(l) = self.leases.get_mut(&line) {
-                l.rts = l.rts.max(self.pts);
-            }
-            return;
-        }
         let unauth_or_locked = self.l1d.lookup(line).is_some_and(|(s, w)| {
             let l = self.l1d.way(s, w);
             l.unauth || l.locked
         });
-        if unauth_or_locked || self.mshr_contains(line) {
+        if unauth_or_locked || self.outstanding.contains(line) {
             return;
         }
         let mut held = false;
@@ -1630,7 +1564,7 @@ impl PrivateCache {
             if unauth {
                 if writable {
                     // The TUS conflict case: consult the authorization unit.
-                    fwd_insert(&mut self.pending_fwd, line, PendingFwd { kind, to_owner });
+                    *self.pending_fwd.insert(line) = PendingFwd { kind, to_owner };
                     self.events.push(CacheEvent::ExternalConflict {
                         line,
                         set,
@@ -1758,12 +1692,10 @@ impl PrivateCache {
             return; // Served without allocating; no retry needed.
         };
         self.evict_l1_way(set, way);
-        self.l1d.clear_way(set, way);
+        self.l1d.install(set, way, line);
         let (l, ld) = self.l1d.way_and_data_mut(set, way);
-        l.line = line;
         l.state = state;
         *ld = data;
-        self.l1d.touch(set, way);
     }
 
     /// Writes an L1D victim back into the L2 (inclusive hierarchy) and
@@ -1771,7 +1703,7 @@ impl PrivateCache {
     fn evict_l1_way(&mut self, set: usize, way: usize) {
         let (occupied, dirty, line) = {
             let l = self.l1d.way(set, way);
-            (l.occupied(), l.dirty, l.line)
+            (l.occupied(), l.dirty, self.l1d.line_at(set, way))
         };
         if !occupied {
             return;
@@ -1823,7 +1755,7 @@ impl PrivateCache {
             }
             let pinned = self
                 .l1d
-                .lookup(l.line)
+                .lookup(self.l2.line_at(set, w))
                 .is_some_and(|(s1, w1)| !self.l1d.way(s1, w1).evictable());
             if pinned {
                 continue;
@@ -1846,21 +1778,20 @@ impl PrivateCache {
                 )
             }
         };
-        self.l2.clear_way(set, w);
+        self.l2.install(set, w, line);
         let (l, ld) = self.l2.way_and_data_mut(set, w);
-        l.line = line;
         l.state = state;
         l.dirty = dirty;
         *ld = *data;
-        self.l2.touch(set, w);
     }
 
     /// Invalidates the L1D copy (merging dirty data), notifies the
     /// directory, and clears the L2 way.
     fn evict_l2_way(&mut self, set: usize, way: usize, now: Cycle, net: &mut Network) {
-        let (line, mut data, mut dirty, state) = {
+        let line = self.l2.line_at(set, way);
+        let (mut data, mut dirty, state) = {
             let l = self.l2.way(set, way);
-            (l.line, *self.l2.data(set, way), l.dirty, l.state)
+            (*self.l2.data(set, way), l.dirty, l.state)
         };
         if let Some((s1, w1)) = self.l1d.lookup(line) {
             let l1 = self.l1d.way(s1, w1);
@@ -1927,7 +1858,7 @@ impl PrivateCache {
 mod tests {
     use super::*;
     use crate::system::MemorySystem;
-    use tus_sim::{SimConfig, SimRng};
+    use tus_sim::{CoreId, SimConfig, SimRng};
 
     fn sys(cores: usize) -> MemorySystem {
         let cfg = SimConfig::builder()
@@ -2183,6 +2114,60 @@ mod tests {
             s.ctrls[0].probe(line),
             ProbeResult::HitVisible { writable: true }
         ));
+    }
+
+    /// One `pts` advance past four lapsed leases: the plain shared copy is
+    /// dropped with exactly one `Invalidated` event, the owned copy's
+    /// `rts` is refreshed to the new `pts`, and the unauthorized line and
+    /// the line with an MSHR in flight are kept with their leases.
+    #[test]
+    fn pts_advance_expires_only_plain_shared_copies() {
+        let cfg = SimConfig::builder()
+            .cores(1)
+            .scale_caches_down(64)
+            .coherence(tus_sim::CoherenceKind::Tardis)
+            .build();
+        let mut c = PrivateCache::new(CoreId::new(0), &cfg);
+        let [shared, owned, unauth, upgrading] = [0x10, 0x11, 0x12, 0x13].map(LineAddr::new);
+        let stale = Lease { wts: 1, rts: 5 };
+        for (line, state) in [
+            (shared, Mesi::Shared),
+            (owned, Mesi::Modified),
+            (unauth, Mesi::Invalid),
+            (upgrading, Mesi::Shared),
+        ] {
+            if state != Mesi::Invalid {
+                let (s, w) = c.l2.victim(line).expect("room");
+                c.l2.install(s, w, line);
+                c.l2.way_mut(s, w).state = state;
+            }
+            let (s, w) = c.l1d.victim(line).expect("room");
+            c.l1d.install(s, w, line);
+            let l = c.l1d.way_mut(s, w);
+            l.state = state;
+            l.unauth = line == unauth;
+            c.leases.insert(line, stale);
+        }
+        c.mshr_open(upgrading, ReqKind::GetM, false);
+
+        c.tardis_advance_pts(10, Cycle::ZERO);
+
+        assert_eq!(c.logical_ts(), 10);
+        let evs = c.take_events();
+        assert!(
+            matches!(evs[..], [CacheEvent::Invalidated { line }] if line == shared),
+            "{evs:?}"
+        );
+        assert_eq!(c.stats.lease_expiries, 1);
+        assert!(c.l1d.lookup(shared).is_none() && c.l2.lookup(shared).is_none());
+        assert!(!c.leases.contains_key(&shared));
+        assert_eq!(c.leases[&owned], Lease { wts: 1, rts: 10 });
+        assert_eq!(c.line_state(owned), Some((Mesi::Modified, false, false)));
+        assert_eq!(c.line_state(unauth), Some((Mesi::Invalid, true, false)));
+        assert_eq!(c.leases[&unauth], stale);
+        assert_eq!(c.line_state(upgrading), Some((Mesi::Shared, false, false)));
+        assert_eq!(c.leases[&upgrading], stale);
+        assert!(c.request_in_flight(upgrading));
     }
 
     #[test]
