@@ -22,7 +22,7 @@ use tus_mem::{CacheEvent, MemDeadlockSnapshot, MemorySystem, Network, PrivateCac
 use tus_sim::calendar::Calendar;
 use tus_sim::sched::earliest;
 use tus_sim::trace::{Attribution, TraceEvent, TraceRecord, Tracer};
-use tus_sim::{Addr, CoreId, Cycle, KernelKind, PolicyKind, SimConfig, SimRng, StatSet};
+use tus_sim::{Addr, CoreId, Cycle, KernelKind, SimConfig, SimRng, StatSet};
 
 use crate::policy::{Policy, PolicyOccupancy};
 
@@ -828,7 +828,7 @@ impl System {
                 c.sb().head().map(|e| (e.addr, e.committed))
             );
             let _ = writeln!(out, "core{i} rob head: {}", c.describe_head());
-            let _ = writeln!(out, "core{i} policy: {:?}", PolicyKind::ALL.iter().find(|_| true).map(|_| match &self.policies[i] { Policy::Baseline(_) => "base", Policy::Spb(_) => "spb", Policy::Ssb(_) => "ssb", Policy::Csb(_) => "csb", Policy::Tus(_) => "tus" }));
+            let _ = writeln!(out, "core{i} policy: {}", self.cfg.policy);
             if let Some(h) = c.sb().head() {
                 let _ = writeln!(out, "core{i} sb head line state: {:?}", self.mem.ctrls[i].line_state(h.addr.line()));
             }

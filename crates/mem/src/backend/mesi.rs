@@ -1,48 +1,29 @@
-//! Full-map MESI directory with the shared L3 and DRAM behind it — the
-//! reference implementation of the [`CoherenceBackend`] contract.
+//! Full-map MESI: the paper's invalidation-based protocol, and the
+//! reference the Tardis protocol is compared against.
 //!
-//! The directory is the coherence home for every line. It processes one
-//! transaction per line at a time (an *atomic directory*): requests that
-//! arrive for a busy line queue and are replayed in order when the current
-//! transaction completes. Combined with per-channel FIFO delivery in
-//! [`crate::net::Network`], this keeps the protocol race-free without
-//! transient-state explosion, while still exercising the cross-core
-//! interactions TUS cares about — most importantly, forwarded
-//! invalidations that an owner may *delay* (leaving the transaction open
-//! until the line becomes visible) or answer with a *relinquish* carrying
-//! the old copy from its private L2 (paper Section III-C).
-//!
-//! Timing: network hops are charged by the interconnect; DRAM fetches add
-//! the configured latency (plus queuing when more than
-//! `dram_max_inflight` fetches are outstanding). The L3 acts as a latency
-//! filter — lines present in the L3 array grant without the DRAM delay.
-//! The L3 is kept write-through with respect to [`MainMemory`], so memory
-//! always holds the last written-back data.
+//! A line's home entry holds its owner (a core with an E or M copy) and a
+//! sharer bitset. A request for a line another core owns is forwarded to
+//! the owner; a GetM invalidates every other sharer and is granted once
+//! all have acknowledged; a requester whose copy is still current gets a
+//! permission-only grant that carries no data. MESI grants carry no lease.
 
-use std::collections::VecDeque;
+use tus_sim::{CoreId, Cycle, LineId};
 
-use tus_sim::trace::{TraceEvent, TraceRecord, Tracer};
-use tus_sim::{CoreId, Cycle, DelayQueue, LineAddr, LineId, LineInterner, Schedulable, Slab, StatSet};
-
-use crate::backend::{CoherenceBackend, Replay};
-use crate::cache::L3Cache;
+use super::{Home, Request};
 use crate::line::LineData;
 use crate::mainmem::MainMemory;
 use crate::mesi::Mesi;
 use crate::msgs::{FwdKind, Msg, ReqKind};
 use crate::net::{Network, Node};
 
+/// A line's owner and sharers.
 #[derive(Debug, Clone, Copy, Default)]
-struct DirEntry {
+pub(super) struct Entry {
     owner: Option<CoreId>,
     sharers: u64,
 }
 
-impl DirEntry {
-    #[allow(dead_code)]
-    fn sharer_count(&self) -> usize {
-        self.sharers.count_ones() as usize
-    }
+impl Entry {
     fn is_sharer(&self, c: CoreId) -> bool {
         self.sharers & (1u64 << c.index()) != 0
     }
@@ -57,765 +38,182 @@ impl DirEntry {
     }
 }
 
-#[derive(Debug)]
-struct Transaction {
-    requester: CoreId,
-    kind: ReqKind,
-    prefetch: bool,
-    pending_acks: usize,
-    waiting_owner: bool,
-    waiting_mem: bool,
-    perm_only: bool,
-    queued: VecDeque<(CoreId, ReqKind, bool)>,
-}
-
-impl Default for Transaction {
-    fn default() -> Self {
-        Transaction {
-            requester: CoreId::new(0),
-            kind: ReqKind::GetS,
-            prefetch: false,
-            pending_acks: 0,
-            waiting_owner: false,
-            waiting_mem: false,
-            perm_only: false,
-            queued: VecDeque::new(),
+/// Starts serving `req` on line `id`, which has no open transaction.
+pub(super) fn request(
+    home: &mut Home,
+    entries: &mut [Entry],
+    id: LineId,
+    req: Request,
+    net: &mut Network,
+    now: Cycle,
+) {
+    let line = home.lines.addr(id);
+    let entry = entries[id.index()];
+    if let Some(owner) = entry.owner {
+        if owner == req.core {
+            // Redundant request from the owner itself: permission-only.
+            req.grant(line, Mesi::Modified, None, None, net, now);
+        } else {
+            home.forward(id, req, owner, net, now);
         }
+        return;
     }
-}
-
-/// Slot index in the transaction slab meaning "no open transaction".
-const NO_TRANS: u32 = u32::MAX;
-
-/// Running counters exported into the run's [`StatSet`].
-#[derive(Debug, Clone, Default)]
-pub struct DirStats {
-    /// GetS requests processed.
-    pub gets: u64,
-    /// GetM requests processed.
-    pub getm: u64,
-    /// Forwards (Inv/Downgrade) sent to owners.
-    pub fwds: u64,
-    /// Invalidations sent to sharers.
-    pub invs: u64,
-    /// L3 data hits.
-    pub l3_hits: u64,
-    /// L3 misses (DRAM fetches).
-    pub l3_misses: u64,
-    /// Relinquish responses received (TUS lex-order deadlock avoidance).
-    pub relinquishes: u64,
-    /// Dirty write-backs received.
-    pub writebacks: u64,
-}
-
-/// The directory / shared-LLC home node.
-///
-/// Per-line state is dense: line addresses are interned into [`LineId`]s
-/// at the message boundary (one hash lookup per inbound message) and the
-/// sharer entries and open-transaction handles live in flat arrays
-/// indexed by id. Open transactions are slots in a [`Slab`] whose free
-/// list retains each slot's replay-queue capacity, so the steady-state
-/// open/close churn allocates nothing.
-pub struct Directory {
-    cores: usize,
-    lines: LineInterner,
-    /// Sharer/owner state, indexed by [`LineId`].
-    entries: Vec<DirEntry>,
-    /// Open-transaction slab slot per line ([`NO_TRANS`] when idle).
-    trans_idx: Vec<u32>,
-    trans: Slab<Transaction>,
-    open_trans: usize,
-    l3: L3Cache,
-    dram: DelayQueue<LineId>,
-    dram_busy_until: Cycle,
-    dram_latency: u64,
-    dram_gap: u64,
-    replays: VecDeque<Replay>,
-    tracer: Tracer,
-    /// Statistics.
-    pub stats: DirStats,
-}
-
-impl std::fmt::Debug for Directory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Directory")
-            .field("cores", &self.cores)
-            .field("entries", &self.lines.len())
-            .field("open_transactions", &self.open_trans)
-            .finish()
-    }
-}
-
-impl Directory {
-    /// Creates a directory for `cores` cores with an L3 of the given
-    /// geometry and DRAM latency.
-    pub fn new(
-        cores: usize,
-        l3_sets: usize,
-        l3_ways: usize,
-        dram_latency: u64,
-        dram_max_inflight: usize,
-    ) -> Self {
-        assert!(cores <= 64, "sharer bitset holds at most 64 cores");
-        // A simple bandwidth model: with N permitted in-flight requests and
-        // latency L, a new request can start every L/N cycles.
-        let dram_gap = (dram_latency / dram_max_inflight.max(1) as u64).max(1);
-        Directory {
-            cores,
-            lines: LineInterner::new(),
-            entries: Vec::new(),
-            trans_idx: Vec::new(),
-            trans: Slab::new(),
-            open_trans: 0,
-            l3: L3Cache::new(l3_sets, l3_ways),
-            dram: DelayQueue::new(),
-            dram_busy_until: Cycle::ZERO,
-            dram_latency,
-            dram_gap,
-            replays: VecDeque::new(),
-            tracer: Tracer::default(),
-            stats: DirStats::default(),
-        }
-    }
-
-    /// Interns `line`, growing the dense per-line arrays on first touch.
-    #[inline]
-    fn intern(&mut self, line: LineAddr) -> LineId {
-        let id = self.lines.intern(line);
-        if self.entries.len() < self.lines.len() {
-            self.entries.push(DirEntry::default());
-            self.trans_idx.push(NO_TRANS);
-        }
-        id
-    }
-
-    /// The open transaction on `id`, if any.
-    #[inline]
-    fn tr(&self, id: LineId) -> Option<&Transaction> {
-        let slot = self.trans_idx[id.index()];
-        (slot != NO_TRANS).then(|| self.trans.get(slot))
-    }
-
-    /// Mutable access to the open transaction on `id`, if any.
-    #[inline]
-    fn tr_mut(&mut self, id: LineId) -> Option<&mut Transaction> {
-        let slot = self.trans_idx[id.index()];
-        (slot != NO_TRANS).then(|| self.trans.get_mut(slot))
-    }
-
-    /// Opens a transaction on `id` (reusing a warm slab slot) and returns
-    /// it for field initialization. The slot's queued-replay buffer is
-    /// empty but keeps its capacity from previous occupants.
-    #[inline]
-    fn open_transaction(&mut self, id: LineId) -> &mut Transaction {
-        debug_assert_eq!(self.trans_idx[id.index()], NO_TRANS);
-        let slot = self.trans.alloc();
-        self.trans_idx[id.index()] = slot;
-        self.open_trans += 1;
-        let t = self.trans.get_mut(slot);
-        debug_assert!(t.queued.is_empty());
-        t
-    }
-
-    /// Arms structured L3/DRAM access tracing with a ring of `cap`
-    /// records.
-    pub fn trace_enable(&mut self, cap: usize) {
-        self.tracer.enable(cap);
-    }
-
-    /// Drains the buffered trace records, oldest first.
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.tracer.take()
-    }
-
-    /// Handles one inbound message.
-    pub fn handle(&mut self, msg: Msg, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        match msg {
-            Msg::Req {
-                core,
-                line,
-                kind,
-                prefetch,
-                // MESI has no logical clock; the field rides along as 0.
-                pts: _,
-            } => {
-                let id = self.intern(line);
-                if let Some(t) = self.tr_mut(id) {
-                    t.queued.push_back((core, kind, prefetch));
-                } else {
-                    self.start(core, id, kind, prefetch, net, mem, now);
-                }
-            }
-            Msg::FwdResp {
-                core,
-                line,
-                data,
-                relinquished,
-                lease: _,
-            } => {
-                let id = self.intern(line);
-                self.on_fwd_resp(core, id, data, relinquished, net, mem, now);
-            }
-            Msg::InvAck { core, line } => {
-                let id = self.intern(line);
-                self.on_inv_ack(core, id, net, mem, now);
-            }
-            Msg::Evict {
-                core,
-                line,
-                data,
-                lease: _,
-            } => {
-                let id = self.intern(line);
-                self.on_evict(core, id, data, net, mem);
-            }
-            Msg::Grant { .. } | Msg::Fwd { .. } => {
-                unreachable!("directory received a directory-originated message")
-            }
-        }
-    }
-
-    /// Completes DRAM fetches that are due; must be called every cycle.
-    pub fn tick(&mut self, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        while let Some(id) = self.dram.pop_due(now) {
-            let line = self.lines.addr(id);
-            let mut data = net.alloc_data();
-            mem.read_into(line, &mut data);
-            self.fill_l3(line, &data);
-            if self.tr(id).is_some_and(|t| t.waiting_mem) {
-                if let Some(t) = self.tr_mut(id) {
-                    t.waiting_mem = false;
-                }
-                self.grant_with_data(id, Some(data), net, now);
-            } else {
-                net.recycle_data(data);
-            }
-        }
-    }
-
-    /// Whether no transaction is open and no DRAM fetch pending (used by
-    /// drain loops and tests).
-    pub fn idle(&self) -> bool {
-        self.open_trans == 0 && self.dram.is_empty()
-    }
-
-    /// Completion cycle of the earliest pending DRAM fetch.
-    pub fn next_dram_due(&self) -> Option<Cycle> {
-        self.dram.next_due()
-    }
-
-    /// Number of open transactions (watchdog diagnostics).
-    pub fn open_transactions(&self) -> usize {
-        self.open_trans
-    }
-
-    /// Debug description of the directory state for one line (deadlock
-    /// diagnostics).
-    pub fn debug_line(&self, line: LineAddr) -> String {
-        let id = self.lines.get(line);
-        let e = id.map(|id| &self.entries[id.index()]);
-        let t = id.and_then(|id| self.tr(id));
-        format!(
-            "entry={:?} trans={:?}",
-            e.map(|e| (e.owner, e.sharers)),
-            t.map(|t| (
-                t.requester,
-                t.kind,
-                t.pending_acks,
-                t.waiting_owner,
-                t.waiting_mem,
-                t.queued.len()
-            ))
-        )
-    }
-
-    /// Exports statistics.
-    pub fn export_stats(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.set("gets", self.stats.gets as f64);
-        s.set("getm", self.stats.getm as f64);
-        s.set("fwds", self.stats.fwds as f64);
-        s.set("invs", self.stats.invs as f64);
-        s.set("l3_hits", self.stats.l3_hits as f64);
-        s.set("l3_misses", self.stats.l3_misses as f64);
-        s.set("relinquishes", self.stats.relinquishes as f64);
-        s.set("writebacks", self.stats.writebacks as f64);
-        s
-    }
-
-    fn start(
-        &mut self,
-        core: CoreId,
-        id: LineId,
-        kind: ReqKind,
-        prefetch: bool,
-        net: &mut Network,
-        mem: &mut MainMemory,
-        now: Cycle,
-    ) {
-        debug_assert_eq!(self.trans_idx[id.index()], NO_TRANS);
-        let line = self.lines.addr(id);
-        // The sharer state is read here and mutated in place (through the
-        // dense entry slot) at grant time — no copy-then-writeback.
-        let entry = self.entries[id.index()];
-        match kind {
-            ReqKind::GetS => self.stats.gets += 1,
-            ReqKind::GetM => self.stats.getm += 1,
-        }
-        // Owner present (and not the requester): forward.
-        if let Some(owner) = entry.owner {
-            if owner != core {
-                let fwd_kind = match kind {
-                    ReqKind::GetS => FwdKind::Downgrade,
-                    ReqKind::GetM => FwdKind::Inv,
-                };
-                self.stats.fwds += 1;
-                let t = self.open_transaction(id);
-                t.requester = core;
-                t.kind = kind;
-                t.prefetch = prefetch;
-                t.pending_acks = 0;
-                t.waiting_owner = true;
-                t.waiting_mem = false;
-                t.perm_only = false;
+    let mut acks = 0;
+    if req.kind == ReqKind::GetM {
+        for c in 0..home.cores {
+            let cid = CoreId::new(c as u16);
+            if cid != req.core && entry.is_sharer(cid) {
+                home.stats.invs += 1;
+                acks += 1;
                 net.send(
                     Node::Dir,
-                    Node::Core(owner),
+                    Node::Core(cid),
                     now,
                     Msg::Fwd {
                         line,
-                        kind: fwd_kind,
-                        to_owner: true,
+                        kind: FwdKind::Inv,
+                        to_owner: false,
                     },
                 );
-                return;
-            }
-            // Redundant request from the owner itself: permission-only.
-            self.send_grant(core, line, Mesi::Modified, None, kind, prefetch, net, now);
-            return;
-        }
-
-        match kind {
-            ReqKind::GetM => {
-                let perm_only = entry.is_sharer(core);
-                let mut acks = 0;
-                for c in 0..self.cores {
-                    let cid = CoreId::new(c as u16);
-                    if cid != core && entry.is_sharer(cid) {
-                        self.stats.invs += 1;
-                        acks += 1;
-                        net.send(
-                            Node::Dir,
-                            Node::Core(cid),
-                            now,
-                            Msg::Fwd {
-                                line,
-                                kind: FwdKind::Inv,
-                                to_owner: false,
-                            },
-                        );
-                    }
-                }
-                let t = self.open_transaction(id);
-                t.requester = core;
-                t.kind = kind;
-                t.prefetch = prefetch;
-                t.pending_acks = acks;
-                t.waiting_owner = false;
-                t.waiting_mem = false;
-                t.perm_only = perm_only;
-                if acks == 0 {
-                    self.grant_after_invs(id, net, mem, now);
-                }
-            }
-            ReqKind::GetS => {
-                let t = self.open_transaction(id);
-                t.requester = core;
-                t.kind = kind;
-                t.prefetch = prefetch;
-                t.pending_acks = 0;
-                t.waiting_owner = false;
-                t.waiting_mem = false;
-                t.perm_only = entry.is_sharer(core);
-                self.fetch_then_grant(id, net, mem, now);
             }
         }
     }
-
-    /// GetM path once all sharer invalidations are accounted for.
-    fn grant_after_invs(&mut self, id: LineId, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        let perm_only = self.tr(id).expect("transaction open").perm_only;
-        if perm_only {
-            self.grant_with_data(id, None, net, now);
-        } else {
-            self.fetch_then_grant(id, net, mem, now);
-        }
-    }
-
-    /// Supplies data from L3 (immediately) or DRAM (after the latency),
-    /// then grants.
-    fn fetch_then_grant(&mut self, id: LineId, net: &mut Network, _mem: &mut MainMemory, now: Cycle) {
-        let t = self.tr(id).expect("transaction open");
-        if t.perm_only && t.kind == ReqKind::GetS {
-            // Requester already a sharer (e.g. redundant prefetch).
-            self.grant_with_data(id, None, net, now);
-            return;
-        }
-        let line = self.lines.addr(id);
-        if let Some((set, way)) = self.l3.lookup(line) {
-            self.stats.l3_hits += 1;
-            self.tracer.emit(
-                now,
-                0,
-                TraceEvent::DramAccess {
-                    line: line.raw(),
-                    l3_hit: true,
-                },
-            );
-            self.l3.touch(set, way);
-            let data = net.alloc_data_copy(self.l3.data(set, way));
-            self.grant_with_data(id, Some(data), net, now);
-        } else {
-            self.stats.l3_misses += 1;
-            let start = now.max(self.dram_busy_until);
-            self.dram_busy_until = start + self.dram_gap;
-            self.dram.push(start + self.dram_latency, id);
-            let done = start + self.dram_latency;
-            self.tracer.emit(
-                now,
-                done.since(now),
-                TraceEvent::DramAccess {
-                    line: line.raw(),
-                    l3_hit: false,
-                },
-            );
-            self.tr_mut(id).expect("transaction open").waiting_mem = true;
-        }
-    }
-
-    /// Sends the grant for the open transaction on `line` and updates the
-    /// sharing state, then replays queued requests.
-    fn grant_with_data(
-        &mut self,
-        id: LineId,
-        data: Option<Box<LineData>>,
-        net: &mut Network,
-        now: Cycle,
-    ) {
-        let line = self.lines.addr(id);
-        let t = self.tr(id).expect("transaction open");
-        let (requester, kind, prefetch) = (t.requester, t.kind, t.prefetch);
-        let entry = &mut self.entries[id.index()];
-        let state = match kind {
-            ReqKind::GetM => {
-                entry.owner = Some(requester);
-                entry.sharers = 0;
-                Mesi::Modified
-            }
-            ReqKind::GetS => {
-                if entry.idle_empty() {
-                    // Unshared: grant Exclusive.
-                    entry.owner = Some(requester);
-                    Mesi::Exclusive
-                } else {
-                    entry.add_sharer(requester);
-                    Mesi::Shared
-                }
-            }
-        };
-        self.send_grant(requester, line, state, data, kind, prefetch, net, now);
-        self.complete(id);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn send_grant(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        state: Mesi,
-        data: Option<Box<LineData>>,
-        kind: ReqKind,
-        prefetch: bool,
-        net: &mut Network,
-        now: Cycle,
-    ) {
-        net.send(
-            Node::Dir,
-            Node::Core(core),
-            now,
-            Msg::Grant {
-                line,
-                state,
-                data,
-                kind,
-                prefetch,
-                lease: None,
-            },
-        );
-    }
-
-    fn on_fwd_resp(
-        &mut self,
-        from: CoreId,
-        id: LineId,
-        data: Option<Box<LineData>>,
-        relinquished: bool,
-        net: &mut Network,
-        mem: &mut MainMemory,
-        now: Cycle,
-    ) {
-        let line = self.lines.addr(id);
-        let kind = match self.tr_mut(id) {
-            Some(t) => {
-                t.waiting_owner = false;
-                t.kind
-            }
-            None => {
-                // Stale response (transaction aborted) — apply data, done.
-                if let Some(d) = data {
-                    self.write_back(line, &d, mem);
-                    net.recycle_data(d);
-                }
-                return;
-            }
-        };
-        if relinquished {
-            self.stats.relinquishes += 1;
-        }
-        if let Some(d) = &data {
-            self.write_back(line, d, mem);
-        }
-        let entry = &mut self.entries[id.index()];
-        // The old owner is no longer the owner.
-        entry.owner = None;
-        entry.remove_sharer(from);
-        match kind {
-            ReqKind::GetS if !relinquished => {
-                // Normal downgrade: the old owner retains a shared copy.
-                entry.add_sharer(from);
-            }
-            _ => {}
-        }
-        match data {
-            Some(d) => self.grant_with_data(id, Some(d), net, now),
-            // The owner raced an eviction; its PutM arrived earlier on the
-            // same FIFO channel, so L3/memory hold current data.
-            None => self.fetch_then_grant(id, net, mem, now),
-        }
-    }
-
-    fn on_inv_ack(
-        &mut self,
-        from: CoreId,
-        id: LineId,
-        net: &mut Network,
-        mem: &mut MainMemory,
-        now: Cycle,
-    ) {
-        self.entries[id.index()].remove_sharer(from);
-        let Some(t) = self.tr_mut(id) else {
-            return;
-        };
-        debug_assert!(t.pending_acks > 0, "unexpected InvAck");
-        t.pending_acks -= 1;
-        if t.pending_acks == 0 {
-            self.grant_after_invs(id, net, mem, now);
-        }
-    }
-
-    fn on_evict(
-        &mut self,
-        from: CoreId,
-        id: LineId,
-        data: Option<Box<LineData>>,
-        net: &mut Network,
-        mem: &mut MainMemory,
-    ) {
-        if let Some(d) = data {
-            self.stats.writebacks += 1;
-            let line = self.lines.addr(id);
-            self.write_back(line, &d, mem);
-            net.recycle_data(d);
-        }
-        let e = &mut self.entries[id.index()];
-        if e.owner == Some(from) {
-            e.owner = None;
-        }
-        e.remove_sharer(from);
-    }
-
-    /// Queues the requests that waited on the completed transaction for
-    /// replay, then releases the slab slot (its replay buffer keeps its
-    /// capacity for the next occupant). The memory system feeds the
-    /// replays back through [`Directory::handle`] in the same cycle, which
-    /// re-serializes them correctly if the first replay opens a new
-    /// transaction.
-    fn complete(&mut self, id: LineId) {
-        let slot = self.trans_idx[id.index()];
-        debug_assert_ne!(slot, NO_TRANS, "transaction open");
-        self.trans_idx[id.index()] = NO_TRANS;
-        self.open_trans -= 1;
-        let line = self.lines.addr(id);
-        let t = self.trans.get_mut(slot);
-        while let Some((c, k, p)) = t.queued.pop_front() {
-            self.replays.push_back(Replay {
-                core: c,
-                line,
-                kind: k,
-                prefetch: p,
-                pts: 0,
-            });
-        }
-        self.trans.release(slot);
-    }
-
-    /// Pops the oldest pending replay (filled by `complete`) — the memory
-    /// system feeds each back through [`Directory::handle`] in the same
-    /// cycle. Popping one at a time is order-equivalent to draining the
-    /// batch: replays produced while handling one go behind the rest.
-    pub fn pop_replay(&mut self) -> Option<Replay> {
-        self.replays.pop_front()
-    }
-
-    /// Takes pending replays (filled by `complete`) — batch form of
-    /// [`Directory::pop_replay`] for tests.
-    pub fn take_replays(&mut self) -> Vec<Replay> {
-        self.replays.drain(..).collect()
-    }
-
-    fn write_back(&mut self, line: LineAddr, data: &LineData, mem: &mut MainMemory) {
-        mem.write(line, data);
-        self.fill_l3(line, data);
-    }
-
-    fn fill_l3(&mut self, line: LineAddr, data: &LineData) {
-        if let Some((set, way)) = self.l3.lookup(line) {
-            *self.l3.data_mut(set, way) = *data;
-            self.l3.touch(set, way);
-        } else {
-            // L3 is write-through w.r.t. memory, so eviction is a silent
-            // drop and allocation never needs a write-back.
-            let (set, way) = self.l3.insert(line);
-            *self.l3.data_mut(set, way) = *data;
-        }
+    let t = home.open(id, req);
+    t.pending_acks = acks;
+    t.perm_only = entry.is_sharer(req.core);
+    if acks == 0 {
+        supply(home, entries, id, net, now);
     }
 }
 
-impl CoherenceBackend for Directory {
-    fn handle(&mut self, msg: Msg, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        Directory::handle(self, msg, net, mem, now)
-    }
-    fn tick(&mut self, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        Directory::tick(self, net, mem, now)
-    }
-    fn idle(&self) -> bool {
-        Directory::idle(self)
-    }
-    fn next_dram_due(&self) -> Option<Cycle> {
-        Directory::next_dram_due(self)
-    }
-    fn open_transactions(&self) -> usize {
-        Directory::open_transactions(self)
-    }
-    fn debug_line(&self, line: LineAddr) -> String {
-        Directory::debug_line(self, line)
-    }
-    fn export_stats(&self) -> StatSet {
-        Directory::export_stats(self)
-    }
-    fn pop_replay(&mut self) -> Option<Replay> {
-        Directory::pop_replay(self)
-    }
-    fn trace_enable(&mut self, cap: usize) {
-        Directory::trace_enable(self, cap)
-    }
-    fn take_trace(&mut self) -> Vec<TraceRecord> {
-        Directory::take_trace(self)
+/// Grants the open transaction on `id` once no invalidation is pending:
+/// without data when the requester's copy is current (this returns before
+/// any fetch), else with the L3's copy or, after a DRAM fetch, memory's.
+fn supply(home: &mut Home, entries: &mut [Entry], id: LineId, net: &mut Network, now: Cycle) {
+    if home.tr(id).expect("transaction open").perm_only {
+        grant(home, entries, id, None, net, now);
+    } else if let Some(data) = home.fetch(id, net, now) {
+        grant(home, entries, id, Some(data), net, now);
     }
 }
 
-impl Schedulable for Directory {
-    fn next_work(&self, now: Cycle) -> Option<Cycle> {
-        // Replays are drained by the memory system within the same tick
-        // they are produced, so they are normally never pending between
-        // ticks; claim work defensively if any are.
-        if !self.replays.is_empty() {
-            return Some(now);
+/// Grants the open transaction on `id`, updates the sharing state and
+/// completes the transaction.
+pub(super) fn grant(
+    home: &mut Home,
+    entries: &mut [Entry],
+    id: LineId,
+    data: Option<Box<LineData>>,
+    net: &mut Network,
+    now: Cycle,
+) {
+    let req = home.serving(id);
+    let entry = &mut entries[id.index()];
+    let state = match req.kind {
+        ReqKind::GetM => {
+            entry.owner = Some(req.core);
+            entry.sharers = 0;
+            Mesi::Modified
         }
-        // Open transactions advance only on inbound messages (tracked by
-        // the network) or DRAM completions; the tick itself only pops the
-        // DRAM queue.
-        self.dram.next_due()
+        ReqKind::GetS => {
+            if entry.idle_empty() {
+                // Unshared: grant Exclusive.
+                entry.owner = Some(req.core);
+                Mesi::Exclusive
+            } else {
+                entry.add_sharer(req.core);
+                Mesi::Shared
+            }
+        }
+    };
+    req.grant(home.lines.addr(id), state, data, None, net, now);
+    home.complete(id);
+}
+
+/// Takes the owner `from`'s answer to a forward.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn answer(
+    home: &mut Home,
+    entries: &mut [Entry],
+    from: CoreId,
+    id: LineId,
+    data: Option<Box<LineData>>,
+    relinquished: bool,
+    net: &mut Network,
+    mem: &mut MainMemory,
+    now: Cycle,
+) {
+    let Some((req, data)) = home.answer(id, data, relinquished, net, mem) else {
+        return;
+    };
+    let entry = &mut entries[id.index()];
+    // The old owner is no longer the owner.
+    entry.owner = None;
+    entry.remove_sharer(from);
+    if req.kind == ReqKind::GetS && !relinquished {
+        // Normal downgrade: the old owner retains a shared copy.
+        entry.add_sharer(from);
     }
+    match data {
+        Some(d) => grant(home, entries, id, Some(d), net, now),
+        // The owner raced an eviction; its PutM arrived earlier on the
+        // same FIFO channel, so L3/memory hold current data.
+        None => supply(home, entries, id, net, now),
+    }
+}
+
+/// Takes the sharer `from`'s acknowledgement of an invalidation.
+pub(super) fn inv_ack(
+    home: &mut Home,
+    entries: &mut [Entry],
+    from: CoreId,
+    id: LineId,
+    net: &mut Network,
+    now: Cycle,
+) {
+    entries[id.index()].remove_sharer(from);
+    let Some(t) = home.tr_mut(id) else {
+        return;
+    };
+    debug_assert!(t.pending_acks > 0, "unexpected InvAck");
+    t.pending_acks -= 1;
+    if t.pending_acks == 0 {
+        supply(home, entries, id, net, now);
+    }
+}
+
+/// Takes core `from`'s eviction notice.
+pub(super) fn evict(
+    home: &mut Home,
+    entries: &mut [Entry],
+    from: CoreId,
+    id: LineId,
+    data: Option<Box<LineData>>,
+    net: &mut Network,
+    mem: &mut MainMemory,
+) {
+    home.evicted(id, data, net, mem);
+    let e = &mut entries[id.index()];
+    if e.owner == Some(from) {
+        e.owner = None;
+    }
+    e.remove_sharer(from);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use tus_sim::SimRng;
-
-    fn setup(cores: usize) -> (Directory, Network, MainMemory) {
-        let dir = Directory::new(cores.max(3), 16, 4, 100, 4);
-        let net = Network::new(cores.max(3), crate::net::NetLatency { hop: 1 }, 0, SimRng::seed(1));
-        (dir, net, MainMemory::new())
-    }
-
-    /// Runs the clock forward, delivering directory-bound messages and
-    /// collecting core-bound ones.
-    fn pump(
-        dir: &mut Directory,
-        net: &mut Network,
-        mem: &mut MainMemory,
-        until: u64,
-        cores: u16,
-    ) -> Vec<(CoreId, Msg)> {
-        let mut out = Vec::new();
-        for t in 0..until {
-            let now = Cycle::new(t);
-            dir.tick(net, mem, now);
-            while let Some((_src, msg)) = net.recv(Node::Dir, now) {
-                dir.handle(msg, net, mem, now);
-            }
-            for r in dir.take_replays() {
-                dir.handle(
-                    Msg::Req {
-                        core: r.core,
-                        line: r.line,
-                        kind: r.kind,
-                        prefetch: r.prefetch,
-                        pts: r.pts,
-                    },
-                    net,
-                    mem,
-                    now,
-                );
-            }
-            for c in 0..cores {
-                while let Some((_src, msg)) = net.recv(Node::Core(CoreId::new(c)), now) {
-                    out.push((CoreId::new(c), msg));
-                }
-            }
-        }
-        out
-    }
-
-    fn req(core: u16, line: u64, kind: ReqKind) -> Msg {
-        Msg::Req {
-            core: CoreId::new(core),
-            line: LineAddr::new(line),
-            kind,
-            prefetch: false,
-            pts: 0,
-        }
-    }
+    use super::super::tests::{pump, req, setup};
+    use crate::mesi::Mesi;
+    use crate::msgs::{FwdKind, Msg, ReqKind};
+    use tus_sim::{CoherenceKind, CoreId, Cycle, LineAddr};
 
     #[test]
     fn first_gets_grants_exclusive_from_dram() {
-        let (mut dir, mut net, mut mem) = setup(2);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Mesi, 2);
         let mut d = [0u8; 64];
         d[0] = 9;
         mem.write(LineAddr::new(5), &d);
-        dir.handle(req(0, 5, ReqKind::GetS), &mut net, &mut mem, Cycle::ZERO);
+        dir.handle(req(0, 5, ReqKind::GetS, 0), &mut net, &mut mem, Cycle::ZERO);
         let msgs = pump(&mut dir, &mut net, &mut mem, 200, 3);
         assert_eq!(msgs.len(), 1);
         let (to, m) = &msgs[0];
@@ -827,33 +225,43 @@ mod tests {
             }
             other => panic!("expected grant, got {other:?}"),
         }
-        assert_eq!(dir.stats.l3_misses, 1);
+        assert_eq!(dir.home.stats.l3_misses, 1);
         assert!(dir.idle());
     }
 
     #[test]
     fn second_gets_grants_shared_from_l3() {
-        let (mut dir, mut net, mut mem) = setup(2);
-        dir.handle(req(0, 5, ReqKind::GetS), &mut net, &mut mem, Cycle::ZERO);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Mesi, 2);
+        dir.handle(req(0, 5, ReqKind::GetS, 0), &mut net, &mut mem, Cycle::ZERO);
         pump(&mut dir, &mut net, &mut mem, 200, 3);
         // Core 1 asks: owner is core 0 (E) -> forward downgrade.
-        dir.handle(req(1, 5, ReqKind::GetS), &mut net, &mut mem, Cycle::new(200));
+        dir.handle(
+            req(1, 5, ReqKind::GetS, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(200),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 300, 3);
         assert!(matches!(
             &msgs[..],
             [(c, Msg::Fwd { kind: FwdKind::Downgrade, to_owner: true, .. })] if *c == CoreId::new(0)
         ));
-        assert_eq!(dir.stats.fwds, 1);
+        assert_eq!(dir.home.stats.fwds, 1);
     }
 
     #[test]
     fn getm_invalidates_sharers_then_grants_perm_only() {
-        let (mut dir, mut net, mut mem) = setup(3);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Mesi, 3);
         // Make cores 0 and 1 sharers, then let core 0 upgrade.
-        dir.handle(req(0, 7, ReqKind::GetS), &mut net, &mut mem, Cycle::ZERO);
+        dir.handle(req(0, 7, ReqKind::GetS, 0), &mut net, &mut mem, Cycle::ZERO);
         pump(&mut dir, &mut net, &mut mem, 200, 3);
         // Owner(E)=core0; core1 GetS forwards; have core0 answer.
-        dir.handle(req(1, 7, ReqKind::GetS), &mut net, &mut mem, Cycle::new(200));
+        dir.handle(
+            req(1, 7, ReqKind::GetS, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(200),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 210, 3);
         assert_eq!(msgs.len(), 1); // the Fwd
         dir.handle(
@@ -870,10 +278,21 @@ mod tests {
         );
         let msgs = pump(&mut dir, &mut net, &mut mem, 400, 3);
         assert!(msgs.iter().any(|(c, m)| *c == CoreId::new(1)
-            && matches!(m, Msg::Grant { state: Mesi::Shared, .. })));
+            && matches!(
+                m,
+                Msg::Grant {
+                    state: Mesi::Shared,
+                    ..
+                }
+            )));
         // Now core 0 (a sharer) upgrades: core 1 must get an Inv; grant is
         // permission-only.
-        dir.handle(req(0, 7, ReqKind::GetM), &mut net, &mut mem, Cycle::new(400));
+        dir.handle(
+            req(0, 7, ReqKind::GetM, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(400),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 410, 3);
         assert!(matches!(
             &msgs[..],
@@ -890,32 +309,67 @@ mod tests {
         );
         let msgs = pump(&mut dir, &mut net, &mut mem, 500, 3);
         assert!(msgs.iter().any(|(c, m)| *c == CoreId::new(0)
-            && matches!(m, Msg::Grant { state: Mesi::Modified, data: None, .. })));
+            && matches!(
+                m,
+                Msg::Grant {
+                    state: Mesi::Modified,
+                    data: None,
+                    ..
+                }
+            )));
         assert!(dir.idle());
     }
 
     #[test]
     fn requests_to_busy_line_queue_and_replay() {
-        let (mut dir, mut net, mut mem) = setup(2);
-        dir.handle(req(0, 9, ReqKind::GetM), &mut net, &mut mem, Cycle::ZERO);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Mesi, 2);
+        dir.handle(req(0, 9, ReqKind::GetM, 0), &mut net, &mut mem, Cycle::ZERO);
         // Second request while the first is fetching from DRAM.
-        dir.handle(req(1, 9, ReqKind::GetM), &mut net, &mut mem, Cycle::new(1));
+        dir.handle(
+            req(1, 9, ReqKind::GetM, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(1),
+        );
         assert_eq!(dir.open_transactions(), 1);
         let msgs = pump(&mut dir, &mut net, &mut mem, 150, 3);
         // Core 0 granted M, then the replayed request forwards an Inv to
         // core 0 on behalf of core 1.
         assert!(msgs.iter().any(|(c, m)| *c == CoreId::new(0)
-            && matches!(m, Msg::Grant { state: Mesi::Modified, .. })));
+            && matches!(
+                m,
+                Msg::Grant {
+                    state: Mesi::Modified,
+                    ..
+                }
+            )));
         assert!(msgs.iter().any(|(c, m)| *c == CoreId::new(0)
-            && matches!(m, Msg::Fwd { kind: FwdKind::Inv, to_owner: true, .. })));
+            && matches!(
+                m,
+                Msg::Fwd {
+                    kind: FwdKind::Inv,
+                    to_owner: true,
+                    ..
+                }
+            )));
     }
 
     #[test]
     fn relinquished_gets_leaves_old_owner_without_copy() {
-        let (mut dir, mut net, mut mem) = setup(2);
-        dir.handle(req(0, 11, ReqKind::GetM), &mut net, &mut mem, Cycle::ZERO);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Mesi, 2);
+        dir.handle(
+            req(0, 11, ReqKind::GetM, 0),
+            &mut net,
+            &mut mem,
+            Cycle::ZERO,
+        );
         pump(&mut dir, &mut net, &mut mem, 200, 3);
-        dir.handle(req(1, 11, ReqKind::GetS), &mut net, &mut mem, Cycle::new(200));
+        dir.handle(
+            req(1, 11, ReqKind::GetS, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(200),
+        );
         pump(&mut dir, &mut net, &mut mem, 210, 3);
         dir.handle(
             Msg::FwdResp {
@@ -933,14 +387,25 @@ mod tests {
         // Relinquished: old owner keeps nothing, so the requester is alone
         // and gets Exclusive.
         assert!(msgs.iter().any(|(c, m)| *c == CoreId::new(1)
-            && matches!(m, Msg::Grant { state: Mesi::Exclusive, .. })));
-        assert_eq!(dir.stats.relinquishes, 1);
+            && matches!(
+                m,
+                Msg::Grant {
+                    state: Mesi::Exclusive,
+                    ..
+                }
+            )));
+        assert_eq!(dir.home.stats.relinquishes, 1);
     }
 
     #[test]
     fn evict_with_data_updates_memory() {
-        let (mut dir, mut net, mut mem) = setup(1);
-        dir.handle(req(0, 13, ReqKind::GetM), &mut net, &mut mem, Cycle::ZERO);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Mesi, 1);
+        dir.handle(
+            req(0, 13, ReqKind::GetM, 0),
+            &mut net,
+            &mut mem,
+            Cycle::ZERO,
+        );
         pump(&mut dir, &mut net, &mut mem, 200, 3);
         dir.handle(
             Msg::Evict {
@@ -954,14 +419,23 @@ mod tests {
             Cycle::new(200),
         );
         assert_eq!(mem.read(LineAddr::new(13))[0], 0x77);
-        assert_eq!(dir.stats.writebacks, 1);
+        assert_eq!(dir.home.stats.writebacks, 1);
         // Next GetS hits L3, no DRAM.
-        let misses = dir.stats.l3_misses;
-        dir.handle(req(0, 13, ReqKind::GetS), &mut net, &mut mem, Cycle::new(201));
+        let misses = dir.home.stats.l3_misses;
+        dir.handle(
+            req(0, 13, ReqKind::GetS, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(201),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 300, 3);
-        assert!(msgs
-            .iter()
-            .any(|(_, m)| matches!(m, Msg::Grant { state: Mesi::Exclusive, .. })));
-        assert_eq!(dir.stats.l3_misses, misses);
+        assert!(msgs.iter().any(|(_, m)| matches!(
+            m,
+            Msg::Grant {
+                state: Mesi::Exclusive,
+                ..
+            }
+        )));
+        assert_eq!(dir.home.stats.l3_misses, misses);
     }
 }

@@ -1,4 +1,4 @@
-//! Tardis-style logical-timestamp coherence backend.
+//! Tardis-style logical-timestamp coherence.
 //!
 //! After "Tardis 2.0: Optimized Time Traveling Coherence for Relaxed
 //! Consistency Models": coherence is enforced in *logical* time instead of
@@ -13,10 +13,10 @@
 //! lease's `rts`, the copy silently stops being usable (the private cache
 //! controller drops it and replays any speculative loads bound from it).
 //!
-//! The directory here keeps the paper's home-node duties — single open
-//! transaction per line, L3 latency filter, DRAM bandwidth model, owner
-//! forwards for modified lines — but its request handling differs from
-//! MESI in exactly the timestamp ways:
+//! The home node's duties — one open transaction per line, the L3
+//! latency filter, the DRAM bandwidth model — are the same as under MESI
+//! and live in [`super::Directory`]; the rules here differ from MESI in
+//! exactly the timestamp ways:
 //!
 //! * **GetS** with no owner extends the lease,
 //!   `rts = max(rts, max(wts, requester_pts) + LEASE)`, and grants Shared
@@ -37,18 +37,14 @@
 //! any lease the line must respect — the controller makes the store
 //! visible at `pts = max(pts, rts + 1)` using the `rts` granted here.
 
-use std::collections::VecDeque;
+use tus_sim::{CoreId, Cycle, LineId};
 
-use tus_sim::trace::{TraceEvent, TraceRecord, Tracer};
-use tus_sim::{CoreId, Cycle, DelayQueue, LineAddr, LineId, LineInterner, Schedulable, Slab, StatSet};
-
-use crate::backend::{CoherenceBackend, Replay};
-use crate::cache::L3Cache;
+use super::{Home, Request};
 use crate::line::LineData;
 use crate::mainmem::MainMemory;
 use crate::mesi::Mesi;
-use crate::msgs::{FwdKind, Lease, Msg, ReqKind};
-use crate::net::{Network, Node};
+use crate::msgs::{Lease, ReqKind};
+use crate::net::Network;
 
 /// Lease length in logical-time units. Short leases keep writers close
 /// behind readers (small `pts` jumps); long leases amortize renewals.
@@ -56,711 +52,177 @@ use crate::net::{Network, Node};
 /// constant is enough here because renewals are cheap L3 hits.
 pub const LEASE: u64 = 10;
 
-#[derive(Debug, Clone, Copy)]
-struct TardisEntry {
+/// A line's owner and timestamp pair.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct Entry {
     owner: Option<CoreId>,
     wts: u64,
     rts: u64,
 }
 
-impl Default for TardisEntry {
-    fn default() -> Self {
-        TardisEntry {
-            owner: None,
-            wts: 0,
-            rts: 0,
+impl Entry {
+    /// The timestamp pair a grant carries.
+    fn lease(&self) -> Lease {
+        Lease {
+            wts: self.wts,
+            rts: self.rts,
         }
-    }
-}
-
-#[derive(Debug)]
-struct TardisTrans {
-    requester: CoreId,
-    kind: ReqKind,
-    prefetch: bool,
-    /// Requester's logical timestamp, echoed from the request.
-    pts: u64,
-    waiting_owner: bool,
-    waiting_mem: bool,
-    queued: VecDeque<(CoreId, ReqKind, bool, u64)>,
-}
-
-impl Default for TardisTrans {
-    fn default() -> Self {
-        TardisTrans {
-            requester: CoreId::new(0),
-            kind: ReqKind::GetS,
-            prefetch: false,
-            pts: 0,
-            waiting_owner: false,
-            waiting_mem: false,
-            queued: VecDeque::new(),
-        }
-    }
-}
-
-/// Slot index in the transaction slab meaning "no open transaction".
-const NO_TRANS: u32 = u32::MAX;
-
-/// Running counters exported into the run's [`StatSet`].
-#[derive(Debug, Clone, Default)]
-pub struct TardisStats {
-    /// GetS requests processed.
-    pub gets: u64,
-    /// GetM requests processed.
-    pub getm: u64,
-    /// Forwards (Inv/Downgrade) sent to owners.
-    pub fwds: u64,
-    /// Read-lease extensions performed (every non-owner GetS).
-    pub lease_extends: u64,
-    /// L3 data hits.
-    pub l3_hits: u64,
-    /// L3 misses (DRAM fetches).
-    pub l3_misses: u64,
-    /// Relinquish responses received (TUS lex-order deadlock avoidance).
-    pub relinquishes: u64,
-    /// Dirty write-backs received.
-    pub writebacks: u64,
-}
-
-/// The timestamp-coherence home node.
-///
-/// Dense per-line storage mirrors [`crate::backend::mesi::Directory`]:
-/// line addresses intern to [`LineId`]s, timestamp entries and
-/// open-transaction handles live in flat arrays, and transactions are
-/// slab slots whose replay buffers keep their capacity — the steady state
-/// allocates nothing.
-pub struct TardisDirectory {
-    cores: usize,
-    lines: LineInterner,
-    /// Owner + timestamp pair, indexed by [`LineId`].
-    entries: Vec<TardisEntry>,
-    /// Open-transaction slab slot per line ([`NO_TRANS`] when idle).
-    trans_idx: Vec<u32>,
-    trans: Slab<TardisTrans>,
-    open_trans: usize,
-    l3: L3Cache,
-    dram: DelayQueue<LineId>,
-    dram_busy_until: Cycle,
-    dram_latency: u64,
-    dram_gap: u64,
-    replays: VecDeque<Replay>,
-    tracer: Tracer,
-    /// Statistics.
-    pub stats: TardisStats,
-}
-
-impl std::fmt::Debug for TardisDirectory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TardisDirectory")
-            .field("cores", &self.cores)
-            .field("entries", &self.lines.len())
-            .field("open_transactions", &self.open_trans)
-            .finish()
-    }
-}
-
-impl TardisDirectory {
-    /// Creates a timestamp directory for `cores` cores with an L3 of the
-    /// given geometry and DRAM latency (same machine parameters as the
-    /// MESI backend).
-    pub fn new(
-        cores: usize,
-        l3_sets: usize,
-        l3_ways: usize,
-        dram_latency: u64,
-        dram_max_inflight: usize,
-    ) -> Self {
-        let dram_gap = (dram_latency / dram_max_inflight.max(1) as u64).max(1);
-        TardisDirectory {
-            cores,
-            lines: LineInterner::new(),
-            entries: Vec::new(),
-            trans_idx: Vec::new(),
-            trans: Slab::new(),
-            open_trans: 0,
-            l3: L3Cache::new(l3_sets, l3_ways),
-            dram: DelayQueue::new(),
-            dram_busy_until: Cycle::ZERO,
-            dram_latency,
-            dram_gap,
-            replays: VecDeque::new(),
-            tracer: Tracer::default(),
-            stats: TardisStats::default(),
-        }
-    }
-
-    #[inline]
-    fn intern(&mut self, line: LineAddr) -> LineId {
-        let id = self.lines.intern(line);
-        if self.entries.len() < self.lines.len() {
-            self.entries.push(TardisEntry::default());
-            self.trans_idx.push(NO_TRANS);
-        }
-        id
-    }
-
-    #[inline]
-    fn tr(&self, id: LineId) -> Option<&TardisTrans> {
-        let slot = self.trans_idx[id.index()];
-        (slot != NO_TRANS).then(|| self.trans.get(slot))
-    }
-
-    #[inline]
-    fn tr_mut(&mut self, id: LineId) -> Option<&mut TardisTrans> {
-        let slot = self.trans_idx[id.index()];
-        (slot != NO_TRANS).then(|| self.trans.get_mut(slot))
-    }
-
-    #[inline]
-    fn open_transaction(&mut self, id: LineId) -> &mut TardisTrans {
-        debug_assert_eq!(self.trans_idx[id.index()], NO_TRANS);
-        let slot = self.trans.alloc();
-        self.trans_idx[id.index()] = slot;
-        self.open_trans += 1;
-        let t = self.trans.get_mut(slot);
-        debug_assert!(t.queued.is_empty());
-        t
-    }
-
-    /// Arms structured L3/DRAM access tracing with a ring of `cap`
-    /// records.
-    pub fn trace_enable(&mut self, cap: usize) {
-        self.tracer.enable(cap);
-    }
-
-    /// Drains the buffered trace records, oldest first.
-    pub fn take_trace(&mut self) -> Vec<TraceRecord> {
-        self.tracer.take()
     }
 
     /// Merges timestamps reported by a core (the line's authority while it
-    /// owned the line) into the home entry, component-wise max.
-    #[inline]
-    fn merge_lease(&mut self, id: LineId, lease: Option<Lease>) {
+    /// owned the line), component-wise max.
+    fn merge(&mut self, lease: Option<Lease>) {
         if let Some(l) = lease {
-            let e = &mut self.entries[id.index()];
-            e.wts = e.wts.max(l.wts);
-            e.rts = e.rts.max(l.rts);
+            self.wts = self.wts.max(l.wts);
+            self.rts = self.rts.max(l.rts);
         }
     }
 
-    /// Handles one inbound message.
-    pub fn handle(&mut self, msg: Msg, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        match msg {
-            Msg::Req {
-                core,
-                line,
-                kind,
-                prefetch,
-                pts,
-            } => {
-                let id = self.intern(line);
-                if let Some(t) = self.tr_mut(id) {
-                    t.queued.push_back((core, kind, prefetch, pts));
-                } else {
-                    self.start(core, id, kind, prefetch, pts, net, mem, now);
-                }
-            }
-            Msg::FwdResp {
-                core,
-                line,
-                data,
-                relinquished,
-                lease,
-            } => {
-                let id = self.intern(line);
-                self.on_fwd_resp(core, id, data, relinquished, lease, net, mem, now);
-            }
-            Msg::InvAck { .. } => {
-                unreachable!("tardis backend sends no invalidations, so no InvAck can arrive")
-            }
-            Msg::Evict {
-                core,
-                line,
-                data,
-                lease,
-            } => {
-                let id = self.intern(line);
-                self.on_evict(core, id, data, lease, net, mem);
-            }
-            Msg::Grant { .. } | Msg::Fwd { .. } => {
-                unreachable!("directory received a directory-originated message")
-            }
-        }
+    /// Extends the read lease past a reader's clock `pts`.
+    fn extend(&mut self, home: &mut Home, pts: u64) {
+        self.rts = self.rts.max(self.wts.max(pts) + LEASE);
+        home.stats.lease_extends += 1;
     }
+}
 
-    /// Completes DRAM fetches that are due; must be called every cycle.
-    pub fn tick(&mut self, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        while let Some(id) = self.dram.pop_due(now) {
-            let line = self.lines.addr(id);
-            let mut data = net.alloc_data();
-            mem.read_into(line, &mut data);
-            self.fill_l3(line, &data);
-            if self.tr(id).is_some_and(|t| t.waiting_mem) {
-                if let Some(t) = self.tr_mut(id) {
-                    t.waiting_mem = false;
-                }
-                self.grant_with_data(id, Some(data), net, now);
-            } else {
-                net.recycle_data(data);
-            }
-        }
-    }
-
-    /// Whether no transaction is open and no DRAM fetch pending.
-    pub fn idle(&self) -> bool {
-        self.open_trans == 0 && self.dram.is_empty()
-    }
-
-    /// Completion cycle of the earliest pending DRAM fetch.
-    pub fn next_dram_due(&self) -> Option<Cycle> {
-        self.dram.next_due()
-    }
-
-    /// Number of open transactions (watchdog diagnostics).
-    pub fn open_transactions(&self) -> usize {
-        self.open_trans
-    }
-
-    /// Debug description of the backend state for one line (deadlock
-    /// diagnostics).
-    pub fn debug_line(&self, line: LineAddr) -> String {
-        let id = self.lines.get(line);
-        let e = id.map(|id| &self.entries[id.index()]);
-        let t = id.and_then(|id| self.tr(id));
-        format!(
-            "entry={:?} trans={:?}",
-            e.map(|e| (e.owner, e.wts, e.rts)),
-            t.map(|t| (
-                t.requester,
-                t.kind,
-                t.pts,
-                t.waiting_owner,
-                t.waiting_mem,
-                t.queued.len()
-            ))
-        )
-    }
-
-    /// Exports statistics. The key set matches the MESI backend (with
-    /// `invs` pinned at 0 — no invalidations exist) plus the
-    /// lease-extension count, so downstream consumers (energy model, CSV
-    /// emitters) see one schema.
-    pub fn export_stats(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.set("gets", self.stats.gets as f64);
-        s.set("getm", self.stats.getm as f64);
-        s.set("fwds", self.stats.fwds as f64);
-        s.set("invs", 0.0);
-        s.set("lease_extends", self.stats.lease_extends as f64);
-        s.set("l3_hits", self.stats.l3_hits as f64);
-        s.set("l3_misses", self.stats.l3_misses as f64);
-        s.set("relinquishes", self.stats.relinquishes as f64);
-        s.set("writebacks", self.stats.writebacks as f64);
-        s
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        &mut self,
-        core: CoreId,
-        id: LineId,
-        kind: ReqKind,
-        prefetch: bool,
-        pts: u64,
-        net: &mut Network,
-        mem: &mut MainMemory,
-        now: Cycle,
-    ) {
-        debug_assert_eq!(self.trans_idx[id.index()], NO_TRANS);
-        let line = self.lines.addr(id);
-        let entry = self.entries[id.index()];
-        match kind {
-            ReqKind::GetS => self.stats.gets += 1,
-            ReqKind::GetM => self.stats.getm += 1,
-        }
-        // Owner present (and not the requester): the modified copy lives
-        // at a core, so forward — the one place Tardis still talks to a
-        // remote cache, and exactly where the TUS delay/relinquish
-        // machinery engages.
-        if let Some(owner) = entry.owner {
-            if owner != core {
-                let fwd_kind = match kind {
-                    ReqKind::GetS => FwdKind::Downgrade,
-                    ReqKind::GetM => FwdKind::Inv,
-                };
-                self.stats.fwds += 1;
-                let t = self.open_transaction(id);
-                t.requester = core;
-                t.kind = kind;
-                t.prefetch = prefetch;
-                t.pts = pts;
-                t.waiting_owner = true;
-                t.waiting_mem = false;
-                net.send(
-                    Node::Dir,
-                    Node::Core(owner),
-                    now,
-                    Msg::Fwd {
-                        line,
-                        kind: fwd_kind,
-                        to_owner: true,
-                    },
-                );
-                return;
-            }
+/// Starts serving `req` on line `id`, which has no open transaction.
+pub(super) fn request(
+    home: &mut Home,
+    entries: &mut [Entry],
+    id: LineId,
+    req: Request,
+    net: &mut Network,
+    now: Cycle,
+) {
+    let entry = &mut entries[id.index()];
+    if let Some(owner) = entry.owner {
+        if owner == req.core {
             // Redundant request from the owner itself: it is the timestamp
             // authority; echo what the home last saw.
-            let lease = Lease {
-                wts: entry.wts,
-                rts: entry.rts,
-            };
-            self.send_grant(core, line, Mesi::Modified, None, kind, prefetch, lease, net, now);
-            return;
-        }
-
-        // No owner: the home is the authority. GetS extends the lease
-        // before data is fetched so the granted pair already covers the
-        // requester's clock; GetM hands the pair over untouched — the new
-        // owner will jump past `rts` when its store becomes visible.
-        if kind == ReqKind::GetS {
-            let e = &mut self.entries[id.index()];
-            e.rts = e.rts.max(e.wts.max(pts) + LEASE);
-            self.stats.lease_extends += 1;
-        }
-        let t = self.open_transaction(id);
-        t.requester = core;
-        t.kind = kind;
-        t.prefetch = prefetch;
-        t.pts = pts;
-        t.waiting_owner = false;
-        t.waiting_mem = false;
-        self.fetch_then_grant(id, net, mem, now);
-    }
-
-    /// Supplies data from L3 (immediately) or DRAM (after the latency),
-    /// then grants. Tardis grants always carry data: without a sharer
-    /// list the home cannot know whether the requester's copy is current,
-    /// so there is no permission-only upgrade.
-    fn fetch_then_grant(&mut self, id: LineId, net: &mut Network, _mem: &mut MainMemory, now: Cycle) {
-        let line = self.lines.addr(id);
-        if let Some((set, way)) = self.l3.lookup(line) {
-            self.stats.l3_hits += 1;
-            self.tracer.emit(
-                now,
-                0,
-                TraceEvent::DramAccess {
-                    line: line.raw(),
-                    l3_hit: true,
-                },
-            );
-            self.l3.touch(set, way);
-            let data = net.alloc_data_copy(self.l3.data(set, way));
-            self.grant_with_data(id, Some(data), net, now);
+            let line = home.lines.addr(id);
+            req.grant(line, Mesi::Modified, None, Some(entry.lease()), net, now);
         } else {
-            self.stats.l3_misses += 1;
-            let start = now.max(self.dram_busy_until);
-            self.dram_busy_until = start + self.dram_gap;
-            self.dram.push(start + self.dram_latency, id);
-            let done = start + self.dram_latency;
-            self.tracer.emit(
-                now,
-                done.since(now),
-                TraceEvent::DramAccess {
-                    line: line.raw(),
-                    l3_hit: false,
-                },
-            );
-            self.tr_mut(id).expect("transaction open").waiting_mem = true;
+            // The modified copy lives at a core, so forward — the one
+            // place Tardis still talks to a remote cache, and exactly
+            // where the TUS delay/relinquish machinery engages.
+            home.forward(id, req, owner, net, now);
         }
+        return;
     }
-
-    /// Sends the grant for the open transaction on `id`, updates
-    /// ownership, then replays queued requests.
-    fn grant_with_data(
-        &mut self,
-        id: LineId,
-        data: Option<Box<LineData>>,
-        net: &mut Network,
-        now: Cycle,
-    ) {
-        let line = self.lines.addr(id);
-        let t = self.tr(id).expect("transaction open");
-        let (requester, kind, prefetch) = (t.requester, t.kind, t.prefetch);
-        let entry = &mut self.entries[id.index()];
-        let state = match kind {
-            ReqKind::GetM => {
-                entry.owner = Some(requester);
-                Mesi::Modified
-            }
-            // Shared always: with no sharer list there is no "alone, grant
-            // Exclusive" special case — exclusivity is what `rts + 1`
-            // write ordering buys instead.
-            ReqKind::GetS => Mesi::Shared,
-        };
-        let lease = Lease {
-            wts: entry.wts,
-            rts: entry.rts,
-        };
-        self.send_grant(requester, line, state, data, kind, prefetch, lease, net, now);
-        self.complete(id);
+    // No owner: the home is the authority. GetS extends the lease before
+    // data is fetched so the granted pair already covers the requester's
+    // clock; GetM hands the pair over untouched — the new owner will jump
+    // past `rts` when its store becomes visible.
+    if req.kind == ReqKind::GetS {
+        entry.extend(home, req.pts);
     }
+    home.open(id, req);
+    supply(home, entries, id, net, now);
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_grant(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        state: Mesi,
-        data: Option<Box<LineData>>,
-        kind: ReqKind,
-        prefetch: bool,
-        lease: Lease,
-        net: &mut Network,
-        now: Cycle,
-    ) {
-        net.send(
-            Node::Dir,
-            Node::Core(core),
-            now,
-            Msg::Grant {
-                line,
-                state,
-                data,
-                kind,
-                prefetch,
-                lease: Some(lease),
-            },
-        );
+/// Grants the open transaction on `id` with the L3's copy or, after a
+/// DRAM fetch, memory's. Tardis grants always carry data: without a
+/// sharer list the home cannot know whether the requester's copy is
+/// current, so there is no permission-only upgrade.
+fn supply(home: &mut Home, entries: &mut [Entry], id: LineId, net: &mut Network, now: Cycle) {
+    if let Some(data) = home.fetch(id, net, now) {
+        grant(home, entries, id, data, net, now);
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_fwd_resp(
-        &mut self,
-        _from: CoreId,
-        id: LineId,
-        data: Option<Box<LineData>>,
-        relinquished: bool,
-        lease: Option<Lease>,
-        net: &mut Network,
-        mem: &mut MainMemory,
-        now: Cycle,
-    ) {
-        let line = self.lines.addr(id);
-        // The owner was the timestamp authority; fold its view back in
-        // before granting onward.
-        self.merge_lease(id, lease);
-        let (kind, req_pts) = match self.tr_mut(id) {
-            Some(t) => {
-                t.waiting_owner = false;
-                (t.kind, t.pts)
-            }
-            None => {
-                // Stale response (transaction aborted) — apply data, done.
-                if let Some(d) = data {
-                    self.write_back(line, &d, mem);
-                    net.recycle_data(d);
-                }
-                return;
-            }
-        };
-        if relinquished {
-            self.stats.relinquishes += 1;
+/// Grants the open transaction on `id`, updates ownership and completes
+/// the transaction.
+pub(super) fn grant(
+    home: &mut Home,
+    entries: &mut [Entry],
+    id: LineId,
+    data: Box<LineData>,
+    net: &mut Network,
+    now: Cycle,
+) {
+    let req = home.serving(id);
+    let entry = &mut entries[id.index()];
+    let state = match req.kind {
+        ReqKind::GetM => {
+            entry.owner = Some(req.core);
+            Mesi::Modified
         }
-        if let Some(d) = &data {
-            self.write_back(line, d, mem);
-        }
-        let entry = &mut self.entries[id.index()];
+        // Shared always: with no sharer list there is no "alone, grant
+        // Exclusive" special case — exclusivity is what `rts + 1` write
+        // ordering buys instead.
+        ReqKind::GetS => Mesi::Shared,
+    };
+    let lease = Some(entry.lease());
+    req.grant(home.lines.addr(id), state, Some(data), lease, net, now);
+    home.complete(id);
+}
+
+/// Takes the owner's answer to a forward, with the timestamps it reports.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn answer(
+    home: &mut Home,
+    entries: &mut [Entry],
+    id: LineId,
+    data: Option<Box<LineData>>,
+    relinquished: bool,
+    lease: Option<Lease>,
+    net: &mut Network,
+    mem: &mut MainMemory,
+    now: Cycle,
+) {
+    // The owner was the timestamp authority; fold its view back in, even
+    // when the answer is stale.
+    entries[id.index()].merge(lease);
+    let Some((req, data)) = home.answer(id, data, relinquished, net, mem) else {
+        return;
+    };
+    let entry = &mut entries[id.index()];
+    entry.owner = None;
+    // A downgrade leaves the old owner holding a Shared copy readable
+    // until `rts`; extend the lease for the new reader now that the home
+    // is the authority again.
+    if req.kind == ReqKind::GetS {
+        entry.extend(home, req.pts);
+    }
+    match data {
+        Some(d) => grant(home, entries, id, d, net, now),
+        // The owner raced an eviction; its PutM arrived earlier on the
+        // same FIFO channel, so L3/memory hold current data.
+        None => supply(home, entries, id, net, now),
+    }
+}
+
+/// Takes core `from`'s eviction notice, with the timestamps it reports.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn evict(
+    home: &mut Home,
+    entries: &mut [Entry],
+    from: CoreId,
+    id: LineId,
+    data: Option<Box<LineData>>,
+    lease: Option<Lease>,
+    net: &mut Network,
+    mem: &mut MainMemory,
+) {
+    let entry = &mut entries[id.index()];
+    entry.merge(lease);
+    home.evicted(id, data, net, mem);
+    if entry.owner == Some(from) {
         entry.owner = None;
-        // A downgrade leaves the old owner holding a Shared copy readable
-        // until `rts`; extend the lease for the new reader now that the
-        // home is the authority again.
-        if kind == ReqKind::GetS {
-            entry.rts = entry.rts.max(entry.wts.max(req_pts) + LEASE);
-            self.stats.lease_extends += 1;
-        }
-        match data {
-            Some(d) => self.grant_with_data(id, Some(d), net, now),
-            // The owner raced an eviction; its PutM arrived earlier on the
-            // same FIFO channel, so L3/memory hold current data.
-            None => self.fetch_then_grant(id, net, mem, now),
-        }
-    }
-
-    fn on_evict(
-        &mut self,
-        from: CoreId,
-        id: LineId,
-        data: Option<Box<LineData>>,
-        lease: Option<Lease>,
-        net: &mut Network,
-        mem: &mut MainMemory,
-    ) {
-        self.merge_lease(id, lease);
-        if let Some(d) = data {
-            self.stats.writebacks += 1;
-            let line = self.lines.addr(id);
-            self.write_back(line, &d, mem);
-            net.recycle_data(d);
-        }
-        let e = &mut self.entries[id.index()];
-        if e.owner == Some(from) {
-            e.owner = None;
-        }
-    }
-
-    /// Queues the requests that waited on the completed transaction for
-    /// replay, then releases the slab slot.
-    fn complete(&mut self, id: LineId) {
-        let slot = self.trans_idx[id.index()];
-        debug_assert_ne!(slot, NO_TRANS, "transaction open");
-        self.trans_idx[id.index()] = NO_TRANS;
-        self.open_trans -= 1;
-        let line = self.lines.addr(id);
-        let t = self.trans.get_mut(slot);
-        while let Some((c, k, p, pts)) = t.queued.pop_front() {
-            self.replays.push_back(Replay {
-                core: c,
-                line,
-                kind: k,
-                prefetch: p,
-                pts,
-            });
-        }
-        self.trans.release(slot);
-    }
-
-    /// Pops the oldest pending replay (filled by `complete`).
-    pub fn pop_replay(&mut self) -> Option<Replay> {
-        self.replays.pop_front()
-    }
-
-    /// Takes pending replays — batch form of
-    /// [`TardisDirectory::pop_replay`] for tests.
-    pub fn take_replays(&mut self) -> Vec<Replay> {
-        self.replays.drain(..).collect()
-    }
-
-    fn write_back(&mut self, line: LineAddr, data: &LineData, mem: &mut MainMemory) {
-        mem.write(line, data);
-        self.fill_l3(line, data);
-    }
-
-    fn fill_l3(&mut self, line: LineAddr, data: &LineData) {
-        if let Some((set, way)) = self.l3.lookup(line) {
-            *self.l3.data_mut(set, way) = *data;
-            self.l3.touch(set, way);
-        } else {
-            let (set, way) = self.l3.insert(line);
-            *self.l3.data_mut(set, way) = *data;
-        }
-    }
-}
-
-impl CoherenceBackend for TardisDirectory {
-    fn handle(&mut self, msg: Msg, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        TardisDirectory::handle(self, msg, net, mem, now)
-    }
-    fn tick(&mut self, net: &mut Network, mem: &mut MainMemory, now: Cycle) {
-        TardisDirectory::tick(self, net, mem, now)
-    }
-    fn idle(&self) -> bool {
-        TardisDirectory::idle(self)
-    }
-    fn next_dram_due(&self) -> Option<Cycle> {
-        TardisDirectory::next_dram_due(self)
-    }
-    fn open_transactions(&self) -> usize {
-        TardisDirectory::open_transactions(self)
-    }
-    fn debug_line(&self, line: LineAddr) -> String {
-        TardisDirectory::debug_line(self, line)
-    }
-    fn export_stats(&self) -> StatSet {
-        TardisDirectory::export_stats(self)
-    }
-    fn pop_replay(&mut self) -> Option<Replay> {
-        TardisDirectory::pop_replay(self)
-    }
-    fn trace_enable(&mut self, cap: usize) {
-        TardisDirectory::trace_enable(self, cap)
-    }
-    fn take_trace(&mut self) -> Vec<TraceRecord> {
-        TardisDirectory::take_trace(self)
-    }
-}
-
-impl Schedulable for TardisDirectory {
-    fn next_work(&self, now: Cycle) -> Option<Cycle> {
-        if !self.replays.is_empty() {
-            return Some(now);
-        }
-        self.dram.next_due()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use tus_sim::SimRng;
-
-    fn setup(cores: usize) -> (TardisDirectory, Network, MainMemory) {
-        let dir = TardisDirectory::new(cores.max(3), 16, 4, 100, 4);
-        let net = Network::new(cores.max(3), crate::net::NetLatency { hop: 1 }, 0, SimRng::seed(1));
-        (dir, net, MainMemory::new())
-    }
-
-    fn pump(
-        dir: &mut TardisDirectory,
-        net: &mut Network,
-        mem: &mut MainMemory,
-        until: u64,
-        cores: u16,
-    ) -> Vec<(CoreId, Msg)> {
-        let mut out = Vec::new();
-        for t in 0..until {
-            let now = Cycle::new(t);
-            dir.tick(net, mem, now);
-            while let Some((_src, msg)) = net.recv(Node::Dir, now) {
-                dir.handle(msg, net, mem, now);
-            }
-            for r in dir.take_replays() {
-                dir.handle(
-                    Msg::Req {
-                        core: r.core,
-                        line: r.line,
-                        kind: r.kind,
-                        prefetch: r.prefetch,
-                        pts: r.pts,
-                    },
-                    net,
-                    mem,
-                    now,
-                );
-            }
-            for c in 0..cores {
-                while let Some((_src, msg)) = net.recv(Node::Core(CoreId::new(c)), now) {
-                    out.push((CoreId::new(c), msg));
-                }
-            }
-        }
-        out
-    }
-
-    fn req(core: u16, line: u64, kind: ReqKind, pts: u64) -> Msg {
-        Msg::Req {
-            core: CoreId::new(core),
-            line: LineAddr::new(line),
-            kind,
-            prefetch: false,
-            pts,
-        }
-    }
+    use super::super::tests::{pump, req, setup};
+    use super::LEASE;
+    use crate::mesi::Mesi;
+    use crate::msgs::{FwdKind, Lease, Msg, ReqKind};
+    use tus_sim::{CoherenceKind, CoreId, Cycle, LineAddr};
 
     #[test]
     fn gets_grants_shared_with_lease_past_requester_pts() {
-        let (mut dir, mut net, mut mem) = setup(2);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Tardis, 2);
         let mut d = [0u8; 64];
         d[0] = 9;
         mem.write(LineAddr::new(5), &d);
@@ -768,7 +230,9 @@ mod tests {
         let msgs = pump(&mut dir, &mut net, &mut mem, 200, 3);
         assert_eq!(msgs.len(), 1);
         match &msgs[0].1 {
-            Msg::Grant { state, data, lease, .. } => {
+            Msg::Grant {
+                state, data, lease, ..
+            } => {
                 assert_eq!(*state, Mesi::Shared);
                 assert_eq!(data.as_ref().expect("data")[0], 9);
                 let l = lease.expect("tardis grant carries a lease");
@@ -777,56 +241,89 @@ mod tests {
             }
             other => panic!("expected grant, got {other:?}"),
         }
-        assert_eq!(dir.stats.lease_extends, 1);
+        assert_eq!(dir.home.stats.lease_extends, 1);
         assert!(dir.idle());
     }
 
     #[test]
     fn second_reader_needs_no_forward() {
-        let (mut dir, mut net, mut mem) = setup(2);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Tardis, 2);
         dir.handle(req(0, 5, ReqKind::GetS, 0), &mut net, &mut mem, Cycle::ZERO);
         pump(&mut dir, &mut net, &mut mem, 200, 3);
         // Unlike MESI (E-state owner -> Fwd Downgrade), a second reader is
         // served straight from the home: no owner, no forward.
-        dir.handle(req(1, 5, ReqKind::GetS, 3), &mut net, &mut mem, Cycle::new(200));
+        dir.handle(
+            req(1, 5, ReqKind::GetS, 3),
+            &mut net,
+            &mut mem,
+            Cycle::new(200),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 300, 3);
         assert_eq!(msgs.len(), 1);
         assert!(matches!(
             &msgs[0],
             (c, Msg::Grant { state: Mesi::Shared, .. }) if *c == CoreId::new(1)
         ));
-        assert_eq!(dir.stats.fwds, 0);
+        assert_eq!(dir.home.stats.fwds, 0);
     }
 
     #[test]
     fn writer_gets_no_invalidations_and_inherits_reader_lease() {
-        let (mut dir, mut net, mut mem) = setup(3);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Tardis, 3);
         // Two readers lease the line.
         dir.handle(req(0, 7, ReqKind::GetS, 4), &mut net, &mut mem, Cycle::ZERO);
-        dir.handle(req(1, 7, ReqKind::GetS, 20), &mut net, &mut mem, Cycle::new(1));
+        dir.handle(
+            req(1, 7, ReqKind::GetS, 20),
+            &mut net,
+            &mut mem,
+            Cycle::new(1),
+        );
         pump(&mut dir, &mut net, &mut mem, 200, 3);
         // A writer asks: nobody is invalidated, and the granted pair tells
         // it the latest outstanding lease it must write past.
-        dir.handle(req(2, 7, ReqKind::GetM, 0), &mut net, &mut mem, Cycle::new(200));
+        dir.handle(
+            req(2, 7, ReqKind::GetM, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(200),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 300, 3);
         assert_eq!(msgs.len(), 1, "grant only — no Inv to either reader");
         match &msgs[0] {
-            (c, Msg::Grant { state: Mesi::Modified, lease, data, .. }) => {
+            (
+                c,
+                Msg::Grant {
+                    state: Mesi::Modified,
+                    lease,
+                    data,
+                    ..
+                },
+            ) => {
                 assert_eq!(*c, CoreId::new(2));
                 assert!(data.is_some(), "tardis has no permission-only upgrade");
                 assert_eq!(lease.expect("lease").rts, 20 + LEASE);
             }
             other => panic!("expected M grant, got {other:?}"),
         }
-        assert_eq!(dir.stats.fwds, 0);
+        assert_eq!(dir.home.stats.fwds, 0);
     }
 
     #[test]
     fn owned_line_still_forwards_to_owner() {
-        let (mut dir, mut net, mut mem) = setup(2);
-        dir.handle(req(0, 11, ReqKind::GetM, 0), &mut net, &mut mem, Cycle::ZERO);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Tardis, 2);
+        dir.handle(
+            req(0, 11, ReqKind::GetM, 0),
+            &mut net,
+            &mut mem,
+            Cycle::ZERO,
+        );
         pump(&mut dir, &mut net, &mut mem, 200, 3);
-        dir.handle(req(1, 11, ReqKind::GetS, 6), &mut net, &mut mem, Cycle::new(200));
+        dir.handle(
+            req(1, 11, ReqKind::GetS, 6),
+            &mut net,
+            &mut mem,
+            Cycle::new(200),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 210, 3);
         assert!(matches!(
             &msgs[..],
@@ -851,20 +348,29 @@ mod tests {
             .find(|(c, _)| *c == CoreId::new(1))
             .map(|(_, m)| m)
         {
-            Some(Msg::Grant { state: Mesi::Shared, lease, .. }) => {
+            Some(Msg::Grant {
+                state: Mesi::Shared,
+                lease,
+                ..
+            }) => {
                 // Lease extends past the merged wts, not just the pts.
                 assert_eq!(lease.expect("lease").rts, 31 + LEASE);
                 assert_eq!(lease.expect("lease").wts, 31);
             }
             other => panic!("expected shared grant, got {other:?}"),
         }
-        assert_eq!(dir.stats.fwds, 1);
+        assert_eq!(dir.home.stats.fwds, 1);
     }
 
     #[test]
     fn evict_merges_timestamps_and_updates_memory() {
-        let (mut dir, mut net, mut mem) = setup(1);
-        dir.handle(req(0, 13, ReqKind::GetM, 0), &mut net, &mut mem, Cycle::ZERO);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Tardis, 1);
+        dir.handle(
+            req(0, 13, ReqKind::GetM, 0),
+            &mut net,
+            &mut mem,
+            Cycle::ZERO,
+        );
         pump(&mut dir, &mut net, &mut mem, 200, 3);
         dir.handle(
             Msg::Evict {
@@ -878,9 +384,14 @@ mod tests {
             Cycle::new(200),
         );
         assert_eq!(mem.read(LineAddr::new(13))[0], 0x77);
-        assert_eq!(dir.stats.writebacks, 1);
+        assert_eq!(dir.home.stats.writebacks, 1);
         // Next reader's lease starts from the merged wts=42.
-        dir.handle(req(0, 13, ReqKind::GetS, 0), &mut net, &mut mem, Cycle::new(201));
+        dir.handle(
+            req(0, 13, ReqKind::GetS, 0),
+            &mut net,
+            &mut mem,
+            Cycle::new(201),
+        );
         let msgs = pump(&mut dir, &mut net, &mut mem, 300, 3);
         match msgs.last().map(|(_, m)| m) {
             Some(Msg::Grant { lease, .. }) => {
@@ -894,19 +405,63 @@ mod tests {
 
     #[test]
     fn queued_requests_replay_with_their_pts() {
-        let (mut dir, mut net, mut mem) = setup(2);
+        let (mut dir, mut net, mut mem) = setup(CoherenceKind::Tardis, 2);
         dir.handle(req(0, 9, ReqKind::GetM, 0), &mut net, &mut mem, Cycle::ZERO);
         // Second request while the first is fetching from DRAM.
-        dir.handle(req(1, 9, ReqKind::GetS, 17), &mut net, &mut mem, Cycle::new(1));
+        dir.handle(
+            req(1, 9, ReqKind::GetS, 17),
+            &mut net,
+            &mut mem,
+            Cycle::new(1),
+        );
         assert_eq!(dir.open_transactions(), 1);
         let msgs = pump(&mut dir, &mut net, &mut mem, 150, 3);
         // Core 0 granted M; the replayed GetS then forwards a Downgrade to
         // the new owner, carrying pts=17 in the reopened transaction.
         assert!(msgs.iter().any(|(c, m)| *c == CoreId::new(0)
-            && matches!(m, Msg::Grant { state: Mesi::Modified, .. })));
+            && matches!(
+                m,
+                Msg::Grant {
+                    state: Mesi::Modified,
+                    ..
+                }
+            )));
         assert!(msgs.iter().any(|(c, m)| *c == CoreId::new(0)
-            && matches!(m, Msg::Fwd { kind: FwdKind::Downgrade, to_owner: true, .. })));
-        let dbg = dir.debug_line(LineAddr::new(9));
-        assert!(dbg.contains("17"), "transaction should carry pts=17: {dbg}");
+            && matches!(
+                m,
+                Msg::Fwd {
+                    kind: FwdKind::Downgrade,
+                    to_owner: true,
+                    ..
+                }
+            )));
+        // Once the owner answers, the grant's lease extends past pts=17.
+        dir.handle(
+            Msg::FwdResp {
+                core: CoreId::new(0),
+                line: LineAddr::new(9),
+                data: Some(Box::new([1u8; 64])),
+                relinquished: false,
+                lease: Some(Lease { wts: 0, rts: 0 }),
+            },
+            &mut net,
+            &mut mem,
+            Cycle::new(150),
+        );
+        let msgs = pump(&mut dir, &mut net, &mut mem, 300, 3);
+        match msgs
+            .iter()
+            .find(|(c, _)| *c == CoreId::new(1))
+            .map(|(_, m)| m)
+        {
+            Some(Msg::Grant {
+                state: Mesi::Shared,
+                lease,
+                ..
+            }) => {
+                assert_eq!(lease.expect("lease").rts, 17 + LEASE);
+            }
+            other => panic!("expected shared grant, got {other:?}"),
+        }
     }
 }

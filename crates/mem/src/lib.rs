@@ -10,12 +10,11 @@
 //!   eviction candidates).
 //! * [`msgs`] / [`net`] — coherence messages and the latency-modeling
 //!   interconnect with per-channel FIFO ordering.
-//! * [`backend`] — the pluggable coherence-backend contract
-//!   ([`backend::CoherenceBackend`]) with two home-node implementations:
-//!   the paper's full-map MESI directory ([`backend::mesi`], an atomic
-//!   per-line transaction model backed by the shared L3 and DRAM) and a
-//!   Tardis-style logical-timestamp backend ([`backend::tardis`], leases
-//!   instead of invalidations).
+//! * [`backend`] — the coherence home node ([`Directory`]): an atomic
+//!   per-line transaction model backed by the shared L3 and DRAM, running
+//!   one of two protocols — the paper's full-map MESI directory
+//!   ([`backend::mesi`]) or a Tardis-style logical-timestamp protocol
+//!   ([`backend::tardis`], leases instead of invalidations).
 //! * [`mainmem`] — functional backing store.
 //! * [`prefetch`] — the baseline stream (stride) prefetcher and the SPB
 //!   page-burst store prefetcher.
@@ -41,7 +40,7 @@ pub mod prefetch;
 mod slots;
 pub mod system;
 
-pub use backend::{CoherenceBackend, DirBackend, Directory, Replay, TardisDirectory};
+pub use backend::Directory;
 pub use cache::{CacheArray, CacheLineState, L3Cache};
 pub use line::{ByteMask, LineData};
 pub use mainmem::MainMemory;

@@ -1107,8 +1107,7 @@ impl PrivateCache {
         // Loads that read the (previously combined) line must replay: the
         // remote writer will change the base bytes.
         self.events.push(CacheEvent::Invalidated { line });
-        let lease = self.lease_for_msg(line);
-        self.leases.remove(&line);
+        let lease = self.leases.remove(&line);
         net.send(
             Node::Core(self.core),
             Node::Dir,
@@ -1193,34 +1192,31 @@ impl PrivateCache {
         // extend the lease past it); the merged demand waiters stay
         // parked on the fresh MSHR. Write grants are exempt: the owner
         // may read its own modified copy at any clock.
-        if self.tardis && kind == ReqKind::GetS {
-            let stale = lease.is_some_and(|l| l.rts < self.pts);
-            if stale {
-                if let Some(d) = data {
-                    net.recycle_data(d);
-                }
-                if prefetch && self.waiter_scratch.is_empty() {
-                    // A stale prefetch is simply dropped.
-                    return;
-                }
-                self.stats.lease_renewals += 1;
-                let ws = std::mem::take(&mut self.waiter_scratch);
-                let m = self.mshr_open(line, ReqKind::GetS, prefetch);
-                self.waiter_scratch = std::mem::replace(&mut m.waiters, ws);
-                net.send(
-                    Node::Core(self.core),
-                    Node::Dir,
-                    now,
-                    Msg::Req {
-                        core: self.core,
-                        line,
-                        kind: ReqKind::GetS,
-                        prefetch,
-                        pts: self.pts,
-                    },
-                );
+        if kind == ReqKind::GetS && lease.is_some_and(|l| l.rts < self.pts) {
+            if let Some(d) = data {
+                net.recycle_data(d);
+            }
+            if prefetch && self.waiter_scratch.is_empty() {
+                // A stale prefetch is simply dropped.
                 return;
             }
+            self.stats.lease_renewals += 1;
+            let ws = std::mem::take(&mut self.waiter_scratch);
+            let m = self.mshr_open(line, ReqKind::GetS, prefetch);
+            self.waiter_scratch = std::mem::replace(&mut m.waiters, ws);
+            net.send(
+                Node::Core(self.core),
+                Node::Dir,
+                now,
+                Msg::Req {
+                    core: self.core,
+                    line,
+                    kind: ReqKind::GetS,
+                    prefetch,
+                    pts: self.pts,
+                },
+            );
+            return;
         }
         self.tardis_record_lease(line, lease);
         let prev = self
@@ -1370,22 +1366,9 @@ impl PrivateCache {
             .unwrap_or(Lease { wts: 0, rts: 0 })
     }
 
-    /// The lease to report to the directory on FwdResp/Evict messages.
-    #[inline]
-    fn lease_for_msg(&self, line: LineAddr) -> Option<Lease> {
-        if self.tardis {
-            self.leases.get(&line).copied()
-        } else {
-            None
-        }
-    }
-
     /// Records the lease a grant arrived with (component-wise max against
     /// anything already tracked).
     fn tardis_record_lease(&mut self, line: LineAddr, lease: Option<Lease>) {
-        if !self.tardis {
-            return;
-        }
         let Some(l) = lease else { return };
         let e = self.leases.entry(line).or_insert(Lease { wts: 0, rts: 0 });
         e.wts = e.wts.max(l.wts);
@@ -1657,7 +1640,7 @@ impl PrivateCache {
                 line,
                 data,
                 relinquished: false,
-                lease: self.lease_for_msg(line),
+                lease: self.leases.get(&line).copied(),
             }
         } else {
             Msg::InvAck {
@@ -1803,6 +1786,7 @@ impl PrivateCache {
             self.l1d.clear_way(s1, w1);
         }
         self.l2.clear_way(set, way);
+        let lease = self.leases.remove(&line);
         if state != Mesi::Invalid {
             self.stats.l2_evictions += 1;
             let payload = if dirty {
@@ -1810,8 +1794,6 @@ impl PrivateCache {
             } else {
                 None
             };
-            let lease = self.lease_for_msg(line);
-            self.leases.remove(&line);
             net.send(
                 Node::Core(self.core),
                 Node::Dir,
@@ -1823,8 +1805,6 @@ impl PrivateCache {
                     lease,
                 },
             );
-        } else if self.tardis {
-            self.leases.remove(&line);
         }
     }
 

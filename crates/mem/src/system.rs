@@ -1,18 +1,18 @@
 //! The assembled memory system.
 //!
 //! [`MemorySystem`] owns one [`PrivateCache`] per core, the coherence
-//! backend ([`DirBackend`], selected by `cfg.coherence`), the [`Network`]
-//! and [`MainMemory`], and advances them one cycle at a time. The policy
-//! layer (the `tus` crate) drives the per-core controllers between ticks
-//! and consumes their events.
+//! home node ([`Directory`], running the protocol `cfg.coherence`
+//! selects), the [`Network`] and [`MainMemory`], and advances them one
+//! cycle at a time. The policy layer (the `tus` crate) drives the
+//! per-core controllers between ticks and consumes their events.
 
 use tus_sim::sched::earliest;
 use tus_sim::trace::TraceRecord;
-use tus_sim::{CoherenceKind, CoreId, Cycle, Schedulable, SimConfig, SimRng, StatSet};
+use tus_sim::{CoreId, Cycle, Schedulable, SimConfig, SimRng, StatSet};
 
-use crate::backend::{DirBackend, Directory, TardisDirectory};
+use crate::backend::Directory;
 use crate::mainmem::MainMemory;
-use crate::msgs::{CacheEvent, Msg};
+use crate::msgs::CacheEvent;
 use crate::net::{NetLatency, Network};
 use crate::percore::PrivateCache;
 
@@ -80,7 +80,7 @@ pub struct MemorySystem {
     /// Per-core private cache controllers.
     pub ctrls: Vec<PrivateCache>,
     /// The coherence home node / shared LLC.
-    pub dir: DirBackend,
+    pub dir: Directory,
     /// The interconnect.
     pub net: Network,
     /// Functional backing store.
@@ -103,22 +103,14 @@ impl MemorySystem {
         let ctrls = (0..cfg.cores)
             .map(|i| PrivateCache::new(CoreId::new(i as u16), cfg))
             .collect();
-        let dir = match cfg.coherence {
-            CoherenceKind::Mesi => DirBackend::Mesi(Directory::new(
-                cfg.cores,
-                cfg.mem.l3.sets(),
-                cfg.mem.l3.ways,
-                cfg.mem.dram_latency,
-                cfg.mem.dram_max_inflight,
-            )),
-            CoherenceKind::Tardis => DirBackend::Tardis(TardisDirectory::new(
-                cfg.cores,
-                cfg.mem.l3.sets(),
-                cfg.mem.l3.ways,
-                cfg.mem.dram_latency,
-                cfg.mem.dram_max_inflight,
-            )),
-        };
+        let dir = Directory::new(
+            cfg.coherence,
+            cfg.cores,
+            cfg.mem.l3.sets(),
+            cfg.mem.l3.ways,
+            cfg.mem.dram_latency,
+            cfg.mem.dram_max_inflight,
+        );
         let net = Network::new(
             cfg.cores,
             NetLatency::from_round_trips(cfg.mem.l2.latency, cfg.mem.l3.latency),
@@ -154,22 +146,8 @@ impl MemorySystem {
     }
 
     fn run_dir_replays(&mut self, now: Cycle) {
-        // Popping one at a time preserves the drain order of the old
-        // batch-take loop (new replays enqueue at the back) without
-        // materializing a Vec per batch.
-        while let Some(r) = self.dir.pop_replay() {
-            self.dir.handle(
-                Msg::Req {
-                    core: r.core,
-                    line: r.line,
-                    kind: r.kind,
-                    prefetch: r.prefetch,
-                    pts: r.pts,
-                },
-                &mut self.net,
-                &mut self.memory,
-                now,
-            );
+        while let Some(msg) = self.dir.pop_replay() {
+            self.dir.handle(msg, &mut self.net, &mut self.memory, now);
         }
     }
 

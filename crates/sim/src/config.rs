@@ -106,16 +106,14 @@ impl Default for KernelKind {
     }
 }
 
-/// Which coherence backend the memory fabric runs.
+/// Which coherence protocol the memory fabric runs.
 ///
-/// The private-cache controllers talk to the fabric through the
-/// `CoherenceBackend` contract in `tus-mem`; this selector picks the
-/// implementation behind it. `Mesi` is the paper's invalidation-based
-/// full-map directory (the reference backend, bit-identical to the
-/// pre-contract code). `Tardis` is a Tardis-2.0-style logical-timestamp
-/// backend: reads take bounded leases, writes jump the writer's logical
-/// time past every outstanding lease, and no invalidation messages are
-/// ever sent.
+/// The private-cache controllers talk to one home node, `tus-mem`'s
+/// `Directory`; this selector picks the protocol it runs. `Mesi` is the
+/// paper's invalidation-based full-map directory (the reference).
+/// `Tardis` is a Tardis-2.0-style logical-timestamp protocol: reads take
+/// bounded leases, writes jump the writer's logical time past every
+/// outstanding lease, and no invalidation messages are ever sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceKind {
     /// Invalidation-based full-map MESI directory (the reference).
