@@ -166,12 +166,6 @@ impl Policy {
         }
     }
 
-    /// Whether the policy currently holds any store state (used by run
-    /// loops to decide when a program has fully drained).
-    pub fn holds_stores(&self) -> bool {
-        !self.drained()
-    }
-
     /// Earliest cycle at or after `now` at which [`Policy::drain`] would
     /// change any buffer, cache, network, or counter state, or `None`
     /// when nothing will change until another component acts first (the
@@ -738,12 +732,11 @@ impl CsbPolicy {
             self.idxs_scratch = idxs;
             return false;
         }
-        // The group's stores become visible at one logical instant under
-        // the tardis backend (no-op under MESI): fusing may have merged a
-        // store that is program-order-younger than stores to other group
-        // lines, so per-line sequential timestamps would reorder it ahead
-        // of them.
-        ctrl.tardis_group_store_begin(
+        // Begin the group before writing any member: fusing may have
+        // merged a store that is program-order-younger than stores to other
+        // group lines, and the first line written must not become visible
+        // ahead of them.
+        ctrl.begin_store_group(
             idxs.iter().map(|&i| self.wcbs.buf(i).expect("member").line),
             now,
         );
@@ -906,6 +899,8 @@ impl TusPolicy {
             }
             coords.clear();
             coords.extend(entries.iter().map(|e| (e.set, e.way)));
+            // Begun before any member flips, as in CSB's flush.
+            ctrl.begin_store_group(entries.iter().map(|e| e.line), now);
             ctrl.make_visible(&coords, now, net);
             self.flips += 1;
         }
@@ -1114,7 +1109,7 @@ impl TusPolicy {
                 self.woq.mark_ready(set, way);
                 self.advance_visibility(ctrl, net, now);
             }
-            CacheEvent::ExternalConflict { set, way, kind, .. } => {
+            CacheEvent::ExternalConflict { set, way, .. } => {
                 let Some(idx) = self.woq.find(set, way) else {
                     // The line's atomic group became visible in the same
                     // cycle (a PermissionReady processed just before this
@@ -1135,7 +1130,6 @@ impl TusPolicy {
                         self.relinquishes += 1;
                     }
                 }
-                let _ = kind;
             }
             CacheEvent::LoadDone { .. } | CacheEvent::Invalidated { .. } => {}
         }

@@ -303,11 +303,6 @@ impl System {
         self.mem.enable_trace(cap);
     }
 
-    /// Whether tracing has been armed on this system.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
     /// Drains every component's trace buffer as named tracks, each a
     /// timestamp-ordered record list: `core<i>.cpu`, `core<i>.policy`,
     /// `mem.core<i>`, `dir`, `net`, and `system` (bulk-idle spans).
@@ -377,11 +372,6 @@ impl System {
         &self.mem
     }
 
-    /// Mutable memory-system access (debug tracing hooks).
-    pub fn mem_mut(&mut self) -> &mut MemorySystem {
-        &mut self.mem
-    }
-
     /// Advances the whole machine one cycle.
     pub fn tick(&mut self) {
         let now = self.now;
@@ -406,15 +396,14 @@ impl System {
         ctrl.drain_events_into(events);
         Self::route_events(&mut self.cores[i], &mut self.policies[i], ctrl, net, now, events);
         self.policies[i].drain(self.cores[i].sb_mut(), ctrl, net, now);
-        // Tardis only: the store drain above can advance `pts` and fire
-        // the lease-expiry sweep, dropping a leased line whose bound load
-        // is sitting behind a fence that this very drain unblocks. The
-        // resulting `Invalidated` must squash that load *before* this
-        // cycle's commit, or the stale value retires. MESI generates no
-        // events during the drain (its invalidations arrive via the
-        // network tick), and its one-cycle delivery of policy events is
-        // part of the golden timing, so the second flush is gated.
-        if ctrl.is_tardis() {
+        // The drain can itself raise events: a visibility flip that
+        // answers a delayed invalidation drops the line, and a store that
+        // moves the core's logical clock can expire a lapsed copy. A load
+        // bound to such a line may sit behind a fence that this very drain
+        // unblocks; its `Invalidated` must squash the load *before* this
+        // cycle's commit, or the stale value retires. So whatever the
+        // drain left is routed now.
+        if ctrl.has_pending_events() {
             events.clear();
             ctrl.drain_events_into(events);
             Self::route_events(&mut self.cores[i], &mut self.policies[i], ctrl, net, now, events);

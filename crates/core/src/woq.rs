@@ -285,14 +285,6 @@ impl Woq {
         );
     }
 
-    /// Lines of the atomic group that [`Woq::merge_to_tail`] would form
-    /// (allocating convenience wrapper for tests and cold paths).
-    pub fn merged_lines(&mut self, idx: usize) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.merged_lines_into(idx, &mut out);
-        out
-    }
-
     /// Adds written bytes to the entry at `idx` and clears its ready bit
     /// unless `still_ready` (the line retained write permission across the
     /// coalescing write).

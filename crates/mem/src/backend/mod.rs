@@ -23,7 +23,9 @@
 //! * [`tardis`] — a Tardis-2.0-style logical-timestamp protocol: owner
 //!   plus a `wts`/`rts` lease. Reads take bounded leases, writes jump the
 //!   writer's logical time past every outstanding lease, and *no
-//!   invalidation messages exist*.
+//!   invalidation messages exist*. Its core side, the program timestamp
+//!   and the leases a core holds, is the `tardis::Clock` each per-core
+//!   controller keeps under Tardis.
 //!
 //! The protocol is picked once per simulation ([`CoherenceKind`]); each
 //! inbound message and each DRAM fill pays one `match` on it.

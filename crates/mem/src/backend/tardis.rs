@@ -36,8 +36,13 @@
 //! unauthorized line may not become visible at a logical time covered by
 //! any lease the line must respect — the controller makes the store
 //! visible at `pts = max(pts, rts + 1)` using the `rts` granted here.
+//!
+//! The core's side of the protocol — `pts`, the leases its copies were
+//! granted under, and the rules for reads, visible stores, store groups
+//! and self-downgrade — is the `Clock` each per-core controller holds
+//! under Tardis.
 
-use tus_sim::{CoreId, Cycle, LineId};
+use tus_sim::{CoreId, Cycle, FxHashMap, LineAddr, LineId};
 
 use super::{Home, Request};
 use crate::line::LineData;
@@ -209,6 +214,129 @@ pub(super) fn evict(
     home.evicted(id, data, net, mem);
     if entry.owner == Some(from) {
         entry.owner = None;
+    }
+}
+
+/// A core's Tardis state: its program timestamp `pts` and the lease each
+/// copy in its private hierarchy was granted under. The per-core
+/// controller holds one under Tardis and none under MESI, and calls it
+/// on every read, visible store and store group; dropping an expired copy
+/// from the L1D and L2 stays with the controller, which owns the arrays.
+#[derive(Debug, Default)]
+pub(crate) struct Clock {
+    /// The core's logical program timestamp.
+    pts: u64,
+    /// `(wts, rts)` per line the private hierarchy holds: the local mirror
+    /// of the lease each copy was granted under.
+    leases: FxHashMap<LineAddr, Lease>,
+    /// Scratch for the lapsed leases of one advance (capacity retained).
+    lapsed: Vec<LineAddr>,
+}
+
+impl Clock {
+    /// The core's logical program timestamp, carried in its requests.
+    pub fn pts(&self) -> u64 {
+        self.pts
+    }
+
+    /// The lease tracked for `line`, if any.
+    pub fn lease(&self, line: LineAddr) -> Option<Lease> {
+        self.leases.get(&line).copied()
+    }
+
+    /// Stops tracking `line`, whose copy left the hierarchy, and returns
+    /// the lease to report to the home.
+    pub fn forget(&mut self, line: LineAddr) -> Option<Lease> {
+        self.leases.remove(&line)
+    }
+
+    /// Records the lease a grant arrived with (component-wise max against
+    /// anything already tracked).
+    pub fn record(&mut self, line: LineAddr, lease: Lease) {
+        let e = self.leases.entry(line).or_insert(Lease { wts: 0, rts: 0 });
+        e.wts = e.wts.max(lease.wts);
+        e.rts = e.rts.max(lease.rts);
+    }
+
+    /// Whether a read grant under `lease` arrived stale: the lease ended
+    /// before this core's clock, so a write the reader is ordered after
+    /// could carry `wts <= pts` without being in the granted data.
+    pub fn stale(&self, lease: Lease) -> bool {
+        lease.rts < self.pts
+    }
+
+    /// The clock a read of `line` moves to: a read observes the line's
+    /// last write, so at least its `wts`.
+    pub fn read_floor(&self, line: LineAddr) -> u64 {
+        self.lease(line).map_or(0, |l| l.wts)
+    }
+
+    /// The clock a group of stores must reach before any member becomes
+    /// visible: past every member line's read lease, `max(rts) + 1`. A
+    /// single store is a group of one. Clearing only each member's own
+    /// lease as it is written would place early members at a logical
+    /// time *before* older stores that fused later members into the
+    /// group — the coalescing reordering TSO forbids (a reader could
+    /// observe the merged value of an early member while a lease still
+    /// entitles it to the pre-group value of a later one).
+    pub fn store_floor(&self, lines: impl IntoIterator<Item = LineAddr>) -> u64 {
+        lines
+            .into_iter()
+            .map(|line| self.lease(line).map_or(0, |l| l.rts) + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Restamps `line` after a store to it became visible at the current
+    /// clock: `(wts, rts) = (pts, pts)`.
+    pub fn stamp(&mut self, line: LineAddr) {
+        let pts = self.pts;
+        self.leases.insert(line, Lease { wts: pts, rts: pts });
+    }
+
+    /// Advances the clock to `to`, or returns `None` when it is not
+    /// ahead. On an advance, one pass over the leases: a lapsed lease
+    /// (`rts < pts`) on a copy the hierarchy can write (`writable`) gets
+    /// `rts = pts` in place, because the owner is the line's timestamp
+    /// authority and never self-downgrades; every other lapsed line is
+    /// returned, sorted by address, for the controller to drop. Hand the
+    /// list back with [`Clock::recycle`].
+    ///
+    /// Dropping is eager and load-bearing for TSO: Tardis sends no
+    /// invalidations, so an expired copy that lingered would never
+    /// trigger the machine clear that x86-style load→load ordering relies
+    /// on. Splitting refresh from drop is exact: dropping one line never
+    /// changes another line's writability.
+    pub fn advance(
+        &mut self,
+        to: u64,
+        writable: impl Fn(LineAddr) -> bool,
+    ) -> Option<Vec<LineAddr>> {
+        if to <= self.pts {
+            return None;
+        }
+        self.pts = to;
+        let mut lapsed = std::mem::take(&mut self.lapsed);
+        lapsed.clear();
+        for (&line, lease) in self.leases.iter_mut() {
+            if lease.rts < to {
+                if writable(line) {
+                    lease.rts = to;
+                } else {
+                    lapsed.push(line);
+                }
+            }
+        }
+        // Deterministic order regardless of hash-map iteration (the
+        // addresses are unique, so an unstable sort is as good).
+        lapsed.sort_unstable_by_key(|l| l.raw());
+        Some(lapsed)
+    }
+
+    /// Returns the list [`Clock::advance`] handed out, keeping its
+    /// capacity for the next advance.
+    pub fn recycle(&mut self, lapsed: Vec<LineAddr>) {
+        self.lapsed = lapsed;
     }
 }
 

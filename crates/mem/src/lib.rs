@@ -14,7 +14,8 @@
 //!   per-line transaction model backed by the shared L3 and DRAM, running
 //!   one of two protocols — the paper's full-map MESI directory
 //!   ([`backend::mesi`]) or a Tardis-style logical-timestamp protocol
-//!   ([`backend::tardis`], leases instead of invalidations).
+//!   ([`backend::tardis`], leases instead of invalidations, with the
+//!   per-core clock each controller holds under it).
 //! * [`mainmem`] — functional backing store.
 //! * [`prefetch`] — the baseline stream (stride) prefetcher and the SPB
 //!   page-burst store prefetcher.
@@ -45,7 +46,7 @@ pub use cache::{CacheArray, CacheLineState, L3Cache};
 pub use line::{ByteMask, LineData};
 pub use mainmem::MainMemory;
 pub use mesi::Mesi;
-pub use msgs::{CacheEvent, ConflictKind, FwdKind, Lease, Msg, ReqKind};
+pub use msgs::{CacheEvent, FwdKind, Lease, Msg, ReqKind};
 pub use net::Network;
 pub use percore::{PrivateCache, ProbeResult, StoreAttemptClass, StoreWriteOutcome, UnauthAllocError};
 pub use system::{CoreMemSnapshot, MemDeadlockSnapshot, MemorySystem};

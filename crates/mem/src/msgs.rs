@@ -33,25 +33,6 @@ pub enum FwdKind {
     Downgrade,
 }
 
-/// The flavour of external request hitting a temporarily unauthorized
-/// line, reported to the policy layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConflictKind {
-    /// A remote GetM (invalidation) targets the line.
-    WantM,
-    /// A remote GetS (downgrade) targets the line.
-    WantS,
-}
-
-impl From<FwdKind> for ConflictKind {
-    fn from(k: FwdKind) -> Self {
-        match k {
-            FwdKind::Inv => ConflictKind::WantM,
-            FwdKind::Downgrade => ConflictKind::WantS,
-        }
-    }
-}
-
 /// Per-line logical-timestamp pair carried by the Tardis backend.
 ///
 /// `wts` is the logical time of the last write; `rts` is the end of the
@@ -218,8 +199,6 @@ pub enum CacheEvent {
         set: usize,
         /// L1D way.
         way: usize,
-        /// Whether the remote party wants read or write permission.
-        kind: ConflictKind,
     },
     /// This core lost its copy of a line to a remote write (invalidation
     /// or relinquish). Speculatively executed loads that bound a value
@@ -260,11 +239,5 @@ mod tests {
         for m in msgs {
             assert_eq!(m.line(), l);
         }
-    }
-
-    #[test]
-    fn conflict_kind_from_fwd() {
-        assert_eq!(ConflictKind::from(FwdKind::Inv), ConflictKind::WantM);
-        assert_eq!(ConflictKind::from(FwdKind::Downgrade), ConflictKind::WantS);
     }
 }

@@ -21,14 +21,13 @@
 
 use tus_sim::stats::names;
 use tus_sim::trace::{TraceEvent, TraceRecord, Tracer};
-use tus_sim::{
-    Addr, CoherenceKind, CoreId, Cycle, DelayQueue, FxHashMap, LineAddr, SimConfig, StatSet,
-};
+use tus_sim::{Addr, CoherenceKind, CoreId, Cycle, DelayQueue, LineAddr, SimConfig, StatSet};
 
+use crate::backend::tardis::Clock;
 use crate::cache::CacheArray;
 use crate::line::{combine, read_value, write_value, ByteMask, LineData};
 use crate::mesi::Mesi;
-use crate::msgs::{CacheEvent, ConflictKind, FwdKind, Lease, Msg, ReqKind};
+use crate::msgs::{CacheEvent, FwdKind, Lease, Msg, ReqKind};
 use crate::net::{Network, Node};
 use crate::prefetch::StreamPrefetcher;
 use crate::slots::LineSlots;
@@ -199,12 +198,6 @@ pub struct MemStats {
     pub relinquishes: u64,
     /// External requests delayed while a line was not visible (TUS).
     pub delayed_externals: u64,
-    /// Stale Tardis read grants re-requested with a newer logical clock
-    /// (diagnostics; always 0 under MESI and not exported).
-    pub lease_renewals: u64,
-    /// Shared copies dropped by Tardis lease expiry (self-downgrade;
-    /// always 0 under MESI and not exported).
-    pub lease_expiries: u64,
     /// Prefetch requests issued (stream + commit + SPB).
     pub prefetches: u64,
     /// Invalidations received.
@@ -234,16 +227,8 @@ pub struct PrivateCache {
     /// Scratch for processing a freed slot's waiters without holding a
     /// borrow on its container (swapped in and out, capacity retained).
     waiter_scratch: Vec<Waiter>,
-    /// Tardis mode: the backend runs logical-timestamp coherence. All
-    /// timestamp state below is dead (and stays 0/empty) under MESI.
-    tardis: bool,
-    /// This core's logical program timestamp (Tardis `pts`).
-    pts: u64,
-    /// Per-line `(wts, rts)` pairs for lines this hierarchy holds; the
-    /// local mirror of the lease each copy was granted under.
-    leases: FxHashMap<LineAddr, Lease>,
-    /// Scratch for the lease-expiry sweep (capacity retained).
-    expire_scratch: Vec<LineAddr>,
+    /// The core's Tardis clock and leases; `None` under MESI.
+    clock: Option<Clock>,
     tracer: Tracer,
     /// Counters.
     pub stats: MemStats,
@@ -293,18 +278,10 @@ impl PrivateCache {
             deferred_fwd: DelayQueue::new(),
             events: Vec::new(),
             waiter_scratch: Vec::new(),
-            tardis: cfg.coherence == CoherenceKind::Tardis,
-            pts: 0,
-            leases: FxHashMap::default(),
-            expire_scratch: Vec::new(),
+            clock: (cfg.coherence == CoherenceKind::Tardis).then(Clock::default),
             tracer: Tracer::default(),
             stats: MemStats::default(),
         }
-    }
-
-    /// This core's logical program timestamp (always 0 under MESI).
-    pub fn logical_ts(&self) -> u64 {
-        self.pts
     }
 
     /// Arms structured MESI-transition tracing with a ring of `cap`
@@ -341,13 +318,30 @@ impl PrivateCache {
 
     // --- MSHRs -----------------------------------------------------------
 
-    /// Opens an MSHR for a new in-flight request on `line`, which has
-    /// none, and returns it with an empty (warm) waiter list.
-    fn mshr_open(&mut self, line: LineAddr, kind: ReqKind, prefetch: bool) -> &mut Mshr {
+    /// Opens an MSHR for a request on `line`, which has none in flight,
+    /// and sends the request to the home node; returns the MSHR with an
+    /// empty (warm) waiter list.
+    fn request(
+        &mut self,
+        line: LineAddr,
+        kind: ReqKind,
+        prefetch: bool,
+        now: Cycle,
+        net: &mut Network,
+    ) -> &mut Mshr {
+        let (core, pts) = (self.core, self.clock.as_ref().map_or(0, Clock::pts));
         let m = self.outstanding.insert(line);
         debug_assert!(m.waiters.is_empty());
         m.kind = kind;
         m.prefetch = prefetch;
+        let msg = Msg::Req {
+            core,
+            line,
+            kind,
+            prefetch,
+            pts,
+        };
+        net.send(Node::Core(core), Node::Dir, now, msg);
         m
     }
 
@@ -391,11 +385,6 @@ impl PrivateCache {
     /// L1D set index of a line (for atomic-group way accounting).
     pub fn l1d_set_of(&self, line: LineAddr) -> usize {
         self.l1d.set_of(line)
-    }
-
-    /// Ways in `line`'s L1D set that could hold a new line right now.
-    pub fn l1d_ways_free(&self, line: LineAddr) -> usize {
-        self.l1d.free_or_evictable_ways(line)
     }
 
     /// Coherence/TUS state of a line, if present in the L1D:
@@ -567,7 +556,7 @@ impl PrivateCache {
             }
             if l.state.can_read() {
                 self.stats.l1d_load_hits += 1;
-                self.tardis_read_touch(line, now);
+                self.read_touch(line, now);
                 let v = read_value(self.l1d.data(set, way), waiter.offset, waiter.size);
                 self.l1d.touch(set, way);
                 self.complete_load(waiter.token, now + self.l1_lat, v);
@@ -589,7 +578,7 @@ impl PrivateCache {
         if let Some((s2, w2)) = self.l2.lookup(line) {
             if self.l2.way(s2, w2).state.can_read() {
                 self.stats.l2_load_hits += 1;
-                self.tardis_read_touch(line, now);
+                self.read_touch(line, now);
                 self.l2.touch(s2, w2);
                 let v = read_value(self.l2.data(s2, w2), waiter.offset, waiter.size);
                 self.fill_l1_from_l2(line);
@@ -601,19 +590,9 @@ impl PrivateCache {
         // Demand loads may oversubscribe the MSHRs (they are effectively
         // reserved entries); only prefetches and store-permission requests
         // honor the cap strictly.
-        self.mshr_open(line, ReqKind::GetS, false).waiters.push(waiter);
-        net.send(
-            Node::Core(self.core),
-            Node::Dir,
-            now,
-            Msg::Req {
-                core: self.core,
-                line,
-                kind: ReqKind::GetS,
-                prefetch: false,
-                pts: self.pts,
-            },
-        );
+        self.request(line, ReqKind::GetS, false, now, net)
+            .waiters
+            .push(waiter);
     }
 
     fn complete_load(&mut self, token: u64, at: Cycle, value: u64) {
@@ -635,19 +614,7 @@ impl PrivateCache {
             return;
         }
         self.stats.prefetches += 1;
-        self.mshr_open(line, ReqKind::GetS, true);
-        net.send(
-            Node::Core(self.core),
-            Node::Dir,
-            now,
-            Msg::Req {
-                core: self.core,
-                line,
-                kind: ReqKind::GetS,
-                prefetch: true,
-                pts: self.pts,
-            },
-        );
+        self.request(line, ReqKind::GetS, true, now, net);
     }
 
     /// Ensures write permission for `line` is held or being acquired
@@ -676,19 +643,7 @@ impl PrivateCache {
         if prefetch {
             self.stats.prefetches += 1;
         }
-        self.mshr_open(line, ReqKind::GetM, prefetch);
-        net.send(
-            Node::Core(self.core),
-            Node::Dir,
-            now,
-            Msg::Req {
-                core: self.core,
-                line,
-                kind: ReqKind::GetM,
-                prefetch,
-                pts: self.pts,
-            },
-        );
+        self.request(line, ReqKind::GetM, prefetch, now, net);
         false
     }
 
@@ -726,61 +681,58 @@ impl PrivateCache {
         now: Cycle,
         net: &mut Network,
     ) -> StoreWriteOutcome {
-        if let Some((set, way)) = self.l1d.lookup(line) {
-            // Write permission is a property of the private hierarchy: an
-            // L2 copy in M/E authorizes the write even if the L1D tag
-            // still says S.
-            let l2_writable = self
-                .l2
-                .lookup(line)
-                .is_some_and(|(s2, w2)| self.l2.way(s2, w2).state.can_write());
-            let (l, d) = self.l1d.way_and_data_mut(set, way);
-            if l.unauth {
-                return StoreWriteOutcome::NotYet;
+        // Write permission is a property of the private hierarchy: an L2
+        // copy in M/E authorizes the write even if the L1D tag still says
+        // S.
+        let writable_l2 = self
+            .l2
+            .lookup(line)
+            .filter(|&(s2, w2)| self.l2.way(s2, w2).state.can_write());
+        let hit = match (self.l1d.lookup(line), writable_l2) {
+            (Some((set, way)), _) => {
+                let l = self.l1d.way(set, way);
+                if l.unauth {
+                    return StoreWriteOutcome::NotYet;
+                }
+                let writable = l.state.can_write() || (l.state.can_read() && writable_l2.is_some());
+                writable.then_some((set, way))
             }
-            if l.state.can_write() || (l.state.can_read() && l2_writable) {
-                combine(d, data, mask);
-                l.state = Mesi::Modified;
-                l.dirty = true;
-                self.l1d.touch(set, way);
-                self.set_l2_state(line, Mesi::Modified);
-                self.stats.l1d_writes += 1;
-                self.stats.l1d_store_hits += 1;
-                self.tardis_store_visible(line, now);
-                return StoreWriteOutcome::Done;
-            }
-        } else if let Some((s2, w2)) = self.l2.lookup(line) {
-            if self.l2.way(s2, w2).state.can_write() {
-                // Write-allocate into L1D from the L2 and complete the
-                // write (the L2 round trip is folded into pipelined store
-                // handling).
+            // Write-allocate into the L1D from the L2 and complete the
+            // write (the L2 round trip is folded into pipelined store
+            // handling).
+            (None, Some((s2, w2))) => {
                 self.fill_l1_from_l2(line);
-                if let Some((s1, w1)) = self.l1d.lookup(line) {
-                    let (l, d) = self.l1d.way_and_data_mut(s1, w1);
-                    combine(d, data, mask);
-                    l.state = Mesi::Modified;
-                    l.dirty = true;
-                    self.l1d.touch(s1, w1);
-                    self.set_l2_state(line, Mesi::Modified);
+                let claimed = self.l1d.lookup(line);
+                if claimed.is_none() {
+                    // No L1D way could be claimed (fully pinned set): write
+                    // directly into the L2 copy instead of stalling forever.
+                    let (l2l, l2d) = self.l2.way_and_data_mut(s2, w2);
+                    combine(l2d, data, mask);
+                    l2l.state = Mesi::Modified;
+                    l2l.dirty = true;
                     self.stats.l1d_writes += 1;
-                    self.stats.l1d_store_hits += 1;
-                    self.tardis_store_visible(line, now);
+                    self.store_visible(line, now);
                     return StoreWriteOutcome::Done;
                 }
-                // No L1D way could be claimed (fully pinned set): write
-                // directly into the L2 copy instead of stalling forever.
-                let (l2l, l2d) = self.l2.way_and_data_mut(s2, w2);
-                combine(l2d, data, mask);
-                l2l.state = Mesi::Modified;
-                l2l.dirty = true;
-                self.stats.l1d_writes += 1;
-                self.tardis_store_visible(line, now);
-                return StoreWriteOutcome::Done;
+                claimed
             }
-        }
-        self.stats.l1d_store_misses += 1;
-        self.ensure_write_permission(line, false, now, net);
-        StoreWriteOutcome::NotYet
+            (None, None) => None,
+        };
+        let Some((set, way)) = hit else {
+            self.stats.l1d_store_misses += 1;
+            self.ensure_write_permission(line, false, now, net);
+            return StoreWriteOutcome::NotYet;
+        };
+        let (l, d) = self.l1d.way_and_data_mut(set, way);
+        combine(d, data, mask);
+        l.state = Mesi::Modified;
+        l.dirty = true;
+        self.l1d.touch(set, way);
+        self.set_l2_state(line, Mesi::Modified);
+        self.stats.l1d_writes += 1;
+        self.stats.l1d_store_hits += 1;
+        self.store_visible(line, now);
+        StoreWriteOutcome::Done
     }
 
     /// SSB drain: like [`PrivateCache::try_visible_store_write`] but also
@@ -912,19 +864,7 @@ impl PrivateCache {
         self.stats.unauth_allocs += 1;
         self.stats.l1d_writes += 1;
         if !getm_in_flight && !ready {
-            self.mshr_open(line, ReqKind::GetM, false);
-            net.send(
-                Node::Core(self.core),
-                Node::Dir,
-                now,
-                Msg::Req {
-                    core: self.core,
-                    line,
-                    kind: ReqKind::GetM,
-                    prefetch: false,
-                    pts: self.pts,
-                },
-            );
+            self.request(line, ReqKind::GetM, false, now, net);
         }
         Ok((set, way))
     }
@@ -992,19 +932,7 @@ impl PrivateCache {
         self.l1d.touch(set, way);
         self.stats.l1d_writes += 1;
         if needs_request {
-            self.mshr_open(line, ReqKind::GetM, false);
-            net.send(
-                Node::Core(self.core),
-                Node::Dir,
-                now,
-                Msg::Req {
-                    core: self.core,
-                    line,
-                    kind: ReqKind::GetM,
-                    prefetch: false,
-                    pts: self.pts,
-                },
-            );
+            self.request(line, ReqKind::GetM, false, now, net);
         }
         Ok((set, way))
     }
@@ -1012,22 +940,13 @@ impl PrivateCache {
     /// Makes a group of unauthorized lines visible to coherence *at once*
     /// (atomic-group visibility flip — resetting *not visible* bits in
     /// bulk, paper Section IV). Also answers any external requests that
-    /// were delayed on these lines.
+    /// were delayed on these lines. The caller begins the group with
+    /// [`PrivateCache::begin_store_group`] on the same lines first.
     ///
     /// # Panics
     ///
     /// Panics if any coordinate is not an unauthorized, ready line.
     pub fn make_visible(&mut self, coords: &[(usize, usize)], now: Cycle, net: &mut Network) {
-        // The whole group flips at one logical instant (see
-        // `tardis_group_store_begin`); no-op under MESI.
-        if self.tardis {
-            let mut floor = 0u64;
-            for &(set, way) in coords {
-                let line = self.l1d.line_at(set, way);
-                floor = floor.max(self.tardis_lease(line).rts + 1);
-            }
-            self.tardis_advance_pts(floor, now);
-        }
         for &(set, way) in coords {
             let line = self.l1d.line_at(set, way);
             let prev = {
@@ -1043,11 +962,7 @@ impl PrivateCache {
                 prev
             };
             self.trace_mesi(line, prev, Mesi::Modified, now);
-            // TUS × Tardis visibility rule: an unauthorized line's stores
-            // may not become visible at a logical time inside any read
-            // lease the line must respect — jump past the tracked rts and
-            // restamp the line at the writer's new logical time.
-            self.tardis_store_visible(line, now);
+            self.store_visible(line, now);
         }
         for &(set, way) in coords {
             // All flips precede all answers (a delayed external on one
@@ -1107,7 +1022,7 @@ impl PrivateCache {
         // Loads that read the (previously combined) line must replay: the
         // remote writer will change the base bytes.
         self.events.push(CacheEvent::Invalidated { line });
-        let lease = self.leases.remove(&line);
+        let lease = self.forget_lease(line);
         net.send(
             Node::Core(self.core),
             Node::Dir,
@@ -1132,19 +1047,7 @@ impl PrivateCache {
         if self.mshrs_full() {
             return false;
         }
-        self.mshr_open(line, ReqKind::GetM, false);
-        net.send(
-            Node::Core(self.core),
-            Node::Dir,
-            now,
-            Msg::Req {
-                core: self.core,
-                line,
-                kind: ReqKind::GetM,
-                prefetch: false,
-                pts: self.pts,
-            },
-        );
+        self.request(line, ReqKind::GetM, false, now, net);
         true
     }
 
@@ -1192,7 +1095,8 @@ impl PrivateCache {
         // extend the lease past it); the merged demand waiters stay
         // parked on the fresh MSHR. Write grants are exempt: the owner
         // may read its own modified copy at any clock.
-        if kind == ReqKind::GetS && lease.is_some_and(|l| l.rts < self.pts) {
+        let stale = lease.is_some_and(|l| self.clock.as_ref().is_some_and(|c| c.stale(l)));
+        if kind == ReqKind::GetS && stale {
             if let Some(d) = data {
                 net.recycle_data(d);
             }
@@ -1200,25 +1104,14 @@ impl PrivateCache {
                 // A stale prefetch is simply dropped.
                 return;
             }
-            self.stats.lease_renewals += 1;
             let ws = std::mem::take(&mut self.waiter_scratch);
-            let m = self.mshr_open(line, ReqKind::GetS, prefetch);
+            let m = self.request(line, ReqKind::GetS, prefetch, now, net);
             self.waiter_scratch = std::mem::replace(&mut m.waiters, ws);
-            net.send(
-                Node::Core(self.core),
-                Node::Dir,
-                now,
-                Msg::Req {
-                    core: self.core,
-                    line,
-                    kind: ReqKind::GetS,
-                    prefetch,
-                    pts: self.pts,
-                },
-            );
             return;
         }
-        self.tardis_record_lease(line, lease);
+        if let (Some(clock), Some(l)) = (&mut self.clock, lease) {
+            clock.record(line, l);
+        }
         let prev = self
             .l1d
             .lookup(line)
@@ -1263,7 +1156,7 @@ impl PrivateCache {
                 // than the store (younger loads are captured by SB/WCB/
                 // unauthorized-line forwarding at issue): they must read
                 // the PRE-store copy, which the L2 now holds.
-                self.tardis_read_touch(line, now);
+                self.read_touch(line, now);
                 let ws = std::mem::take(&mut self.waiter_scratch);
                 for w in &ws {
                     let v = self
@@ -1313,7 +1206,7 @@ impl PrivateCache {
             }
         }
         if !self.waiter_scratch.is_empty() {
-            self.tardis_read_touch(line, now);
+            self.read_touch(line, now);
         }
         let ws = std::mem::take(&mut self.waiter_scratch);
         for w in &ws {
@@ -1354,134 +1247,67 @@ impl PrivateCache {
     }
 
     // ------------------------------------------------------------------
-    // Tardis logical-timestamp bookkeeping (all no-ops under MESI)
+    // Tardis clock hooks (`backend::tardis::Clock`; under MESI each is
+    // one `Option` check)
     // ------------------------------------------------------------------
 
-    /// The lease this hierarchy holds for `line` (0,0 when untracked).
+    /// A read of `line` moves the Tardis clock to the line's `wts`.
     #[inline]
-    fn tardis_lease(&self, line: LineAddr) -> Lease {
-        self.leases
-            .get(&line)
-            .copied()
-            .unwrap_or(Lease { wts: 0, rts: 0 })
-    }
-
-    /// Records the lease a grant arrived with (component-wise max against
-    /// anything already tracked).
-    fn tardis_record_lease(&mut self, line: LineAddr, lease: Option<Lease>) {
-        let Some(l) = lease else { return };
-        let e = self.leases.entry(line).or_insert(Lease { wts: 0, rts: 0 });
-        e.wts = e.wts.max(l.wts);
-        e.rts = e.rts.max(l.rts);
-    }
-
-    /// Advances `pts` on a read of `line` (a read observes the line's
-    /// last write, so the clock moves to at least `wts`).
-    #[inline]
-    fn tardis_read_touch(&mut self, line: LineAddr, now: Cycle) {
-        if self.tardis {
-            let wts = self.tardis_lease(line).wts;
-            self.tardis_advance_pts(wts, now);
+    fn read_touch(&mut self, line: LineAddr, now: Cycle) {
+        if let Some(clock) = &self.clock {
+            self.advance_pts(clock.read_floor(line), now);
         }
     }
 
-    /// The TUS × Tardis visibility rule — the unauthorized-line/lease
-    /// interaction this backend exists to study: a store (a visibility
-    /// flip included) may not land at a logical time covered by any read
-    /// lease the line must respect, so the writer jumps to
-    /// `pts = max(pts, rts + 1)` and restamps the line `(wts, rts) =
-    /// (pts, pts)`. Called on every path that makes bytes visible to
-    /// coherence.
-    fn tardis_store_visible(&mut self, line: LineAddr, now: Cycle) {
-        if !self.tardis {
-            return;
+    /// A store to `line` became visible to coherence, on any path. The
+    /// TUS × Tardis visibility rule — the unauthorized-line/lease
+    /// interaction this backend exists to study: the store may not land
+    /// at a logical time covered by any read lease the line must respect,
+    /// so the clock jumps past the line's `rts` and the line is restamped
+    /// at the new `pts`.
+    fn store_visible(&mut self, line: LineAddr, now: Cycle) {
+        let Some(clock) = &self.clock else { return };
+        self.advance_pts(clock.store_floor([line]), now);
+        if let Some(clock) = &mut self.clock {
+            clock.stamp(line);
         }
-        let rts = self.tardis_lease(line).rts;
-        self.tardis_advance_pts(rts + 1, now);
-        let pts = self.pts;
-        self.leases.insert(line, Lease { wts: pts, rts: pts });
     }
 
-    /// Whether this controller runs the Tardis timestamp backend. The
-    /// system tick uses this to deliver expiry-sweep events generated by
-    /// the store drain in the *same* cycle (before commit); MESI keeps
-    /// its original one-cycle event delivery.
-    pub fn is_tardis(&self) -> bool {
-        self.tardis
+    /// Begins making a group of stores to `lines` visible: under Tardis
+    /// the clock jumps past every member line's read lease before any
+    /// member is written (`Clock::store_floor`), so no member lands
+    /// inside a lease that predates the group. The coalescing drains call
+    /// it before writing a group: CSB before a WCB flush, TUS before a
+    /// visibility flip.
+    pub fn begin_store_group(&mut self, lines: impl IntoIterator<Item = LineAddr>, now: Cycle) {
+        if let Some(clock) = &self.clock {
+            self.advance_pts(clock.store_floor(lines), now);
+        }
     }
 
-    /// TUS × Tardis atomic-group rule: a fused store group becomes
-    /// visible at *one* logical instant, so before any member is written
-    /// the clock jumps past every member line's read lease; the per-line
-    /// restamps that follow all land at the same `pts`. Stamping members
-    /// sequentially instead would place early members at a logical time
-    /// *before* older stores that fused later members into the group —
-    /// exactly the coalescing reordering TSO forbids (a reader could then
-    /// observe the merged value of an early member while a lease still
-    /// entitles it to pre-group values of a later member).
-    pub fn tardis_group_store_begin<I>(&mut self, lines: I, now: Cycle)
-    where
-        I: IntoIterator<Item = LineAddr>,
-    {
-        if !self.tardis {
-            return;
-        }
-        let mut floor = 0u64;
-        for line in lines {
-            floor = floor.max(self.tardis_lease(line).rts + 1);
-        }
-        self.tardis_advance_pts(floor, now);
-    }
-
-    /// Advances the logical clock to `candidate` (if ahead) and performs
-    /// the **eager self-downgrade sweep**: every plain shared copy whose
-    /// lease ended before the new `pts` is dropped *now*, emitting
-    /// [`CacheEvent::Invalidated`] so speculatively bound loads replay.
-    ///
-    /// Eagerness is load-bearing for TSO: Tardis sends no invalidations,
-    /// so an expired copy that lingered would never trigger the machine
-    /// clear that x86-style load→load ordering relies on. Expiring at the
-    /// clock edge reuses the exact replay machinery invalidations drive
-    /// under MESI.
-    ///
-    /// One pass over the lease map: a copy the hierarchy can write (M/E —
-    /// the owner is the timestamp authority and never self-downgrades)
-    /// gets `rts = pts` in place, so the sweep does not flag it again.
-    /// Only the other lapsed leases are collected for
-    /// [`PrivateCache::tardis_expire`]. Splitting the two is exact:
-    /// expiring one line never changes another line's writability,
-    /// unauth or locked bit, or MSHR.
-    fn tardis_advance_pts(&mut self, candidate: u64, now: Cycle) {
-        if !self.tardis || candidate <= self.pts {
-            return;
-        }
-        let pts = candidate;
-        self.pts = pts;
-        let mut expired = std::mem::take(&mut self.expire_scratch);
-        expired.clear();
+    /// Advances the Tardis clock to `to` and drops every copy whose lease
+    /// lapsed ([`Clock::advance`]).
+    fn advance_pts(&mut self, to: u64, now: Cycle) {
+        let Some(clock) = &mut self.clock else { return };
         let (l1d, l2) = (&self.l1d, &self.l2);
-        for (&line, lease) in self.leases.iter_mut() {
-            if lease.rts < pts {
-                if writable_in(l1d, l2, line) {
-                    lease.rts = pts;
-                } else {
-                    expired.push(line);
-                }
-            }
+        let Some(lapsed) = clock.advance(to, |line| writable_in(l1d, l2, line)) else {
+            return;
+        };
+        for &line in &lapsed {
+            self.self_downgrade(line, now);
         }
-        // Deterministic sweep order regardless of hash-map iteration (the
-        // addresses are unique, so an unstable sort is as good).
-        expired.sort_unstable_by_key(|l| l.raw());
-        for &line in &expired {
-            self.tardis_expire(line, now);
+        if let Some(clock) = &mut self.clock {
+            clock.recycle(lapsed);
         }
-        self.expire_scratch = expired;
     }
 
-    /// Drops one expired copy the hierarchy cannot write, unless the line
-    /// is exempt: unauthorized or locked (woven into the TUS machinery),
-    /// or mid-upgrade (an MSHR in flight will refresh the lease on grant).
-    fn tardis_expire(&mut self, line: LineAddr, now: Cycle) {
+    /// Drops a copy whose lease lapsed and which the hierarchy cannot
+    /// write, emitting [`CacheEvent::Invalidated`] so speculatively bound
+    /// loads replay. Semantically a silent PutS: the home tracks no
+    /// sharers, so no message is sent. Exempt are unauthorized or locked
+    /// lines (woven into the TUS machinery) and lines mid-upgrade (an MSHR
+    /// in flight will refresh the lease on grant).
+    fn self_downgrade(&mut self, line: LineAddr, now: Cycle) {
         let unauth_or_locked = self.l1d.lookup(line).is_some_and(|(s, w)| {
             let l = self.l1d.way(s, w);
             l.unauth || l.locked
@@ -1500,13 +1326,15 @@ impl PrivateCache {
             self.l2.way_mut(s, w).clear();
             held = true;
         }
-        self.leases.remove(&line);
+        self.forget_lease(line);
         if held {
-            // Semantically a silent PutS: the home tracks no sharers, so
-            // no message is sent — only the local replay machinery fires.
-            self.stats.lease_expiries += 1;
             self.events.push(CacheEvent::Invalidated { line });
         }
+    }
+
+    /// Stops tracking `line`'s lease, returning it for the home.
+    fn forget_lease(&mut self, line: LineAddr) -> Option<Lease> {
+        self.clock.as_mut().and_then(|c| c.forget(line))
     }
 
     /// Grant-hold window in cycles: an external request arriving within
@@ -1548,12 +1376,7 @@ impl PrivateCache {
                 if writable {
                     // The TUS conflict case: consult the authorization unit.
                     *self.pending_fwd.insert(line) = PendingFwd { kind, to_owner };
-                    self.events.push(CacheEvent::ExternalConflict {
-                        line,
-                        set,
-                        way,
-                        kind: ConflictKind::from(kind),
-                    });
+                    self.events.push(CacheEvent::ExternalConflict { line, set, way });
                     return;
                 }
                 // Unauthorized over a shared (or already lost) base copy:
@@ -1567,7 +1390,7 @@ impl PrivateCache {
                 }
                 self.events.push(CacheEvent::Invalidated { line });
                 self.respond_fwd(line, None, to_owner, now, net);
-                self.leases.remove(&line);
+                self.forget_lease(line);
                 return;
             }
         }
@@ -1608,7 +1431,7 @@ impl PrivateCache {
                     self.events.push(CacheEvent::Invalidated { line });
                 }
                 self.respond_fwd(line, data, f.to_owner, now, net);
-                self.leases.remove(&line);
+                self.forget_lease(line);
             }
             FwdKind::Downgrade => {
                 if let Some((s, w)) = l1 {
@@ -1640,7 +1463,7 @@ impl PrivateCache {
                 line,
                 data,
                 relinquished: false,
-                lease: self.leases.get(&line).copied(),
+                lease: self.clock.as_ref().and_then(|c| c.lease(line)),
             }
         } else {
             Msg::InvAck {
@@ -1786,7 +1609,7 @@ impl PrivateCache {
             self.l1d.clear_way(s1, w1);
         }
         self.l2.clear_way(set, way);
-        let lease = self.leases.remove(&line);
+        let lease = self.forget_lease(line);
         if state != Mesi::Invalid {
             self.stats.l2_evictions += 1;
             let payload = if dirty {
@@ -1838,14 +1661,27 @@ impl PrivateCache {
 mod tests {
     use super::*;
     use crate::system::MemorySystem;
-    use tus_sim::{CoreId, SimConfig, SimRng};
+    use tus_sim::{CoherenceKind, SimConfig, SimRng};
 
     fn sys(cores: usize) -> MemorySystem {
+        sys_on(cores, CoherenceKind::Mesi)
+    }
+
+    fn sys_on(cores: usize, coherence: CoherenceKind) -> MemorySystem {
         let cfg = SimConfig::builder()
             .cores(cores)
             .scale_caches_down(64)
+            .coherence(coherence)
             .build();
         MemorySystem::new(&cfg, &mut SimRng::seed(7))
+    }
+
+    /// Installs `line` in `arr` in `state`, bypassing the protocol.
+    fn put(arr: &mut CacheArray, line: LineAddr, state: Mesi) -> (usize, usize) {
+        let (s, w) = arr.victim(line).expect("room");
+        arr.install(s, w, line);
+        arr.way_mut(s, w).state = state;
+        (s, w)
     }
 
     fn settle(s: &mut MemorySystem, from: u64, budget: u64) -> u64 {
@@ -2102,12 +1938,8 @@ mod tests {
     /// the line with an MSHR in flight are kept with their leases.
     #[test]
     fn pts_advance_expires_only_plain_shared_copies() {
-        let cfg = SimConfig::builder()
-            .cores(1)
-            .scale_caches_down(64)
-            .coherence(tus_sim::CoherenceKind::Tardis)
-            .build();
-        let mut c = PrivateCache::new(CoreId::new(0), &cfg);
+        let mut s = sys_on(1, CoherenceKind::Tardis);
+        let (c, net) = (&mut s.ctrls[0], &mut s.net);
         let [shared, owned, unauth, upgrading] = [0x10, 0x11, 0x12, 0x13].map(LineAddr::new);
         let stale = Lease { wts: 1, rts: 5 };
         for (line, state) in [
@@ -2117,37 +1949,186 @@ mod tests {
             (upgrading, Mesi::Shared),
         ] {
             if state != Mesi::Invalid {
-                let (s, w) = c.l2.victim(line).expect("room");
-                c.l2.install(s, w, line);
-                c.l2.way_mut(s, w).state = state;
+                put(&mut c.l2, line, state);
             }
-            let (s, w) = c.l1d.victim(line).expect("room");
-            c.l1d.install(s, w, line);
-            let l = c.l1d.way_mut(s, w);
-            l.state = state;
-            l.unauth = line == unauth;
-            c.leases.insert(line, stale);
+            let (s, w) = put(&mut c.l1d, line, state);
+            c.l1d.way_mut(s, w).unauth = line == unauth;
+            c.clock.as_mut().expect("tardis").record(line, stale);
         }
-        c.mshr_open(upgrading, ReqKind::GetM, false);
+        c.request(upgrading, ReqKind::GetM, false, Cycle::ZERO, net);
 
-        c.tardis_advance_pts(10, Cycle::ZERO);
+        c.advance_pts(10, Cycle::ZERO);
 
-        assert_eq!(c.logical_ts(), 10);
         let evs = c.take_events();
         assert!(
             matches!(evs[..], [CacheEvent::Invalidated { line }] if line == shared),
             "{evs:?}"
         );
-        assert_eq!(c.stats.lease_expiries, 1);
         assert!(c.l1d.lookup(shared).is_none() && c.l2.lookup(shared).is_none());
-        assert!(!c.leases.contains_key(&shared));
-        assert_eq!(c.leases[&owned], Lease { wts: 1, rts: 10 });
+        let clock = c.clock.as_ref().expect("tardis");
+        assert_eq!(clock.pts(), 10);
+        assert_eq!(clock.lease(shared), None);
+        assert_eq!(clock.lease(owned), Some(Lease { wts: 1, rts: 10 }));
         assert_eq!(c.line_state(owned), Some((Mesi::Modified, false, false)));
         assert_eq!(c.line_state(unauth), Some((Mesi::Invalid, true, false)));
-        assert_eq!(c.leases[&unauth], stale);
+        assert_eq!(clock.lease(unauth), Some(stale));
         assert_eq!(c.line_state(upgrading), Some((Mesi::Shared, false, false)));
-        assert_eq!(c.leases[&upgrading], stale);
+        assert_eq!(clock.lease(upgrading), Some(stale));
         assert!(c.request_in_flight(upgrading));
+    }
+
+    /// The group rule: two unauthorized member lines leased to `rts` 5
+    /// and 9 on a core at `pts` 0 both become visible at `pts` 10,
+    /// restamped `(10, 10)`; clearing each line's own lease alone would
+    /// put the first at 6. (With no L2 copy the hierarchy cannot write
+    /// the members, so the group's advance leaves their leases as they
+    /// are.)
+    #[test]
+    fn store_group_clears_every_member_lease_first() {
+        let mut s = sys_on(1, CoherenceKind::Tardis);
+        let (c, net) = (&mut s.ctrls[0], &mut s.net);
+        let [a, b] = [0x20, 0x21].map(LineAddr::new);
+        let mut coords = Vec::new();
+        for (line, rts) in [(a, 5), (b, 9)] {
+            let (set, way) = put(&mut c.l1d, line, Mesi::Modified);
+            let l = c.l1d.way_mut(set, way);
+            l.unauth = true;
+            l.ready = true;
+            c.clock.as_mut().expect("tardis").record(line, Lease { wts: 1, rts });
+            coords.push((set, way));
+        }
+
+        c.begin_store_group([a, b], Cycle::ZERO);
+        c.make_visible(&coords, Cycle::ZERO, net);
+
+        let clock = c.clock.as_ref().expect("tardis");
+        assert_eq!(clock.pts(), 10);
+        for line in [a, b] {
+            assert_eq!(clock.lease(line), Some(Lease { wts: 10, rts: 10 }));
+            assert_eq!(c.line_state(line), Some((Mesi::Modified, false, false)));
+        }
+    }
+
+    /// `store_write_class` is the event kernel's read-only mirror of
+    /// `write_line_visible`: in every hierarchy state, the write then does
+    /// what the class says. `WouldComplete` completes; `BlockedWouldRequest`
+    /// opens one MSHR; `BlockedCounting` only counts a store miss;
+    /// `BlockedQuiet` moves no counter.
+    #[test]
+    fn store_write_class_predicts_write_line_visible() {
+        use StoreAttemptClass::*;
+        let line = LineAddr::new(0x40);
+        type Setup = fn(&mut PrivateCache, &mut Network, LineAddr);
+        let cases: [(&str, Setup, StoreAttemptClass); 10] = [
+            (
+                "L1 M",
+                |c, _, line| {
+                    put(&mut c.l2, line, Mesi::Modified);
+                    put(&mut c.l1d, line, Mesi::Modified);
+                },
+                WouldComplete,
+            ),
+            (
+                "L1 E",
+                |c, _, line| {
+                    put(&mut c.l2, line, Mesi::Exclusive);
+                    put(&mut c.l1d, line, Mesi::Exclusive);
+                },
+                WouldComplete,
+            ),
+            (
+                "L1 S, L2 M",
+                |c, _, line| {
+                    put(&mut c.l2, line, Mesi::Modified);
+                    put(&mut c.l1d, line, Mesi::Shared);
+                },
+                WouldComplete,
+            ),
+            (
+                "L1 S, L2 S",
+                |c, _, line| {
+                    put(&mut c.l2, line, Mesi::Shared);
+                    put(&mut c.l1d, line, Mesi::Shared);
+                },
+                BlockedWouldRequest,
+            ),
+            (
+                "L1 unauthorized",
+                |c, net, line| {
+                    let d = line_data(1);
+                    c.unauthorized_alloc(line, &d, full_mask(), Cycle::ZERO, net)
+                        .expect("allocates");
+                },
+                BlockedQuiet,
+            ),
+            (
+                "L2-only M",
+                |c, _, line| {
+                    put(&mut c.l2, line, Mesi::Modified);
+                },
+                WouldComplete,
+            ),
+            (
+                "L2-only M, L1D set pinned",
+                |c, _, line| {
+                    put(&mut c.l2, line, Mesi::Modified);
+                    let sets = c.l1d.sets() as u64;
+                    for k in 1..=c.l1d.ways() as u64 {
+                        let other = LineAddr::new(line.raw() + k * sets);
+                        let (s, w) = put(&mut c.l1d, other, Mesi::Invalid);
+                        c.l1d.way_mut(s, w).unauth = true;
+                    }
+                },
+                WouldComplete,
+            ),
+            (
+                "miss, GetM in flight",
+                |c, net, line| {
+                    c.ensure_write_permission(line, false, Cycle::ZERO, net);
+                },
+                BlockedCounting,
+            ),
+            (
+                "miss, MSHRs full",
+                |c, net, line| {
+                    for k in 1..=c.mshrs as u64 {
+                        let other = LineAddr::new(line.raw() + 0x1000 * k);
+                        c.request(other, ReqKind::GetS, false, Cycle::ZERO, net);
+                    }
+                },
+                BlockedCounting,
+            ),
+            ("cold miss", |_, _, _| {}, BlockedWouldRequest),
+        ];
+        for (name, setup, expected) in cases {
+            let mut s = sys(1);
+            let (c, net) = (&mut s.ctrls[0], &mut s.net);
+            setup(c, net, line);
+            let class = c.store_write_class(line);
+            assert_eq!(class, expected, "{name}");
+            let (stats, mshrs) = (c.export_stats(), c.outstanding_requests());
+            let misses = c.stats.l1d_store_misses;
+            let out = c.write_line_visible(line, &line_data(9), full_mask(), Cycle::ZERO, net);
+            let new_mshrs = c.outstanding_requests() - mshrs;
+            match class {
+                WouldComplete => assert_eq!(out, StoreWriteOutcome::Done, "{name}"),
+                BlockedWouldRequest => {
+                    assert_eq!(out, StoreWriteOutcome::NotYet, "{name}");
+                    assert_eq!(new_mshrs, 1, "{name}");
+                    assert!(c.request_in_flight(line), "{name}");
+                }
+                BlockedCounting => {
+                    assert_eq!(out, StoreWriteOutcome::NotYet, "{name}");
+                    assert_eq!(c.stats.l1d_store_misses, misses + 1, "{name}");
+                    assert_eq!(new_mshrs, 0, "{name}");
+                }
+                BlockedQuiet => {
+                    assert_eq!(out, StoreWriteOutcome::NotYet, "{name}");
+                    assert_eq!(c.export_stats(), stats, "{name}");
+                    assert_eq!(new_mshrs, 0, "{name}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -566,14 +566,6 @@ pub fn check_case_model(case: &FuzzCase, cfg: &CheckConfig) -> CheckReport {
     check_program(&case.program, &case.addrs, cfg)
 }
 
-/// The model-diff as a shrinking predicate: `Some` iff `case` fails the
-/// check. Plugs into [`crate::fuzz::shrink_with`] so `check` findings
-/// are minimized by the same shrinker the fuzzer uses, then persisted
-/// in the corpus format for `fuzz --replay`.
-pub fn model_failure(case: &FuzzCase, cfg: &CheckConfig) -> Option<CaseFailure> {
-    check_case_model(case, cfg).first_failure()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

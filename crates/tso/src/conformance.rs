@@ -89,37 +89,14 @@ fn compile_thread(ops: &[LOp], addrs: &[Addr], rng: &mut SimRng, max_pad: u64) -
 
 /// Runs `prog` once with locations mapped through `addrs` (one 8-byte
 /// slot per location; distinct locations may share a cache line or
-/// collide in the lex order — that is the point of custom maps).
+/// collide in the lex order — that is the point of custom maps), at one
+/// point of the policy × kernel × backend conformance matrix. Verdicts
+/// and outcomes must depend on neither the kernel nor the backend: a
+/// Tardis lease is a *visibility* mechanism, not a memory-model change.
 ///
 /// # Panics
 ///
 /// Panics if `addrs` is shorter than the program's location count.
-pub fn try_run_once_at(
-    prog: &Program,
-    addrs: &[Addr],
-    policy: PolicyKind,
-    seed: u64,
-) -> RunVerdict {
-    try_run_once_at_kernel(prog, addrs, policy, seed, KernelKind::default())
-}
-
-/// [`try_run_once_at`] under an explicit simulation kernel. Verdicts and
-/// outcomes must not depend on the kernel; the fuzzer exploits this by
-/// sweeping the same corpus through both kernels.
-pub fn try_run_once_at_kernel(
-    prog: &Program,
-    addrs: &[Addr],
-    policy: PolicyKind,
-    seed: u64,
-    kernel: KernelKind,
-) -> RunVerdict {
-    try_run_once_matrix(prog, addrs, policy, seed, kernel, CoherenceKind::default())
-}
-
-/// [`try_run_once_at_kernel`] under an explicit coherence backend — the
-/// full point in the policy × kernel × backend conformance matrix.
-/// TSO-allowed outcome sets must not depend on the backend either: a
-/// Tardis lease is a *visibility* mechanism, not a memory-model change.
 pub fn try_run_once_matrix(
     prog: &Program,
     addrs: &[Addr],
@@ -176,35 +153,6 @@ pub fn try_run_once_matrix(
     RunVerdict::Outcome(Outcome { regs, mem })
 }
 
-/// Runs `prog` once with the default one-line-per-location map.
-pub fn try_run_once(prog: &Program, policy: PolicyKind, seed: u64) -> RunVerdict {
-    try_run_once_at(prog, &default_addrs(prog), policy, seed)
-}
-
-/// Runs `prog` once on the simulator and extracts its outcome.
-///
-/// # Panics
-///
-/// Panics on timeout or truncated register collection — use
-/// [`try_run_once`] where a hang must be recorded instead of aborting.
-pub fn run_once(prog: &Program, policy: PolicyKind, seed: u64) -> Outcome {
-    match try_run_once(prog, policy, seed) {
-        RunVerdict::Outcome(o) => o,
-        RunVerdict::Timeout(r) => panic!("litmus run timed out:\n{r}"),
-        RunVerdict::Truncated {
-            thread,
-            expected,
-            got,
-        } => panic!("thread {thread} collected {got}/{expected} load values"),
-    }
-}
-
-/// Runs `prog` across `seeds` timing variations, collecting the distinct
-/// outcomes the simulator produces.
-pub fn observe_outcomes(prog: &Program, policy: PolicyKind, seeds: u64) -> BTreeSet<Outcome> {
-    (0..seeds).map(|s| run_once(prog, policy, s)).collect()
-}
-
 /// The verdict of a conformance run.
 #[derive(Debug, Clone)]
 pub struct ConformanceReport {
@@ -246,36 +194,17 @@ impl ConformanceReport {
 }
 
 /// Checks that `prog` on the simulator under `policy` only produces
-/// TSO-allowed outcomes across `seeds` timing variations.
+/// TSO-allowed outcomes across `seeds` timing variations, with the
+/// default address map, kernel and backend.
 pub fn check_conformance(prog: &Program, policy: PolicyKind, seeds: u64) -> ConformanceReport {
-    check_conformance_at(prog, &default_addrs(prog), policy, seeds)
+    let (kernel, coherence) = (KernelKind::default(), CoherenceKind::default());
+    check_conformance_matrix(prog, &default_addrs(prog), policy, seeds, kernel, coherence)
 }
 
-/// [`check_conformance`] with a custom location→address map. The
-/// reference set depends only on the program (addresses change timing
-/// and lex-order interactions, never TSO semantics), so the same
-/// axiomatic set applies to every map.
-pub fn check_conformance_at(
-    prog: &Program,
-    addrs: &[Addr],
-    policy: PolicyKind,
-    seeds: u64,
-) -> ConformanceReport {
-    check_conformance_at_kernel(prog, addrs, policy, seeds, KernelKind::default())
-}
-
-/// [`check_conformance_at`] under an explicit simulation kernel.
-pub fn check_conformance_at_kernel(
-    prog: &Program,
-    addrs: &[Addr],
-    policy: PolicyKind,
-    seeds: u64,
-    kernel: KernelKind,
-) -> ConformanceReport {
-    check_conformance_matrix(prog, addrs, policy, seeds, kernel, CoherenceKind::default())
-}
-
-/// [`check_conformance_at_kernel`] under an explicit coherence backend.
+/// [`check_conformance`] with a custom location→address map, kernel and
+/// backend. The reference set depends only on the program (addresses
+/// change timing and lex-order interactions, never TSO semantics), so
+/// the same axiomatic set applies to every map.
 pub fn check_conformance_matrix(
     prog: &Program,
     addrs: &[Addr],
@@ -370,7 +299,10 @@ mod tests {
             ld(1),
             ld(0),
         ])]);
-        let o = run_once(&p, PolicyKind::Tus, 3);
+        let (kernel, coherence) = (KernelKind::default(), CoherenceKind::default());
+        let o = try_run_once_matrix(&p, &default_addrs(&p), PolicyKind::Tus, 3, kernel, coherence)
+            .outcome()
+            .expect("run completes");
         assert_eq!(o.regs, vec![vec![5, 6, 5]]);
         assert_eq!(o.mem, vec![5, 6]);
     }
@@ -385,11 +317,10 @@ mod tests {
         {
             for policy in [PolicyKind::Baseline, PolicyKind::Tus] {
                 let addrs = default_addrs(&t.program);
-                let lock = check_conformance_at_kernel(
-                    &t.program, &addrs, policy, 8, KernelKind::Lockstep,
-                );
-                let event =
-                    check_conformance_at_kernel(&t.program, &addrs, policy, 8, KernelKind::Event);
+                let mesi = CoherenceKind::default();
+                let [lock, event] = [KernelKind::Lockstep, KernelKind::Event].map(|k| {
+                    check_conformance_matrix(&t.program, &addrs, policy, 8, k, mesi)
+                });
                 assert!(lock.conforms() && event.conforms(), "{} non-conforming", t.name);
                 assert_eq!(
                     lock.observed, event.observed,

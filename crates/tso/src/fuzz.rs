@@ -216,20 +216,10 @@ impl std::fmt::Display for CaseFailure {
 /// Differentially checks `case` under one policy across `seeds` timing
 /// variations; `None` means every run completed and stayed within TSO.
 pub fn check_policy(case: &FuzzCase, policy: PolicyKind, seeds: u64) -> Option<CaseFailure> {
-    check_policy_kernel(case, policy, seeds, KernelKind::default())
+    check_policy_matrix(case, policy, seeds, KernelKind::default(), CoherenceKind::default())
 }
 
-/// [`check_policy`] under an explicit simulation kernel.
-pub fn check_policy_kernel(
-    case: &FuzzCase,
-    policy: PolicyKind,
-    seeds: u64,
-    kernel: KernelKind,
-) -> Option<CaseFailure> {
-    check_policy_matrix(case, policy, seeds, kernel, CoherenceKind::default())
-}
-
-/// [`check_policy_kernel`] under an explicit coherence backend — one
+/// [`check_policy`] under an explicit kernel and coherence backend — one
 /// point of the policy × kernel × backend differential matrix.
 pub fn check_policy_matrix(
     case: &FuzzCase,
@@ -272,16 +262,11 @@ fn first_failure(policy: PolicyKind, report: &ConformanceReport) -> Option<CaseF
 
 /// Differentially checks `case` across **all five** drain policies.
 pub fn check_case(case: &FuzzCase, seeds: u64) -> Option<CaseFailure> {
-    check_case_kernel(case, seeds, KernelKind::default())
+    check_case_matrix(case, seeds, KernelKind::default(), CoherenceKind::default())
 }
 
-/// [`check_case`] under an explicit simulation kernel.
-pub fn check_case_kernel(case: &FuzzCase, seeds: u64, kernel: KernelKind) -> Option<CaseFailure> {
-    check_case_matrix(case, seeds, kernel, CoherenceKind::default())
-}
-
-/// [`check_case_kernel`] under an explicit coherence backend: all five
-/// drain policies, one kernel, one backend. The reference set depends
+/// [`check_case`] under an explicit kernel and coherence backend: all
+/// five drain policies, one kernel, one backend. The reference set depends
 /// only on the program, so it is computed once for all five.
 pub fn check_case_matrix(
     case: &FuzzCase,
@@ -793,8 +778,9 @@ mod tests {
         let mut rng = SimRng::seed(0xBEEF);
         for i in 0..4 {
             let case = generate_case(&mut rng);
-            let lock = check_case_kernel(&case, 3, KernelKind::Lockstep);
-            let event = check_case_kernel(&case, 3, KernelKind::Event);
+            let mesi = CoherenceKind::default();
+            let lock = check_case_matrix(&case, 3, KernelKind::Lockstep, mesi);
+            let event = check_case_matrix(&case, 3, KernelKind::Event, mesi);
             assert_eq!(
                 lock.is_none(),
                 event.is_none(),

@@ -37,9 +37,7 @@ pub use check::{
     check_case_model, check_program, explore_policy, Bound, CheckConfig, CheckOutcome,
     CheckReport, CheckStats, PolicyCheck,
 };
-pub use conformance::{
-    check_conformance, check_conformance_at, observe_outcomes, ConformanceReport, RunVerdict,
-};
+pub use conformance::{check_conformance, ConformanceReport, RunVerdict};
 pub use fuzz::{
     check_case, decode_case, encode_case, generate_case, shrink_case, shrink_with, CaseFailure,
     CorpusEntry, FailureKind, FuzzCase,
