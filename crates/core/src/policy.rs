@@ -170,7 +170,7 @@ impl Policy {
     /// change any buffer, cache, network, or counter state, or `None`
     /// when nothing will change until another component acts first (the
     /// event kernel's per-policy contract; see
-    /// [`tus_sim::Schedulable`] for the conservatism rules).
+    /// [`tus_sim::sched`] for the conservatism rules).
     pub fn next_work(&self, sb: &StoreBuffer, ctrl: &PrivateCache, now: Cycle) -> Option<Cycle> {
         match self {
             Policy::Baseline(p) => p.next_work(sb, ctrl, now),

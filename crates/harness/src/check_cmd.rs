@@ -3,7 +3,7 @@
 //! Drives [`tus_tso::check`] from the command line: collects programs
 //! from the persisted fuzz corpus (`--corpus DIR`), the litmus library
 //! (`--litmus all|NAME[,NAME]`) and/or a seeded generator sweep
-//! (`--fuzz N`), and checks each one — every policy's observable machine
+//! (`--programs N`), and checks each one — every policy's observable machine
 //! enumerated exhaustively and diffed against the x86-TSO reference set
 //! with exact equality, plus a sampled simulator cross-check.
 //!
@@ -18,12 +18,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimRng};
+use tus_sim::{PolicyKind, SimRng};
 use tus_tso::check::{check_program_policies, CheckConfig, CheckOutcome, CheckReport, CheckStats};
 use tus_tso::fuzz::{decode_case, encode_case, generate_case, shrink_with, FuzzCase};
 use tus_tso::conformance::default_addrs;
 use tus_tso::litmus::all_litmus_tests;
 
+use crate::args::{
+    parse_cli, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY, SEED,
+};
+use crate::errors::HarnessError;
 use crate::executor::Executor;
 
 /// Timing-seed count recorded in persisted check repros — generous, so a
@@ -39,7 +43,7 @@ pub struct CheckOptions {
     /// Litmus selection: `all` or comma-separated test names.
     pub litmus: Option<String>,
     /// Generated programs to check (rejection-sampled to the bounds).
-    pub fuzz: u64,
+    pub programs: u64,
     /// Base seed for the generated programs.
     pub base_seed: u64,
     /// Exploration bounds and toggles.
@@ -61,7 +65,7 @@ impl Default for CheckOptions {
         CheckOptions {
             corpus: None,
             litmus: None,
-            fuzz: 0,
+            programs: 0,
             base_seed: 0,
             config: CheckConfig::default(),
             policy: None,
@@ -73,80 +77,66 @@ impl Default for CheckOptions {
     }
 }
 
-fn check_usage() -> ! {
-    eprintln!(
-        "usage: tus-harness check [--corpus DIR] [--litmus all|NAME[,NAME]] [--fuzz N] [--seed N]\n\
-         \x20                       [--max-threads N] [--max-ops N] [--max-states N] [--seeds N]\n\
-         \x20                       [--no-reduction] [--no-lazy] [--stats] [--policy P]\n\
-         \x20                       [--kernel K] [--coherence C] [--out DIR] [--jobs N] [--no-shrink]\n\
-         enumerates every reachable outcome of each policy's observable semantics\n\
-         for the selected programs and requires exact equality with the x86-TSO\n\
-         reference set (defaults: --max-threads 3 --max-ops 8, litmus bounds are\n\
-         auto-raised to cover the library); violations are shrunk and persisted\n\
-         under <out>/fuzz-corpus/ for `fuzz --replay`"
-    );
-    std::process::exit(2);
-}
+/// `tus-harness check` and the `Check` request.
+pub static CHECK: Command = Command {
+    name: "check",
+    positional: None,
+    flags: &[
+        Flag::value("--corpus", "corpus", "DIR"),
+        Flag::value("--litmus", "litmus", "all|NAME[,NAME]"),
+        Flag::value("--programs", "programs", "N"),
+        SEED,
+        Flag::value("--max-threads", "max_threads", "N"),
+        Flag::value("--max-ops", "max_ops", "N"),
+        Flag::value("--max-states", "max_states", "N"),
+        Flag::value("--seeds", "seeds", "N"),
+        Flag::sets("--no-reduction", "reduction", "0"),
+        Flag::sets("--no-lazy", "lazy", "0"),
+        POLICY,
+        KERNEL,
+        COHERENCE,
+        Flag::sets("--stats", "stats", "1").cli(),
+        OUT,
+        JOBS,
+        NO_SHRINK,
+    ],
+    about: "enumerates every reachable outcome of each policy's observable semantics\n\
+            for the selected programs and requires exact equality with the x86-TSO\n\
+            reference set (defaults: --max-threads 3 --max-ops 8, litmus bounds are\n\
+            auto-raised to cover the library); violations are shrunk and persisted\n\
+            under <out>/fuzz-corpus/ for `fuzz --replay`",
+};
 
-/// Parses the arguments following the `check` keyword.
-pub fn parse_check_args(args: &[String]) -> CheckOptions {
-    let mut opt = CheckOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> u64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("check: {name} needs a number");
-                check_usage()
-            })
-        };
-        match a.as_str() {
-            "--corpus" => opt.corpus = Some(it.next().unwrap_or_else(|| check_usage()).into()),
-            "--litmus" => opt.litmus = Some(it.next().unwrap_or_else(|| check_usage()).clone()),
-            "--fuzz" => opt.fuzz = num("--fuzz"),
-            "--seed" => opt.base_seed = num("--seed"),
-            "--max-threads" => opt.config.max_threads = (num("--max-threads") as usize).max(1),
-            "--max-ops" => opt.config.max_ops = (num("--max-ops") as usize).max(1),
-            "--max-states" => opt.config.max_states = num("--max-states").max(1),
-            "--seeds" => opt.config.sim_seeds = num("--seeds"),
-            "--no-reduction" => opt.config.reduction = false,
-            "--no-lazy" => opt.config.lazy = false,
-            "--no-shrink" => opt.shrink = false,
-            "--stats" => opt.stats = true,
-            "--jobs" => opt.jobs = (num("--jobs") as usize).max(1),
-            "--out" => opt.out = it.next().unwrap_or_else(|| check_usage()).into(),
-            "--policy" => {
-                let label = it.next().unwrap_or_else(|| check_usage());
-                opt.policy = Some(
-                    PolicyKind::ALL
-                        .into_iter()
-                        .find(|p| p.label().eq_ignore_ascii_case(label))
-                        .unwrap_or_else(|| {
-                            eprintln!("check: unknown policy {label:?}");
-                            check_usage()
-                        }),
-                );
-            }
-            "--kernel" => {
-                let label = it.next().unwrap_or_else(|| check_usage());
-                opt.config.kernel = KernelKind::parse(label).unwrap_or_else(|| {
-                    eprintln!("check: unknown kernel {label:?}");
-                    check_usage()
-                });
-            }
-            "--coherence" => {
-                let label = it.next().unwrap_or_else(|| check_usage());
-                opt.config.coherence = CoherenceKind::parse(label).unwrap_or_else(|| {
-                    eprintln!("check: unknown coherence backend {label:?}");
-                    check_usage()
-                });
-            }
-            _ => check_usage(),
+impl CheckOptions {
+    /// The options a `check` command line or a `Check` request gives,
+    /// over `base`. With no program source set, the source is the whole
+    /// litmus library.
+    pub fn from_args(mut args: Args<'_>, base: CheckOptions) -> Result<CheckOptions, HarnessError> {
+        let mut opt = base;
+        opt.corpus = args.str("corpus").map(PathBuf::from).or(opt.corpus);
+        opt.litmus = args.str("litmus").map(str::to_owned).or(opt.litmus);
+        opt.programs = args.num("programs")?.unwrap_or(opt.programs);
+        opt.base_seed = args.num("seed")?.unwrap_or(opt.base_seed);
+        let cfg = &mut opt.config;
+        cfg.max_threads = args.num("max_threads")?.map_or(cfg.max_threads, |n: usize| n.max(1));
+        cfg.max_ops = args.num("max_ops")?.map_or(cfg.max_ops, |n: usize| n.max(1));
+        cfg.max_states = args.num("max_states")?.map_or(cfg.max_states, |n: u64| n.max(1));
+        cfg.sim_seeds = args.num("seeds")?.unwrap_or(cfg.sim_seeds);
+        cfg.reduction = args.switch("reduction")?.unwrap_or(cfg.reduction);
+        cfg.lazy = args.switch("lazy")?.unwrap_or(cfg.lazy);
+        cfg.kernel = args.kernel()?.unwrap_or(cfg.kernel);
+        cfg.coherence = args.coherence()?.unwrap_or(cfg.coherence);
+        opt.policy = args.policy()?.or(opt.policy);
+        opt.stats = args.switch("stats")?.unwrap_or(opt.stats);
+        opt.out = args.str("out").map_or(opt.out, PathBuf::from);
+        opt.jobs = args.num("jobs")?.map_or(opt.jobs, |n: usize| n.max(1));
+        opt.shrink = args.switch("shrink")?.unwrap_or(opt.shrink);
+        args.finish()?;
+        if opt.corpus.is_none() && opt.litmus.is_none() && opt.programs == 0 {
+            opt.litmus = Some("all".into());
         }
+        Ok(opt)
     }
-    if opt.corpus.is_none() && opt.litmus.is_none() && opt.fuzz == 0 {
-        opt.litmus = Some("all".into());
-    }
-    opt
 }
 
 /// One program queued for checking.
@@ -256,13 +246,13 @@ pub fn collect_jobs(opt: &CheckOptions, cfg: &mut CheckConfig) -> Result<Vec<Che
             });
         }
     }
-    if opt.fuzz > 0 {
+    if opt.programs > 0 {
         // Rejection-sample the general generator down to the bounds: the
         // same program shapes the fuzzer sweeps, now checked exhaustively.
         let mut index = 0u64;
         let mut accepted = 0u64;
-        let budget = opt.fuzz.saturating_mul(64).max(1024);
-        while accepted < opt.fuzz && index < budget {
+        let budget = opt.programs.saturating_mul(64).max(1024);
+        while accepted < opt.programs && index < budget {
             let mut rng = SimRng::seed(opt.base_seed).fork(index.wrapping_add(1));
             index += 1;
             let case = generate_case(&mut rng);
@@ -274,10 +264,10 @@ pub fn collect_jobs(opt: &CheckOptions, cfg: &mut CheckConfig) -> Result<Vec<Che
                 accepted += 1;
             }
         }
-        if accepted < opt.fuzz {
+        if accepted < opt.programs {
             return Err(format!(
                 "generator produced only {accepted}/{} in-bound programs in {budget} attempts",
-                opt.fuzz
+                opt.programs
             ));
         }
     }
@@ -513,20 +503,27 @@ pub fn run_check(opt: &CheckOptions) -> i32 {
 }
 
 /// Entry point called from `main` for `tus-harness check ...`.
-pub fn main_check(args: &[String]) -> ! {
-    let opt = parse_check_args(args);
-    std::process::exit(run_check(&opt));
+pub fn main_check(argv: &[String]) -> ! {
+    let build = |args: Args<'_>| CheckOptions::from_args(args, CheckOptions::default());
+    let opt = parse_cli(&CHECK, "tus-harness check", argv, build)
+        .unwrap_or_else(|code| std::process::exit(code));
+    std::process::exit(run_check(&opt))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tus_sim::{CoherenceKind, KernelKind};
     use tus_tso::check::Bound;
 
+    fn cli(argv: &[String]) -> Result<CheckOptions, HarnessError> {
+        CheckOptions::from_args(Args::from_argv(&CHECK, argv)?, CheckOptions::default())
+    }
+
     #[test]
-    fn parse_check_args_covers_flags() {
+    fn check_flags_cover_options() {
         let args: Vec<String> = [
-            "--corpus", "/tmp/corpus", "--litmus", "SB,MP", "--fuzz", "7", "--seed", "3",
+            "--corpus", "/tmp/corpus", "--litmus", "SB,MP", "--programs", "7", "--seed", "3",
             "--max-threads", "4", "--max-ops", "10", "--max-states", "5000", "--seeds", "2",
             "--no-reduction", "--no-lazy", "--stats", "--policy", "csb", "--kernel", "lockstep",
             "--coherence", "tardis", "--out", "/tmp/o", "--jobs", "2", "--no-shrink",
@@ -534,10 +531,10 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = parse_check_args(&args);
+        let o = cli(&args).unwrap();
         assert_eq!(o.corpus, Some(PathBuf::from("/tmp/corpus")));
         assert_eq!(o.litmus.as_deref(), Some("SB,MP"));
-        assert_eq!(o.fuzz, 7);
+        assert_eq!(o.programs, 7);
         assert_eq!(o.base_seed, 3);
         assert_eq!(o.config.max_threads, 4);
         assert_eq!(o.config.max_ops, 10);
@@ -556,7 +553,7 @@ mod tests {
 
     #[test]
     fn default_source_is_the_full_litmus_library() {
-        let o = parse_check_args(&[]);
+        let o = cli(&[]).unwrap();
         assert_eq!(o.litmus.as_deref(), Some("all"));
         assert_eq!(o.config.max_threads, 3);
         assert_eq!(o.config.max_ops, 8);
@@ -606,7 +603,7 @@ mod tests {
     #[test]
     fn fuzz_source_respects_bounds() {
         let opt = CheckOptions {
-            fuzz: 10,
+            programs: 10,
             litmus: None,
             config: CheckConfig { sim_seeds: 0, ..CheckConfig::default() },
             ..CheckOptions::default()

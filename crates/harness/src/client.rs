@@ -16,7 +16,14 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use crate::args::{bad, usage_error, Args, Command};
+use crate::check_cmd::CHECK;
+use crate::errors::HarnessError;
+use crate::experiments::EXPERIMENT;
+use crate::fuzz_cmd::FUZZ;
 use crate::protocol::{decode_error, read_frame, write_frame, Frame, FrameKind, ReadOutcome};
+use crate::serve::POINT;
+use crate::trace_cmd::TRACE;
 
 /// Where the daemon lives.
 #[derive(Debug, Clone)]
@@ -44,161 +51,95 @@ pub struct ClientOptions {
     pub out: Option<PathBuf>,
 }
 
-fn client_usage() -> ! {
-    eprintln!(
+/// What `client <action>` sends for each action that carries settings:
+/// the request kind and the argument table its flags are checked against.
+const REQUESTS: [(FrameKind, &Command); 5] = [
+    (FrameKind::RunPoint, &POINT),
+    (FrameKind::Experiment, &EXPERIMENT),
+    (FrameKind::FuzzSweep, &FUZZ),
+    (FrameKind::Check, &CHECK),
+    (FrameKind::TraceCapture, &TRACE),
+];
+
+/// The client's usage text, its actions' flags taken from their tables.
+fn usage() -> String {
+    let mut s = String::from(
         "usage: tus-harness client (--connect HOST:PORT | --socket PATH) [--wait SECS] <action>\n\
-         actions:\n\
-         \x20 ping [MESSAGE]\n\
-         \x20 point WORKLOAD --policy base|SSB|CSB|SPB|TUS [--sb N] [--quick|--normal|--full]\n\
-         \x20       [--seed N] [--kernel K] [--coherence mesi|tardis] [--budget CYCLES]\n\
-         \x20       [--wall-ms MS]\n\
-         \x20 experiment NAME [--quick|--normal|--full] [--seed N] [--kernel K]\n\
-         \x20       [--coherence C] [--parallel-cap N]\n\
-         \x20 fuzz [--programs N] [--seeds N] [--seed N] [--policy P] [--kernel K] [--coherence C]\n\
-         \x20 check [--litmus all|NAME[,NAME]] [--corpus DIR] [--programs N] [--seed N]\n\
-         \x20       [--max-threads N] [--max-ops N] [--max-states N] [--seeds N]\n\
-         \x20       [--no-reduction] [--no-lazy] [--policy P] [--kernel K] [--coherence C]\n\
-         \x20 trace WORKLOAD [--policy P] [--sb N] [--insts N] [--seed N] [--kernel K]\n\
-         \x20       [--coherence C] [--budget CYCLES] [--out FILE]\n\
-         \x20 counters\n\
-         \x20 shutdown\n\
-         exit codes: 0 success, 1 structured error reply (or fuzz violations), 2 usage/IO"
+         actions:\n  ping [MESSAGE]\n",
     );
-    std::process::exit(2);
+    for (_, cmd) in REQUESTS {
+        let mut head = format!("  {}", cmd.name);
+        if let Some(key) = cmd.positional {
+            head = format!("{head} {}", key.to_ascii_uppercase());
+        }
+        s.push_str(&cmd.synopsis(&head, false));
+        s.push_str(" [--out FILE]\n");
+    }
+    s.push_str(
+        "  counters\n  shutdown\n\
+         exit codes: 0 success, 1 structured error reply (or fuzz violations), 2 usage/IO",
+    );
+    s
 }
 
-/// Collects `key=value\n` header lines from flag/value pairs.
-struct Headers(String);
-
-impl Headers {
-    fn new() -> Self {
-        Headers(String::new())
-    }
-    fn push(&mut self, key: &str, value: &str) {
-        self.0.push_str(key);
-        self.0.push('=');
-        self.0.push_str(value);
-        self.0.push('\n');
-    }
-}
-
-/// Parses the arguments following the `client` keyword.
-pub fn parse_client_args(args: &[String]) -> ClientOptions {
-    let mut target: Option<Target> = None;
-    let mut wait = None;
-    let mut out = None;
-    let mut it = args.iter().peekable();
-
-    // Connection flags come first, then the action and its flags.
-    while let Some(a) = it.peek() {
-        match a.as_str() {
-            "--connect" => {
-                it.next();
-                target = Some(Target::Tcp(it.next().unwrap_or_else(|| client_usage()).clone()));
-            }
-            "--socket" => {
-                it.next();
-                target = Some(Target::Unix(it.next().unwrap_or_else(|| client_usage()).into()));
-            }
-            "--wait" => {
-                it.next();
-                let secs: f64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|s: &f64| s.is_finite() && *s >= 0.0)
-                    .unwrap_or_else(|| client_usage());
-                wait = Some(Duration::from_secs_f64(secs));
-            }
-            _ => break,
-        }
-    }
-    let Some(target) = target else { client_usage() };
-    let Some(action) = it.next() else { client_usage() };
-
-    // Shared flag plumbing: most actions accept the same spec knobs.
-    let mut h = Headers::new();
-    let mut positional: Option<&String> = None;
-    let mut is_fuzz = false;
-    let kind = match action.as_str() {
-        "ping" => {
-            if let Some(msg) = it.next() {
-                h.0.push_str(msg);
-            }
-            FrameKind::Ping
-        }
-        "point" | "trace" | "experiment" | "fuzz" | "check" => {
-            while let Some(a) = it.next() {
-                let mut val = |name: &str| -> String {
-                    it.next().cloned().unwrap_or_else(|| {
-                        eprintln!("client: {name} needs a value");
-                        client_usage()
-                    })
-                };
-                match a.as_str() {
-                    "--policy" => h.push("policy", &val("--policy")),
-                    "--sb" => h.push("sb", &val("--sb")),
-                    "--seed" => h.push("seed", &val("--seed")),
-                    "--kernel" => h.push("kernel", &val("--kernel")),
-                    "--coherence" => h.push("coherence", &val("--coherence")),
-                    "--budget" => h.push("budget", &val("--budget")),
-                    "--wall-ms" => h.push("wall_ms", &val("--wall-ms")),
-                    "--insts" => h.push("insts", &val("--insts")),
-                    "--programs" => h.push("programs", &val("--programs")),
-                    "--seeds" => h.push("seeds", &val("--seeds")),
-                    "--parallel-cap" => h.push("parallel_cap", &val("--parallel-cap")),
-                    "--litmus" => h.push("litmus", &val("--litmus")),
-                    "--corpus" => h.push("corpus", &val("--corpus")),
-                    "--max-threads" => h.push("max_threads", &val("--max-threads")),
-                    "--max-ops" => h.push("max_ops", &val("--max-ops")),
-                    "--max-states" => h.push("max_states", &val("--max-states")),
-                    "--no-reduction" => h.push("reduction", "0"),
-                    "--no-lazy" => h.push("lazy", "0"),
-                    "--quick" => h.push("scale", "quick"),
-                    "--normal" => h.push("scale", "normal"),
-                    "--full" => h.push("scale", "full"),
-                    "--out" => out = Some(PathBuf::from(val("--out"))),
-                    w if !w.starts_with('-') && positional.is_none() => positional = Some(a),
-                    _ => client_usage(),
-                }
-            }
-            match action.as_str() {
-                "point" => {
-                    h.push("workload", positional.unwrap_or_else(|| client_usage()));
-                    FrameKind::RunPoint
-                }
-                "trace" => {
-                    h.push("workload", positional.unwrap_or_else(|| client_usage()));
-                    FrameKind::TraceCapture
-                }
-                "experiment" => {
-                    h.push("name", positional.unwrap_or_else(|| client_usage()));
-                    FrameKind::Experiment
-                }
-                "fuzz" => {
-                    is_fuzz = true;
-                    FrameKind::FuzzSweep
-                }
+impl ClientOptions {
+    /// Parses the arguments following the `client` keyword. The action's
+    /// flags are checked against its table and forwarded as header pairs;
+    /// the daemon judges their values.
+    pub fn parse(argv: &[String]) -> Result<ClientOptions, HarnessError> {
+        let mut target = None;
+        let mut wait = None;
+        let mut rest = argv;
+        // Connection flags come first, then the action and its flags.
+        while let Some((flag, tail)) = rest
+            .split_first()
+            .filter(|(f, _)| matches!(f.as_str(), "--connect" | "--socket" | "--wait"))
+        {
+            let (value, tail) = tail
+                .split_first()
+                .ok_or_else(|| bad(format!("{flag} needs a value")))?;
+            match flag.as_str() {
+                "--connect" => target = Some(Target::Tcp(value.clone())),
+                "--socket" => target = Some(Target::Unix(value.into())),
                 _ => {
-                    // `check` replies also carry a `violations=` header;
-                    // a violating sweep exits 1 exactly like `fuzz`.
-                    is_fuzz = true;
-                    FrameKind::Check
+                    let secs = value
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|s| s.is_finite() && *s >= 0.0)
+                        .ok_or_else(|| bad(format!("--wait {value:?} is not a duration")))?;
+                    wait = Some(Duration::from_secs_f64(secs));
                 }
             }
+            rest = tail;
         }
-        "counters" => FrameKind::Counters,
-        "shutdown" => FrameKind::Shutdown,
-        _ => client_usage(),
-    };
-    if it.next().is_some() {
-        client_usage();
-    }
-    ClientOptions {
-        target,
-        wait,
-        request: (kind, h.0),
-        is_fuzz,
-        out,
+        let target = target.ok_or_else(|| bad("needs --connect or --socket".into()))?;
+        let (action, rest) = rest.split_first().ok_or_else(|| bad("needs an action".into()))?;
+        let (request, out) = match (action.as_str(), rest) {
+            ("ping", [] | [_]) => ((FrameKind::Ping, rest.concat()), None),
+            ("counters", []) => ((FrameKind::Counters, String::new()), None),
+            ("shutdown", []) => ((FrameKind::Shutdown, String::new()), None),
+            (name, _) => {
+                let &(kind, cmd) = REQUESTS
+                    .iter()
+                    .find(|(_, c)| c.name == name)
+                    .ok_or_else(|| bad(format!("unknown action or arguments: {name}")))?;
+                let mut args = Args::from_argv(cmd, rest)?;
+                if let Some(key) = cmd.positional {
+                    args.require(key)?;
+                }
+                let out = args.str("out").map(PathBuf::from);
+                ((kind, args.into_headers()?), out)
+            }
+        };
+        Ok(ClientOptions {
+            target,
+            wait,
+            // `check` replies also carry a `violations=` header; a
+            // violating sweep exits 1 exactly like `fuzz`.
+            is_fuzz: matches!(request.0, FrameKind::FuzzSweep | FrameKind::Check),
+            request,
+            out,
+        })
     }
 }
 
@@ -316,9 +257,11 @@ fn finish(opt: &ClientOptions, frame: &Frame) -> i32 {
 }
 
 /// Entry point for `tus-harness client ...`.
-pub fn main_client(args: &[String]) -> ! {
-    let opt = parse_client_args(args);
-    std::process::exit(run_client(&opt));
+pub fn main_client(argv: &[String]) -> ! {
+    match ClientOptions::parse(argv) {
+        Ok(opt) => std::process::exit(run_client(&opt)),
+        Err(e) => std::process::exit(usage_error("client", &e, &usage())),
+    }
 }
 
 #[cfg(test)]
@@ -331,11 +274,11 @@ mod tests {
 
     #[test]
     fn parse_point_request() {
-        let o = parse_client_args(&strings(&[
+        let o = ClientOptions::parse(&strings(&[
             "--connect", "127.0.0.1:9", "--wait", "2", "point", "502.gcc1-like", "--policy",
             "tus", "--sb", "32", "--quick", "--seed", "7", "--budget", "1000", "--coherence",
             "tardis",
-        ]));
+        ])).unwrap();
         assert!(matches!(o.target, Target::Tcp(ref a) if a == "127.0.0.1:9"));
         assert_eq!(o.wait, Some(Duration::from_secs(2)));
         assert_eq!(o.request.0, FrameKind::RunPoint);
@@ -351,24 +294,24 @@ mod tests {
 
     #[test]
     fn parse_experiment_and_fuzz_and_plain_actions() {
-        let o = parse_client_args(&strings(&[
+        let o = ClientOptions::parse(&strings(&[
             "--socket", "/tmp/t.sock", "experiment", "fig10", "--quick",
-        ]));
+        ])).unwrap();
         assert!(matches!(o.target, Target::Unix(_)));
         assert_eq!(o.request.0, FrameKind::Experiment);
         assert!(o.request.1.contains("name=fig10\n"));
 
-        let o = parse_client_args(&strings(&[
+        let o = ClientOptions::parse(&strings(&[
             "--connect", "h:1", "fuzz", "--programs", "5", "--seeds", "2",
-        ]));
+        ])).unwrap();
         assert_eq!(o.request.0, FrameKind::FuzzSweep);
         assert!(o.is_fuzz);
 
-        let o = parse_client_args(&strings(&[
+        let o = ClientOptions::parse(&strings(&[
             "--connect", "h:1", "check", "--litmus", "SB,MP", "--corpus", "results/fuzz-corpus",
             "--max-threads", "4", "--max-ops", "10", "--max-states", "5000", "--no-reduction",
             "--no-lazy", "--programs", "3",
-        ]));
+        ])).unwrap();
         assert_eq!(o.request.0, FrameKind::Check);
         assert!(o.is_fuzz, "check exits 1 on violations like fuzz");
         for line in [
@@ -382,18 +325,18 @@ mod tests {
             );
         }
 
-        let o = parse_client_args(&strings(&["--connect", "h:1", "ping", "hello"]));
+        let o = ClientOptions::parse(&strings(&["--connect", "h:1", "ping", "hello"])).unwrap();
         assert_eq!(o.request, (FrameKind::Ping, "hello".to_owned()));
 
-        let o = parse_client_args(&strings(&["--connect", "h:1", "shutdown"]));
+        let o = ClientOptions::parse(&strings(&["--connect", "h:1", "shutdown"])).unwrap();
         assert_eq!(o.request.0, FrameKind::Shutdown);
-        let o = parse_client_args(&strings(&["--connect", "h:1", "counters"]));
+        let o = ClientOptions::parse(&strings(&["--connect", "h:1", "counters"])).unwrap();
         assert_eq!(o.request.0, FrameKind::Counters);
     }
 
     #[test]
     fn fuzz_reply_violation_count_drives_exit_code() {
-        let opt = parse_client_args(&strings(&["--connect", "h:1", "fuzz"]));
+        let opt = ClientOptions::parse(&strings(&["--connect", "h:1", "fuzz"])).unwrap();
         let clean = Frame {
             kind: FrameKind::FuzzDone,
             body: "programs=5\nviolations=0\n".into(),

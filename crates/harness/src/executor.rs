@@ -31,7 +31,7 @@ use tus_sim::hash::fx_hash_one;
 use tus_sim::StatSet;
 
 use crate::errors::{panic_message, HarnessError};
-use crate::runner::{run, try_run_budget, try_run_wall, RunResult, RunSpec};
+use crate::runner::{run, try_run_limited, RunResult, RunSpec};
 
 /// Locks a mutex, recovering the data on poisoning.
 ///
@@ -201,31 +201,20 @@ impl Executor {
     }
 
     /// Executes (or recalls) a single spec under an optional per-request
-    /// cycle budget, returning structured errors instead of panicking.
+    /// cycle budget and wall-clock deadline of `wall_ms` milliseconds (the
+    /// daemon's `budget=` and `wall_ms=` request headers), returning
+    /// structured errors instead of panicking.
     ///
     /// This is the daemon's request path: an unknown-ly long or
     /// deadlocked run comes back as [`HarnessError::Deadlock`] (carrying
-    /// the full [`tus::DeadlockReport`]), a panicking job as
-    /// [`HarnessError::JobPanicked`] — either way the executor, its memo
-    /// and its disk cache remain fully usable for the next request.
-    /// Successful results are memoized exactly like [`Executor::run_many`]
-    /// (a budget only decides whether a run *finishes*; it cannot change
-    /// a finished run's bytes, so budget is not a memo-key dimension).
-    pub fn try_run_one(
-        &self,
-        spec: &RunSpec,
-        budget: Option<u64>,
-    ) -> Result<RunResult, HarnessError> {
-        self.try_run_one_wall(spec, budget, None)
-    }
-
-    /// [`Executor::try_run_one`] additionally bounded by a wall-clock
-    /// deadline of `wall_ms` milliseconds (the daemon's `wall_ms=`
-    /// request header). Expiry comes back as [`HarnessError::Deadlock`]
-    /// carrying a [`tus::DeadlockKind::WallClockExpired`] report; an
-    /// expired run is never cached (only whether a run *finishes* can
-    /// change, not a finished run's bytes, so wall limits — like cycle
-    /// budgets — are not a memo-key dimension).
+    /// the full [`tus::DeadlockReport`], a
+    /// [`tus::DeadlockKind::WallClockExpired`] one on expiry), a panicking
+    /// job as [`HarnessError::JobPanicked`] — either way the executor, its
+    /// memo and its disk cache remain fully usable for the next request.
+    /// Successful results are memoized exactly like [`Executor::run_many`];
+    /// a failed attempt is never cached. Limits only decide whether a run
+    /// *finishes*, not a finished run's bytes, so neither is a memo-key
+    /// dimension.
     pub fn try_run_one_wall(
         &self,
         spec: &RunSpec,
@@ -245,10 +234,7 @@ impl Executor {
                 return Ok(r);
             }
         }
-        match std::panic::catch_unwind(AssertUnwindSafe(|| match wall_ms {
-            Some(ms) => try_run_wall(spec, budget, ms),
-            None => try_run_budget(spec, budget),
-        })) {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| try_run_limited(spec, budget, wall_ms))) {
             Ok(Ok(r)) => {
                 self.executed.fetch_add(1, Ordering::Relaxed);
                 self.store_cached(&key, &r);
@@ -597,9 +583,9 @@ mod tests {
         }
 
         // The single-spec daemon path reports the same panic structurally.
-        let err = ex.try_run_one(&bomb, None).expect_err("bomb via try_run_one");
+        let err = ex.try_run_one_wall(&bomb, None, None).expect_err("bomb via the daemon path");
         assert!(matches!(err, HarnessError::JobPanicked { .. }));
-        assert!(ex.try_run_one(&good, None).is_ok());
+        assert!(ex.try_run_one_wall(&good, None, None).is_ok());
     }
 
     /// A truncated or bit-flipped `.runcache` entry must behave as a
@@ -647,7 +633,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `try_run_one` is the daemon's request path: budget exhaustion is a
+    /// `try_run_one_wall` is the daemon's request path: budget exhaustion is a
     /// structured error, a successful result is memoized so a repeat is
     /// free, and the failed attempt is never cached.
     #[test]
@@ -655,13 +641,13 @@ mod tests {
         let ex = Executor::new(1, None);
         let spec = quick_spec("502.gcc1-like", PolicyKind::Tus, 114);
         let err = ex
-            .try_run_one(&spec, Some(50))
+            .try_run_one_wall(&spec, Some(50), None)
             .expect_err("50 cycles cannot finish");
         assert!(matches!(err, HarnessError::Deadlock(_)));
         assert_eq!(ex.counters().executed, 0, "a failed run is not counted or cached");
 
-        let a = ex.try_run_one(&spec, None).expect("default budget");
-        let b = ex.try_run_one(&spec, None).expect("memo hit");
+        let a = ex.try_run_one_wall(&spec, None, None).expect("default budget");
+        let b = ex.try_run_one_wall(&spec, None, None).expect("memo hit");
         let c = ex.counters();
         assert_eq!(c.executed, 1);
         assert_eq!(c.memo_hits, 1);

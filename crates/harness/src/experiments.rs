@@ -13,13 +13,18 @@
 //! SPEC/PARSEC reference runs; here the *shape* is the target (see
 //! `EXPERIMENTS.md` for the paper-vs-measured record).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use tus_energy::{sb_area, sb_search_energy, woq_area, woq_search_energy};
 use tus_sim::stats::geomean;
 use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimConfig};
 use tus_workloads::{all_single, parsec16, sb_bound_single, Workload};
 
+use crate::args::{
+    bad, Args, Command, Flag, COHERENCE, FULL, JOBS, KERNEL, NORMAL, NO_CACHE, OUT, QUICK, SEED,
+    TRACING,
+};
+use crate::errors::HarnessError;
 use crate::executor::Executor;
 use crate::runner::{RunResult, RunSpec, Scale, Tweak};
 use crate::table::Table;
@@ -45,6 +50,14 @@ pub struct Options {
     /// under `tardis` are expected to differ. The `coherence` experiment
     /// sweeps both backends explicitly regardless of this option.
     pub coherence: CoherenceKind,
+    /// The CLI executor's worker threads (`--jobs`; CLI only).
+    pub jobs: usize,
+    /// Whether the CLI executor uses the on-disk run cache (CLI only).
+    pub cache: bool,
+    /// `bench-hotpath`'s throughput floor (`--min-sims-per-sec`; CLI only).
+    pub min_sims_per_sec: Option<f64>,
+    /// Arm the event recorder in every simulation (`--trace`; CLI only).
+    pub trace: bool,
 }
 
 impl Default for Options {
@@ -56,7 +69,61 @@ impl Default for Options {
             parallel_cap: None,
             kernel: KernelKind::default(),
             coherence: CoherenceKind::default(),
+            jobs: Executor::default_jobs(),
+            cache: true,
+            min_sims_per_sec: None,
+            trace: false,
         }
+    }
+}
+
+/// An experiment command line (`tus-harness <experiment>`) and the
+/// `Experiment` request (`client experiment NAME`).
+pub static EXPERIMENT: Command = Command {
+    name: "experiment",
+    positional: Some("name"),
+    flags: &[
+        QUICK,
+        NORMAL,
+        FULL,
+        SEED,
+        OUT,
+        Flag::value("--parallel-cap", "parallel_cap", "N"),
+        JOBS,
+        NO_CACHE,
+        KERNEL,
+        COHERENCE,
+        TRACING,
+        Flag::value("--min-sims-per-sec", "min_sims_per_sec", "X").cli(),
+    ],
+    about: "regenerates one table or figure of the paper's evaluation (`all`: every one)\n\
+            and writes its CSVs under --out; `bench-hotpath` runs `all` cold and appends\n\
+            its throughput to <out>/BENCH_hotpath.json",
+};
+
+impl Options {
+    /// The experiment name and options an experiment command line or an
+    /// `Experiment` request gives, over `base`.
+    pub fn from_args<'a>(mut args: Args<'a>, base: Options) -> Result<(&'a str, Options), HarnessError> {
+        let name = args.require("name")?;
+        let mut opt = base;
+        opt.scale = args.scale()?.unwrap_or(opt.scale);
+        opt.seed = args.num("seed")?.unwrap_or(opt.seed);
+        opt.out = args.str("out").map_or(opt.out, PathBuf::from);
+        opt.parallel_cap = args.num("parallel_cap")?.or(opt.parallel_cap);
+        opt.kernel = args.kernel()?.unwrap_or(opt.kernel);
+        opt.coherence = args.coherence()?.unwrap_or(opt.coherence);
+        opt.jobs = args.count("jobs")?.unwrap_or(opt.jobs);
+        opt.cache = args.switch("cache")?.unwrap_or(opt.cache);
+        opt.min_sims_per_sec = match args.num::<f64>("min_sims_per_sec")? {
+            Some(x) if !(x.is_finite() && x >= 0.0) => {
+                return Err(bad(format!("min_sims_per_sec={x} is not a rate >= 0")))
+            }
+            x => x.or(opt.min_sims_per_sec),
+        };
+        opt.trace = args.switch("trace")?.unwrap_or(opt.trace);
+        args.finish()?;
+        Ok((name, opt))
     }
 }
 

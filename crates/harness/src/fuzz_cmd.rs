@@ -21,6 +21,10 @@ use tus_tso::fuzz::{
     shrink_case_matrix, CaseFailure, FailureKind, FuzzCase,
 };
 
+use crate::args::{
+    parse_cli, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY, SEED, TRACING,
+};
+use crate::errors::HarnessError;
 use crate::executor::Executor;
 
 /// Parsed `fuzz` subcommand options.
@@ -54,6 +58,9 @@ pub struct FuzzOptions {
     /// conformance must hold under *every* backend, so a tardis sweep is
     /// a first-class leg of the differential matrix, not a variant.
     pub coherence: CoherenceKind,
+    /// Arm the event recorder in every simulation of the process
+    /// (`--trace`; observation-only).
+    pub trace: bool,
 }
 
 impl Default for FuzzOptions {
@@ -70,78 +77,54 @@ impl Default for FuzzOptions {
             shrink: true,
             kernel: KernelKind::default(),
             coherence: CoherenceKind::default(),
+            trace: false,
         }
     }
 }
 
-fn fuzz_usage() -> ! {
-    eprintln!(
-        "usage: tus-harness fuzz [--programs N] [--seeds N] [--seed N] [--jobs N]\n\
-         \x20                      [--policy base|SSB|CSB|SPB|TUS] [--out DIR]\n\
-         \x20                      [--replay FILE] [--save-corpus N] [--no-shrink]\n\
-         \x20                      [--kernel lockstep|event]\n\
-         \x20                      [--coherence mesi|tardis] [--trace]\n\
-         checks N random litmus programs across all five policies against the\n\
-         x86-TSO reference model; failures are shrunk and persisted under\n\
-         <out>/fuzz-corpus/ as replayable files"
-    );
-    std::process::exit(2);
-}
+/// `tus-harness fuzz` and the `FuzzSweep` request.
+pub static FUZZ: Command = Command {
+    name: "fuzz",
+    positional: None,
+    flags: &[
+        Flag::value("--programs", "programs", "N"),
+        Flag::value("--seeds", "seeds", "N"),
+        SEED,
+        POLICY,
+        KERNEL,
+        COHERENCE,
+        JOBS,
+        OUT,
+        Flag::value("--replay", "replay", "FILE").cli(),
+        Flag::value("--save-corpus", "save_corpus", "N").cli(),
+        NO_SHRINK,
+        TRACING,
+    ],
+    about: "checks N random litmus programs across all five policies against the\n\
+            x86-TSO reference model; failures are shrunk and persisted under\n\
+            <out>/fuzz-corpus/ as replayable files",
+};
 
-fn parse_policy(label: &str) -> Option<PolicyKind> {
-    PolicyKind::ALL
-        .into_iter()
-        .find(|p| p.label().eq_ignore_ascii_case(label))
-}
-
-/// Parses the arguments following the `fuzz` keyword.
-pub fn parse_fuzz_args(args: &[String]) -> FuzzOptions {
-    let mut opt = FuzzOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> u64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("fuzz: {name} needs a number");
-                    fuzz_usage()
-                })
-        };
-        match a.as_str() {
-            "--programs" => opt.programs = num("--programs"),
-            "--seeds" => opt.seeds = num("--seeds").max(1),
-            "--seed" => opt.base_seed = num("--seed"),
-            "--jobs" => opt.jobs = (num("--jobs") as usize).max(1),
-            "--policy" => {
-                let label = it.next().unwrap_or_else(|| fuzz_usage());
-                opt.policy = Some(parse_policy(label).unwrap_or_else(|| {
-                    eprintln!("fuzz: unknown policy {label:?}");
-                    fuzz_usage()
-                }));
-            }
-            "--out" => opt.out = it.next().unwrap_or_else(|| fuzz_usage()).into(),
-            "--replay" => opt.replay = Some(it.next().unwrap_or_else(|| fuzz_usage()).into()),
-            "--save-corpus" => opt.save_corpus = num("--save-corpus"),
-            "--no-shrink" => opt.shrink = false,
-            "--trace" => tus::set_trace_default(true),
-            "--kernel" => {
-                let label = it.next().unwrap_or_else(|| fuzz_usage());
-                opt.kernel = KernelKind::parse(label).unwrap_or_else(|| {
-                    eprintln!("fuzz: unknown kernel {label:?}");
-                    fuzz_usage()
-                });
-            }
-            "--coherence" => {
-                let label = it.next().unwrap_or_else(|| fuzz_usage());
-                opt.coherence = CoherenceKind::parse(label).unwrap_or_else(|| {
-                    eprintln!("fuzz: unknown coherence backend {label:?}");
-                    fuzz_usage()
-                });
-            }
-            _ => fuzz_usage(),
-        }
+impl FuzzOptions {
+    /// The options a `fuzz` command line or a `FuzzSweep` request gives,
+    /// over `base`.
+    pub fn from_args(mut args: Args<'_>, base: FuzzOptions) -> Result<FuzzOptions, HarnessError> {
+        let mut opt = base;
+        opt.programs = args.num("programs")?.unwrap_or(opt.programs);
+        opt.seeds = args.num("seeds")?.map_or(opt.seeds, |n: u64| n.max(1));
+        opt.base_seed = args.num("seed")?.unwrap_or(opt.base_seed);
+        opt.policy = args.policy()?.or(opt.policy);
+        opt.kernel = args.kernel()?.unwrap_or(opt.kernel);
+        opt.coherence = args.coherence()?.unwrap_or(opt.coherence);
+        opt.jobs = args.num("jobs")?.map_or(opt.jobs, |n: usize| n.max(1));
+        opt.out = args.str("out").map_or(opt.out, PathBuf::from);
+        opt.replay = args.str("replay").map(PathBuf::from).or(opt.replay);
+        opt.save_corpus = args.num("save_corpus")?.unwrap_or(opt.save_corpus);
+        opt.shrink = args.switch("shrink")?.unwrap_or(opt.shrink);
+        opt.trace = args.switch("trace")?.unwrap_or(opt.trace);
+        args.finish()?;
+        Ok(opt)
     }
-    opt
 }
 
 /// The RNG for program `index`: index-stable (workers may pick programs
@@ -389,9 +372,14 @@ pub fn run_fuzz(opt: &FuzzOptions) -> i32 {
 }
 
 /// Entry point called from `main` for `tus-harness fuzz ...`.
-pub fn main_fuzz(args: &[String]) -> ! {
-    let opt = parse_fuzz_args(args);
-    std::process::exit(run_fuzz(&opt));
+pub fn main_fuzz(argv: &[String]) -> ! {
+    let build = |args: Args<'_>| FuzzOptions::from_args(args, FuzzOptions::default());
+    let opt = parse_cli(&FUZZ, "tus-harness fuzz", argv, build)
+        .unwrap_or_else(|code| std::process::exit(code));
+    if opt.trace {
+        tus::set_trace_default(true);
+    }
+    std::process::exit(run_fuzz(&opt))
 }
 
 #[cfg(test)]
@@ -408,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_fuzz_args_covers_flags() {
+    fn fuzz_flags_cover_options() {
         let args: Vec<String> = [
             "--programs", "10", "--seeds", "4", "--seed", "9", "--jobs", "2", "--policy", "tus",
             "--out", "/tmp/x", "--no-shrink", "--kernel", "lockstep", "--coherence", "tardis",
@@ -416,7 +404,8 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = parse_fuzz_args(&args);
+        let o = FuzzOptions::from_args(Args::from_argv(&FUZZ, &args).unwrap(), FuzzOptions::default())
+            .unwrap();
         assert_eq!(o.programs, 10);
         assert_eq!(o.seeds, 4);
         assert_eq!(o.base_seed, 9);

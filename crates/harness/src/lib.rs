@@ -29,6 +29,7 @@
 //! frames, over-budget runs, even panicking simulations — come back as
 //! structured [`HarnessError`] replies, never a dead process.
 
+pub mod args;
 pub mod check_cmd;
 pub mod client;
 pub mod errors;

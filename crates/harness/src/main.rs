@@ -1,25 +1,21 @@
 //! `tus-harness` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! tus-harness <experiment> [--quick|--full] [--seed N] [--out DIR]
+//! tus-harness <experiment> [--quick|--normal|--full] [--seed N] [--out DIR]
 //!             [--parallel-cap N] [--jobs N] [--no-cache] [--kernel K]
-//!             [--coherence C]
-//! tus-harness fuzz [--programs N] [--seeds N] [--seed N] [--jobs N]
-//!             [--policy P] [--out DIR] [--replay FILE] [--save-corpus N]
-//!             [--no-shrink] [--kernel K] [--coherence C]
-//! tus-harness check [--corpus DIR] [--litmus all|NAME[,NAME]] [--fuzz N]
-//!             [--seed N] [--max-threads N] [--max-ops N] [--max-states N]
-//!             [--seeds N] [--no-reduction] [--no-lazy] [--stats]
-//!             [--policy P] [--kernel K] [--coherence C] [--out DIR] [--jobs N]
-//! tus-harness bench-hotpath [--quick|--full] [--seed N] [--out DIR]
-//!             [--parallel-cap N] [--jobs N] [--kernel K]
-//!             [--min-sims-per-sec X]
+//!             [--coherence C] [--trace]
+//! tus-harness fuzz|check|trace|serve|client ...
+//! tus-harness bench-hotpath [experiment flags] [--min-sims-per-sec X]
 //!
 //! experiments: table1 fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15
 //!              intext ablation coherence all
 //! kernels (K): lockstep event (default: event)
 //! coherence backends (C): mesi tardis (default: mesi)
 //! ```
+//!
+//! Each command's flags are the rows of its argument table
+//! ([`tus_harness::args`]); running `tus-harness` with no arguments
+//! prints them all.
 //!
 //! Runs are executed by a worker pool (`--jobs`, default: available
 //! parallelism), deduplicated across figures, and memoized on disk
@@ -35,43 +31,44 @@
 //! across optimization rounds; `--min-sims-per-sec` makes it exit
 //! non-zero below a floor (the CI perf-smoke contract).
 
-use tus_harness::experiments::{self, Options, EXPERIMENTS};
-use tus_harness::{ExecCounters, Executor, Scale};
+use tus_harness::args::{usage_error, Args, Command};
+use tus_harness::check_cmd::CHECK;
+use tus_harness::experiments::{self, Options, EXPERIMENT, EXPERIMENTS};
+use tus_harness::fuzz_cmd::FUZZ;
+use tus_harness::serve::SERVE;
+use tus_harness::trace_cmd::TRACE;
+use tus_harness::{ExecCounters, Executor, HarnessError};
 use tus_sim::{CoherenceKind, KernelKind};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: tus-harness <experiment> [--quick|--full] [--seed N] [--out DIR]\n\
-         \x20                  [--parallel-cap N] [--jobs N] [--no-cache] [--kernel K]\n\
-         \x20                  [--coherence C] [--trace]\n\
-         \x20      tus-harness fuzz [--programs N] [--seeds N] [--seed N] [--jobs N]\n\
-         \x20                  [--policy P] [--out DIR] [--replay FILE] [--no-shrink]\n\
-         \x20                  [--kernel K] [--coherence C] [--trace]\n\
-         \x20      tus-harness check [--corpus DIR] [--litmus all|NAME[,NAME]] [--fuzz N]\n\
-         \x20                  [--seed N] [--max-threads N] [--max-ops N] [--max-states N]\n\
-         \x20                  [--seeds N] [--no-reduction] [--no-lazy] [--stats] [--policy P]\n\
-         \x20                  [--kernel K] [--coherence C] [--out DIR] [--jobs N] [--no-shrink]\n\
-         \x20      tus-harness trace [WORKLOAD] [--policy P] [--sb N] [--kernel K]\n\
-         \x20                  [--coherence C] [--seed N] [--insts N] [--cap N] [--out DIR]\n\
-         \x20      tus-harness serve [--listen ADDR:PORT] [--socket PATH] [--jobs N]\n\
-         \x20                  [--handlers N] [--out DIR] [--no-cache] [--max-budget N]\n\
-         \x20      tus-harness client (--connect HOST:PORT | --socket PATH) [--wait SECS]\n\
-         \x20                  <ping|point|experiment|fuzz|trace|counters|shutdown> [...]\n\
-         \x20      tus-harness bench-hotpath [--quick|--full] [--seed N] [--out DIR]\n\
-         \x20                  [--parallel-cap N] [--jobs N] [--kernel K]\n\
-         \x20                  [--min-sims-per-sec X]\n\
-         experiments: table1 fig08 fig09 fig10 fig11 fig12 fig13 fig14 fig15 intext ablation\n\
-         \x20            coherence all\n\
+/// The full usage text: every command's synopsis, from its table.
+fn usage() -> String {
+    let line = |cmd: &Command, head: &str| {
+        let text = cmd.synopsis(head, true);
+        format!("       {}\n", text.replace('\n', "\n       "))
+    };
+    let mut s = line(&EXPERIMENT, "tus-harness <experiment>");
+    s.replace_range(..7, "usage: ");
+    s += &line(&FUZZ, "tus-harness fuzz");
+    s += &line(&CHECK, "tus-harness check");
+    s += &line(&TRACE, "tus-harness trace [WORKLOAD]");
+    s += &line(&SERVE, "tus-harness serve");
+    s += "       tus-harness client (--connect HOST:PORT | --socket PATH) [--wait SECS]\n\
+          \x20                  <ping|point|experiment|fuzz|check|trace|counters|shutdown>\n";
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+    format!(
+        "{s}{}\n\
+         experiments: {} all bench-hotpath\n\
          kernels (K): {} (default: {})\n\
          coherence backends (C): {} (default: {})\n\
          --trace arms the structured event recorder in every simulation\n\
          (observation-only: outputs and memo keys are unchanged)",
+        EXPERIMENT.about,
+        names.join(" "),
         KernelKind::ALL.map(|k| k.label()).join(" "),
         KernelKind::default(),
         CoherenceKind::ALL.map(|c| c.label()).join(" "),
         CoherenceKind::default(),
-    );
-    std::process::exit(2);
+    )
 }
 
 /// One experiment's measured execution cost.
@@ -117,12 +114,12 @@ const HOTPATH_BASELINE_SIMS_PER_SEC: f64 = 4.77;
 /// `--min-sims-per-sec`, exits non-zero when measured throughput falls
 /// below the floor — the CI perf-smoke contract. Returns the process
 /// exit code.
-fn bench_hotpath(opt: &Options, jobs: usize, floor: Option<f64>) -> i32 {
+fn bench_hotpath(opt: &Options) -> i32 {
     let hopt = Options {
         out: opt.out.join("bench-hotpath"),
         ..opt.clone()
     };
-    let ex = Executor::new(jobs, None);
+    let ex = Executor::new(opt.jobs, None);
     eprintln!(
         "[bench-hotpath: running all experiments cold, {} kernel, {} backend]",
         hopt.kernel, hopt.coherence
@@ -147,7 +144,7 @@ fn bench_hotpath(opt: &Options, jobs: usize, floor: Option<f64>) -> i32 {
         eprintln!("bench-hotpath: cannot write BENCH_hotpath.json: {e}");
         return 2;
     }
-    if let Some(floor) = floor {
+    if let Some(floor) = opt.min_sims_per_sec {
         if sims_per_sec < floor {
             eprintln!(
                 "bench-hotpath: FAIL — {sims_per_sec:.2} sims/s is below the \
@@ -232,87 +229,36 @@ fn write_bench_hotpath_json(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    if args[0] == "fuzz" {
-        tus_harness::fuzz_cmd::main_fuzz(&args[1..]);
-    }
-    if args[0] == "check" {
-        tus_harness::check_cmd::main_check(&args[1..]);
-    }
-    if args[0] == "trace" {
-        tus_harness::trace_cmd::main_trace(&args[1..]);
-    }
-    if args[0] == "serve" {
-        tus_harness::serve::main_serve(&args[1..]);
-    }
-    if args[0] == "client" {
-        tus_harness::client::main_client(&args[1..]);
-    }
-    let mut opt = Options::default();
-    let mut cmd = None;
-    let mut jobs = Executor::default_jobs();
-    let mut cache = true;
-    let mut min_sims_per_sec = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => opt.scale = Scale::Quick,
-            "--full" => opt.scale = Scale::Full,
-            "--seed" => {
-                opt.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--out" => opt.out = it.next().unwrap_or_else(|| usage()).into(),
-            "--parallel-cap" => {
-                opt.parallel_cap = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--no-cache" => cache = false,
-            "--min-sims-per-sec" => {
-                min_sims_per_sec = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .filter(|x| x.is_finite() && *x >= 0.0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--trace" => tus::set_trace_default(true),
-            "--kernel" => {
-                opt.kernel = it
-                    .next()
-                    .and_then(|v| KernelKind::parse(&v))
-                    .unwrap_or_else(|| usage())
-            }
-            "--coherence" => {
-                opt.coherence = it
-                    .next()
-                    .and_then(|v| CoherenceKind::parse(&v))
-                    .unwrap_or_else(|| usage())
-            }
-            c if cmd.is_none() && !c.starts_with('-') => cmd = Some(c.to_owned()),
-            _ => usage(),
+    match args.first().map(String::as_str) {
+        None => {
+            eprintln!("{}", usage());
+            std::process::exit(2)
         }
+        Some("fuzz") => tus_harness::fuzz_cmd::main_fuzz(&args[1..]),
+        Some("check") => tus_harness::check_cmd::main_check(&args[1..]),
+        Some("trace") => tus_harness::trace_cmd::main_trace(&args[1..]),
+        Some("serve") => tus_harness::serve::main_serve(&args[1..]),
+        Some("client") => tus_harness::client::main_client(&args[1..]),
+        _ => {}
     }
-    let Some(cmd) = cmd else { usage() };
-    if cmd == "bench-hotpath" {
-        std::process::exit(bench_hotpath(&opt, jobs, min_sims_per_sec));
+    let known = |name: &str| {
+        ["all", "bench-hotpath"].contains(&name) || EXPERIMENTS.iter().any(|&(n, _)| n == name)
+    };
+    let (name, opt) = Args::from_argv(&EXPERIMENT, &args)
+        .and_then(|args| Options::from_args(args, Options::default()))
+        .and_then(|(name, opt)| {
+            let unknown = || HarnessError::UnknownExperiment { name: name.to_owned() };
+            known(name).then_some((name, opt)).ok_or_else(unknown)
+        })
+        .unwrap_or_else(|e| std::process::exit(usage_error("tus-harness", &e, &usage())));
+    if opt.trace {
+        tus::set_trace_default(true);
     }
-    let cache_dir = cache.then(|| opt.out.join(".runcache"));
-    let ex = Executor::new(jobs, cache_dir);
+    if name == "bench-hotpath" {
+        std::process::exit(bench_hotpath(&opt));
+    }
+    let cache_dir = opt.cache.then(|| opt.out.join(".runcache"));
+    let ex = Executor::new(opt.jobs, cache_dir);
 
     let run_timed = |name: &'static str, f: fn(&Executor, &Options)| -> Timing {
         let before = ex.counters();
@@ -326,19 +272,10 @@ fn main() {
     };
 
     let started = std::time::Instant::now();
-    if cmd == "all" {
-        for &(name, f) in EXPERIMENTS {
-            report(&run_timed(name, f));
+    for &(experiment, f) in EXPERIMENTS {
+        if name == "all" || name == experiment {
+            report(&run_timed(experiment, f));
         }
-    } else {
-        let Some(&(name, f)) = EXPERIMENTS.iter().find(|&&(n, _)| n == cmd) else {
-            eprintln!(
-                "{}",
-                tus_harness::HarnessError::UnknownExperiment { name: cmd.clone() }
-            );
-            usage()
-        };
-        report(&run_timed(name, f));
     }
     eprintln!("[{:.1}s]", started.elapsed().as_secs_f64());
 }

@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `kind` is a [`FrameKind`] discriminant (requests `0x01..=0x7f`,
-//! replies `0x81..=0xff`). Bodies are UTF-8 text — `key value`-style
-//! header lines for requests, and the harness's existing text formats
+//! replies `0x81..=0xff`). Bodies are UTF-8 text — `key=value` header
+//! lines for requests (read by [`crate::args::Args::from_headers`]),
+//! and the harness's existing text formats
 //! for payloads (run results travel as
 //! [`crate::executor::encode_result`] text, deadlocks as the rendered
 //! [`tus::DeadlockReport`]), so the protocol inherits the bit-exactness
@@ -55,28 +56,28 @@ pub enum FrameKind {
     /// Liveness check; body is echoed back in the `Pong`.
     Ping = 0x01,
     /// Run (or recall) one experiment point; body is a header block
-    /// (`workload=`, `policy=`, `sb=`, optional `scale=`, `seed=`,
-    /// `kernel=`, `coherence=`, `budget=`). An unknown `coherence=`
-    /// label is a structured protocol-error reply, like every other
+    /// (`workload=`, `policy=`, optional `sb=`, `scale=`, `seed=`,
+    /// `kernel=`, `coherence=`, `budget=`, `wall_ms=`). An unknown key
+    /// or label is a structured protocol-error reply, like every other
     /// malformed header.
     RunPoint = 0x02,
     /// Run a named experiment (`name=fig10`, optional `scale=`, `seed=`,
     /// `kernel=`, `coherence=`, `parallel_cap=`); CSVs land in the
     /// server's output directory.
     Experiment = 0x03,
-    /// Run a differential fuzz sweep (`programs=`, `seeds=`, `seed=`,
-    /// optional `policy=`, `kernel=`, `coherence=`).
+    /// Run a differential fuzz sweep (optional `programs=`, `seeds=`,
+    /// `seed=`, `policy=`, `kernel=`, `coherence=`).
     FuzzSweep = 0x04,
     /// Capture one traced run (`workload=`, optional `policy=`, `sb=`,
-    /// `insts=`, `seed=`, `kernel=`, `coherence=`); the reply body is
-    /// Chrome-trace JSON.
+    /// `insts=`, `seed=`, `kernel=`, `coherence=`, `budget=`); the reply
+    /// body is Chrome-trace JSON.
     TraceCapture = 0x05,
     /// Ask for the daemon's lifetime counters.
     Counters = 0x06,
     /// Ask the daemon to shut down cleanly.
     Shutdown = 0x07,
-    /// Run a bounded exhaustive model check (`litmus=`, `programs=`,
-    /// optional `corpus=`, `seed=`, `max_threads=`, `max_ops=`,
+    /// Run a bounded exhaustive model check (optional `litmus=`,
+    /// `programs=`, `corpus=`, `seed=`, `max_threads=`, `max_ops=`,
     /// `max_states=`, `seeds=`, `reduction=`, `lazy=`, `policy=`,
     /// `kernel=`, `coherence=`).
     Check = 0x08,
@@ -272,48 +273,6 @@ pub fn decode_error(body: &str) -> (&str, &str) {
     }
 }
 
-/// Parses a request body's `key=value` header lines into a map.
-/// Duplicate keys keep the last value; a line without `=` is a protocol
-/// error. Parsing stops at the first blank line (the rest is payload).
-pub fn parse_headers(body: &str) -> Result<std::collections::HashMap<&str, &str>, HarnessError> {
-    let mut map = std::collections::HashMap::new();
-    for line in body.lines() {
-        if line.is_empty() {
-            break;
-        }
-        let Some((k, v)) = line.split_once('=') else {
-            return Err(HarnessError::Protocol {
-                what: format!("malformed header line {line:?}"),
-            });
-        };
-        map.insert(k, v);
-    }
-    Ok(map)
-}
-
-/// Fetches a required header.
-pub fn require<'a>(
-    headers: &std::collections::HashMap<&str, &'a str>,
-    key: &str,
-) -> Result<&'a str, HarnessError> {
-    headers.get(key).copied().ok_or_else(|| HarnessError::Protocol {
-        what: format!("missing required header {key:?}"),
-    })
-}
-
-/// Parses an optional numeric header.
-pub fn numeric<T: std::str::FromStr>(
-    headers: &std::collections::HashMap<&str, &str>,
-    key: &str,
-) -> Result<Option<T>, HarnessError> {
-    match headers.get(key) {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| HarnessError::Protocol {
-            what: format!("header {key}={v:?} is not a valid number"),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,20 +428,6 @@ mod tests {
                 other => panic!("split after byte {split}: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn headers_parse_and_reject_garbage() {
-        let h = parse_headers("a=1\nb=two\n\nfree text, not = parsed").unwrap();
-        assert_eq!(h.get("a"), Some(&"1"));
-        assert_eq!(h.get("b"), Some(&"two"));
-        assert_eq!(h.len(), 2);
-        assert_eq!(require(&h, "a").unwrap(), "1");
-        assert!(require(&h, "missing").is_err());
-        assert_eq!(numeric::<u64>(&h, "a").unwrap(), Some(1));
-        assert!(numeric::<u64>(&h, "b").is_err());
-        assert_eq!(numeric::<u64>(&h, "missing").unwrap(), None);
-        assert!(parse_headers("no equals sign").is_err());
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Single-simulation execution with warm-up subtraction.
 
+use std::time::{Duration, Instant};
+
 use tus::{RunGoal, StepOutcome, System};
 use tus_energy::{EnergyBreakdown, EnergyModel};
 use tus_sim::stats::names;
@@ -226,7 +228,7 @@ pub struct RunResult {
 /// The default cycle budget for a spec: generous, because the slowest
 /// archetypes run at IPC ~0.05. Callers (the `serve` daemon in
 /// particular) can impose a tighter per-request budget via
-/// [`try_run_budget`]; the budget is an **absolute** cycle ceiling for
+/// [`try_run_limited`]; the budget is an **absolute** cycle ceiling for
 /// the whole run, warm-up included.
 pub fn default_budget(spec: &RunSpec) -> u64 {
     400 * (spec.warmup + spec.insts) + 2_000_000
@@ -247,48 +249,37 @@ pub fn run(spec: &RunSpec) -> RunResult {
 /// Fallible [`run`]: a watchdog trip or budget exhaustion comes back as
 /// a structured [`tus::DeadlockReport`] instead of a panic.
 pub fn try_run(spec: &RunSpec) -> Result<RunResult, Box<tus::DeadlockReport>> {
-    try_run_budget(spec, None)
+    try_run_limited(spec, None, None)
 }
 
 /// [`try_run`] under an explicit cycle budget (absolute ceiling on
-/// simulated cycles; `None` = [`default_budget`]). An over-budget run
-/// returns the simulator's [`tus::DeadlockReport`] — this is the entry
-/// point the daemon uses to enforce per-client cycle budgets.
-pub fn try_run_budget(
+/// simulated cycles; `None` = [`default_budget`]) and an optional
+/// **wall-clock** deadline of `wall_ms` milliseconds over the whole run
+/// (warm-up included) — the daemon's `budget=` and `wall_ms=`
+/// per-request limits. An over-budget run returns the simulator's
+/// [`tus::DeadlockReport`]. The simulated machine never reads the host
+/// clock: the deadline is checked between kernel steps, and expiry
+/// returns a structured [`tus::DeadlockKind::WallClockExpired`] report.
+/// A run that finishes in time is bit-identical to an unlimited one.
+pub fn try_run_limited(
     spec: &RunSpec,
     budget: Option<u64>,
+    wall_ms: Option<u64>,
 ) -> Result<RunResult, Box<tus::DeadlockReport>> {
     let cfg = spec.config();
     let model = EnergyModel::from_config(&cfg);
-    let mut sys = build_system(spec, &cfg);
+    let wall = wall_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
     let total = spec.warmup + spec.insts;
+    let traces = spec.workload.traces(spec.cores, spec.seed, total + 10_000);
+    let mut sys = System::new(&cfg, traces, spec.seed);
     let budget = budget.unwrap_or_else(|| default_budget(spec));
     let warm = if spec.warmup > 0 {
-        sys.try_run_committed(spec.warmup, budget)?
+        step_until(&mut sys, RunGoal::Committed(spec.warmup), budget, wall)?
     } else {
         StatSet::new()
     };
-    let end = sys.try_run_committed(total, budget)?;
-    Ok(assemble_result(spec, &model, &warm, &end))
-}
-
-/// Builds the system a spec describes (a pure function of the spec).
-fn build_system(spec: &RunSpec, cfg: &SimConfig) -> System {
-    let total = spec.warmup + spec.insts;
-    let traces = spec.workload.traces(spec.cores, spec.seed, total + 10_000);
-    System::new(cfg, traces, spec.seed)
-}
-
-/// Subtracts the warm-up snapshot and derives the measured metrics —
-/// the single place a [`RunResult`] is assembled, so the cycle-budget
-/// and wall-clock paths cannot drift apart.
-fn assemble_result(
-    spec: &RunSpec,
-    model: &EnergyModel,
-    warm: &StatSet,
-    end: &StatSet,
-) -> RunResult {
-    let stats = end.minus(warm);
+    let end = step_until(&mut sys, RunGoal::Committed(total), budget, wall)?;
+    let stats = end.minus(&warm);
     let cycles = stats.get(names::CYCLES).max(1.0);
     let committed = stats.get(names::TOTAL_COMMITTED);
     let sb_stall_frac = (0..spec.cores)
@@ -297,7 +288,7 @@ fn assemble_result(
         / (cycles * spec.cores as f64);
     let energy = model.evaluate(&stats);
     let edp = energy.edp();
-    RunResult {
+    Ok(RunResult {
         cycles,
         committed,
         ipc: committed / cycles,
@@ -305,7 +296,7 @@ fn assemble_result(
         energy,
         edp,
         stats,
-    }
+    })
 }
 
 /// How many kernel steps a wall-clock-bounded run takes between host
@@ -313,51 +304,27 @@ fn assemble_result(
 /// detected within about a millisecond at negligible overhead.
 const WALL_CHECK_STEPS: u32 = 1024;
 
-/// [`try_run_budget`] additionally bounded by a **wall-clock** deadline
-/// of `wall_ms` milliseconds over the whole run (warm-up included) —
-/// the daemon's `wall_ms=` per-request budget. The simulated machine
-/// never reads the host clock: the deadline is checked between kernel
-/// steps, and expiry returns a structured
-/// [`tus::DeadlockKind::WallClockExpired`] report. A run that finishes
-/// in time is bit-identical to [`try_run_budget`].
-pub fn try_run_wall(
-    spec: &RunSpec,
-    budget: Option<u64>,
-    wall_ms: u64,
-) -> Result<RunResult, Box<tus::DeadlockReport>> {
-    let cfg = spec.config();
-    let model = EnergyModel::from_config(&cfg);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(wall_ms);
-    let mut sys = build_system(spec, &cfg);
-    let total = spec.warmup + spec.insts;
-    let budget = budget.unwrap_or_else(|| default_budget(spec));
-    let warm = if spec.warmup > 0 {
-        step_until(&mut sys, RunGoal::Committed(spec.warmup), budget, deadline, wall_ms)?
-    } else {
-        StatSet::new()
-    };
-    let end = step_until(&mut sys, RunGoal::Committed(total), budget, deadline, wall_ms)?;
-    Ok(assemble_result(spec, &model, &warm, &end))
-}
-
-/// Drives one stepping run to its goal, checking the wall clock every
-/// [`WALL_CHECK_STEPS`] kernel steps.
+/// Drives one stepping run to its goal. With a `wall` deadline
+/// (`(instant, the ms it came from)`), the host clock is read every
+/// [`WALL_CHECK_STEPS`] kernel steps; without one, a step costs one
+/// branch more than [`System::try_run_until`].
 fn step_until(
     sys: &mut System,
     goal: RunGoal,
     budget: u64,
-    deadline: std::time::Instant,
-    wall_ms: u64,
+    wall: Option<(Instant, u64)>,
 ) -> Result<StatSet, Box<tus::DeadlockReport>> {
     let mut ctl = sys.begin_run(goal, budget);
     let mut steps = 0u32;
     loop {
         match sys.run_step(&mut ctl) {
             StepOutcome::Running => {
-                steps = steps.wrapping_add(1);
-                if steps % WALL_CHECK_STEPS == 0 && std::time::Instant::now() >= deadline {
-                    let kind = tus::DeadlockKind::WallClockExpired { ms: wall_ms };
-                    return Err(Box::new(sys.abort_report(kind)));
+                if let Some((deadline, ms)) = wall {
+                    steps = steps.wrapping_add(1);
+                    if steps.is_multiple_of(WALL_CHECK_STEPS) && Instant::now() >= deadline {
+                        let kind = tus::DeadlockKind::WallClockExpired { ms };
+                        return Err(Box::new(sys.abort_report(kind)));
+                    }
                 }
             }
             StepOutcome::Done => return Ok(sys.export_stats()),
@@ -506,7 +473,7 @@ mod tests {
     /// enforcement rides on this — while a generous budget succeeds and
     /// matches the infallible path bit for bit.
     #[test]
-    fn try_run_budget_reports_exhaustion_structurally() {
+    fn cycle_budget_exhaustion_is_structured() {
         let spec = RunSpec {
             warmup: 0,
             insts: 5_000,
@@ -517,14 +484,15 @@ mod tests {
                 Scale::Quick,
             )
         };
-        let report = try_run_budget(&spec, Some(100)).expect_err("100 cycles cannot finish");
+        let report =
+            try_run_limited(&spec, Some(100), None).expect_err("100 cycles cannot finish");
         match report.kind {
             tus::DeadlockKind::BudgetExhausted { budget } => assert_eq!(budget, 100),
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
         assert!(report.cycle <= 100);
 
-        let ok = try_run_budget(&spec, None).expect("default budget suffices");
+        let ok = try_run_limited(&spec, None, None).expect("default budget suffices");
         let plain = run(&spec);
         use crate::executor::encode_result;
         assert_eq!(encode_result(&ok, "k"), encode_result(&plain, "k"));
@@ -535,7 +503,7 @@ mod tests {
     /// bit-identically to the unbounded path — the deadline observes,
     /// never perturbs.
     #[test]
-    fn try_run_wall_reports_expiry_structurally() {
+    fn wall_clock_expiry_is_structured() {
         let spec = RunSpec {
             warmup: 0,
             insts: 5_000,
@@ -546,13 +514,13 @@ mod tests {
                 Scale::Quick,
             )
         };
-        let report = try_run_wall(&spec, None, 0).expect_err("0 ms cannot finish");
+        let report = try_run_limited(&spec, None, Some(0)).expect_err("0 ms cannot finish");
         match report.kind {
             tus::DeadlockKind::WallClockExpired { ms } => assert_eq!(ms, 0),
             other => panic!("expected WallClockExpired, got {other:?}"),
         }
 
-        let ok = try_run_wall(&spec, None, 600_000).expect("ten minutes suffice");
+        let ok = try_run_limited(&spec, None, Some(600_000)).expect("ten minutes suffice");
         let plain = run(&spec);
         use crate::executor::encode_result;
         assert_eq!(encode_result(&ok, "k"), encode_result(&plain, "k"));

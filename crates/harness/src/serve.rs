@@ -31,21 +31,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tus_sim::{CoherenceKind, KernelKind};
-
+use crate::args::{
+    missing, parse_cli, Args, Command, Flag, BUDGET, COHERENCE, FULL, JOBS, KERNEL, NORMAL,
+    NO_CACHE, OUT, POLICY, QUICK, SB, SEED,
+};
 use crate::check_cmd::{
-    collect_jobs, persist_finding, render_finding, render_stats, sweep_jobs, CheckOptions,
+    collect_jobs, persist_finding, render_finding, render_stats, sweep_jobs, CheckOptions, CHECK,
 };
 use crate::errors::{panic_message, workload, HarnessError};
 use crate::executor::{encode_result, Executor};
-use crate::experiments::{Options, EXPERIMENTS};
-use crate::fuzz_cmd::{report_finding, sweep_cases, FuzzOptions};
-use crate::protocol::{
-    encode_error, numeric, parse_headers, read_frame, require, write_frame, Frame, FrameKind,
-    ReadOutcome,
-};
+use crate::experiments::{Options, EXPERIMENT, EXPERIMENTS};
+use crate::fuzz_cmd::{report_finding, sweep_cases, FuzzOptions, FUZZ};
+use crate::protocol::{encode_error, read_frame, write_frame, Frame, FrameKind, ReadOutcome};
 use crate::runner::{RunSpec, Scale};
-use crate::trace_cmd::{try_run_traced, write_chrome_trace_to, TraceOptions};
+use crate::trace_cmd::{try_run_traced, write_chrome_trace_to, TraceOptions, TRACE};
 
 /// How long a handler blocks waiting for the next request frame before
 /// re-checking the shutdown flag. Keeps persistent idle connections from
@@ -470,31 +469,14 @@ fn dispatch(
     conn: &mut Box<dyn Conn>,
     frame: &Frame,
 ) -> Result<bool, DispatchError> {
+    let body = &frame.body;
     match frame.kind {
-        FrameKind::Ping => {
-            write_frame(conn, FrameKind::Pong, &frame.body)?;
-            Ok(false)
-        }
-        FrameKind::RunPoint => {
-            handle_run_point(server, conn, &frame.body)?;
-            Ok(false)
-        }
-        FrameKind::Experiment => {
-            handle_experiment(server, conn, &frame.body)?;
-            Ok(false)
-        }
-        FrameKind::FuzzSweep => {
-            handle_fuzz(server, conn, &frame.body)?;
-            Ok(false)
-        }
-        FrameKind::TraceCapture => {
-            handle_trace(server, conn, &frame.body)?;
-            Ok(false)
-        }
-        FrameKind::Check => {
-            handle_check(server, conn, &frame.body)?;
-            Ok(false)
-        }
+        FrameKind::Ping => write_frame(conn, FrameKind::Pong, body)?,
+        FrameKind::RunPoint => handle_run_point(server, conn, body)?,
+        FrameKind::Experiment => handle_experiment(server, conn, body)?,
+        FrameKind::FuzzSweep => handle_fuzz(server, conn, body)?,
+        FrameKind::TraceCapture => handle_trace(server, conn, body)?,
+        FrameKind::Check => handle_check(server, conn, body)?,
         FrameKind::Counters => {
             let c = server.ex.counters();
             let body = format!(
@@ -507,80 +489,55 @@ fn dispatch(
                 c.disk_hits,
             );
             write_frame(conn, FrameKind::CountersReply, &body)?;
-            Ok(false)
         }
         FrameKind::Shutdown => {
             write_frame(conn, FrameKind::ShutdownOk, "")?;
             server.request_shutdown();
-            Ok(true)
+            return Ok(true);
         }
-        other => Err(HarnessError::Protocol {
-            what: format!("{other:?} is not a request frame"),
+        other => {
+            let what = format!("{other:?} is not a request frame");
+            return Err(HarnessError::Protocol { what }.into());
         }
-        .into()),
     }
+    Ok(false)
 }
 
-fn parse_policy(label: &str) -> Result<tus_sim::PolicyKind, HarnessError> {
-    tus_sim::PolicyKind::ALL
-        .into_iter()
-        .find(|p| p.label().eq_ignore_ascii_case(label))
-        .ok_or_else(|| HarnessError::Protocol {
-            what: format!(
-                "unknown policy {label:?}; known: {}",
-                tus_sim::PolicyKind::ALL.map(|p| p.label()).join(" ")
-            ),
-        })
-}
+/// The `RunPoint` request (`client point`).
+pub static POINT: Command = Command {
+    name: "point",
+    positional: Some("workload"),
+    flags: &[
+        POLICY,
+        SB,
+        QUICK,
+        NORMAL,
+        FULL,
+        SEED,
+        KERNEL,
+        COHERENCE,
+        BUDGET,
+        Flag::value("--wall-ms", "wall_ms", "MS"),
+        OUT,
+    ],
+    about: "runs (or recalls) one experiment point on the daemon",
+};
 
-fn parse_kernel(label: &str) -> Result<KernelKind, HarnessError> {
-    KernelKind::parse(label).ok_or_else(|| HarnessError::Protocol {
-        what: format!(
-            "unknown kernel {label:?}; known: {}",
-            KernelKind::ALL.map(|k| k.label()).join(" ")
-        ),
-    })
-}
-
-fn parse_coherence(label: &str) -> Result<CoherenceKind, HarnessError> {
-    CoherenceKind::parse(label).ok_or_else(|| HarnessError::Protocol {
-        what: format!(
-            "unknown coherence backend {label:?}; known: {}",
-            CoherenceKind::ALL.map(|c| c.label()).join(" ")
-        ),
-    })
-}
-
-fn parse_scale(label: &str) -> Result<Scale, HarnessError> {
-    Scale::parse(label).ok_or_else(|| HarnessError::Protocol {
-        what: format!("unknown scale {label:?}; known: quick normal full"),
-    })
-}
-
-/// Builds the [`RunSpec`] a `RunPoint`/`TraceCapture` body describes,
-/// plus the request's optional cycle budget (`budget=`) and wall-clock
-/// budget in milliseconds (`wall_ms=`).
-fn spec_from_headers(body: &str) -> Result<(RunSpec, Option<u64>, Option<u64>), HarnessError> {
-    let h = parse_headers(body)?;
-    let w = workload(require(&h, "workload")?)?;
-    let policy = parse_policy(require(&h, "policy")?)?;
-    let sb = numeric::<usize>(&h, "sb")?.unwrap_or(114).max(1);
-    let scale = match h.get("scale") {
-        Some(s) => parse_scale(s)?,
-        None => Scale::Normal,
-    };
+/// The [`RunSpec`] a `RunPoint` request describes, plus its optional
+/// cycle budget (`budget=`) and wall-clock budget in milliseconds
+/// (`wall_ms=`).
+pub fn point_spec(mut args: Args<'_>) -> Result<(RunSpec, Option<u64>, Option<u64>), HarnessError> {
+    let w = workload(args.require("workload")?)?;
+    let policy = args.policy()?.ok_or_else(|| missing("policy"))?;
+    let sb = args.num("sb")?.map_or(114, |n: usize| n.max(1));
+    let scale = args.scale()?.unwrap_or(Scale::Normal);
     let mut spec = RunSpec::new(w, policy, sb, scale);
-    if let Some(seed) = numeric::<u64>(&h, "seed")? {
-        spec.seed = seed;
-    }
-    if let Some(k) = h.get("kernel") {
-        spec.kernel = parse_kernel(k)?;
-    }
-    if let Some(c) = h.get("coherence") {
-        spec.coherence = parse_coherence(c)?;
-    }
-    let budget = numeric::<u64>(&h, "budget")?;
-    let wall_ms = numeric::<u64>(&h, "wall_ms")?;
+    spec.seed = args.num("seed")?.unwrap_or(spec.seed);
+    spec.kernel = args.kernel()?.unwrap_or(spec.kernel);
+    spec.coherence = args.coherence()?.unwrap_or(spec.coherence);
+    let budget = args.num("budget")?;
+    let wall_ms = args.num("wall_ms")?;
+    args.finish()?;
     Ok((spec, budget, wall_ms))
 }
 
@@ -589,7 +546,7 @@ fn handle_run_point(
     conn: &mut Box<dyn Conn>,
     body: &str,
 ) -> Result<(), DispatchError> {
-    let (spec, budget, wall_ms) = spec_from_headers(body)?;
+    let (spec, budget, wall_ms) = point_spec(Args::from_headers(&POINT, body)?)?;
     let budget = server.effective_budget(budget);
     let key = spec.memo_key();
     write_frame(conn, FrameKind::Progress, &format!("running {key}\n"))?;
@@ -618,28 +575,14 @@ fn handle_experiment(
     conn: &mut Box<dyn Conn>,
     body: &str,
 ) -> Result<(), DispatchError> {
-    let h = parse_headers(body)?;
-    let name = require(&h, "name")?;
-    let Some(&(name, f)) = EXPERIMENTS.iter().find(|&&(n, _)| n == name) else {
-        return Err(HarnessError::UnknownExperiment { name: name.to_owned() }.into());
-    };
-    let mut opt = Options {
+    let base = Options {
         out: server.opt.out.clone(),
         ..Options::default()
     };
-    if let Some(s) = h.get("scale") {
-        opt.scale = parse_scale(s)?;
-    }
-    if let Some(seed) = numeric::<u64>(&h, "seed")? {
-        opt.seed = seed;
-    }
-    if let Some(k) = h.get("kernel") {
-        opt.kernel = parse_kernel(k)?;
-    }
-    if let Some(c) = h.get("coherence") {
-        opt.coherence = parse_coherence(c)?;
-    }
-    opt.parallel_cap = numeric::<usize>(&h, "parallel_cap")?;
+    let (name, opt) = Options::from_args(Args::from_headers(&EXPERIMENT, body)?, base)?;
+    let Some(&(name, f)) = EXPERIMENTS.iter().find(|&&(n, _)| n == name) else {
+        return Err(HarnessError::UnknownExperiment { name: name.to_owned() }.into());
+    };
     write_frame(
         conn,
         FrameKind::Progress,
@@ -676,28 +619,13 @@ fn handle_fuzz(
     conn: &mut Box<dyn Conn>,
     body: &str,
 ) -> Result<(), DispatchError> {
-    let h = parse_headers(body)?;
-    let mut opt = FuzzOptions {
-        programs: numeric::<u64>(&h, "programs")?.unwrap_or(50),
+    let base = FuzzOptions {
+        programs: 50,
         out: server.opt.out.clone(),
         jobs: server.opt.jobs,
         ..FuzzOptions::default()
     };
-    if let Some(seeds) = numeric::<u64>(&h, "seeds")? {
-        opt.seeds = seeds.max(1);
-    }
-    if let Some(seed) = numeric::<u64>(&h, "seed")? {
-        opt.base_seed = seed;
-    }
-    if let Some(p) = h.get("policy") {
-        opt.policy = Some(parse_policy(p)?);
-    }
-    if let Some(k) = h.get("kernel") {
-        opt.kernel = parse_kernel(k)?;
-    }
-    if let Some(c) = h.get("coherence") {
-        opt.coherence = parse_coherence(c)?;
-    }
+    let opt = FuzzOptions::from_args(Args::from_headers(&FUZZ, body)?, base)?;
     let started = Instant::now();
     // Stream progress roughly every 100 programs, like the CLI does.
     let progress: Mutex<&mut Box<dyn Conn>> = Mutex::new(conn);
@@ -739,55 +667,12 @@ fn handle_check(
     conn: &mut Box<dyn Conn>,
     body: &str,
 ) -> Result<(), DispatchError> {
-    let h = parse_headers(body)?;
-    let mut opt = CheckOptions {
+    let base = CheckOptions {
         out: server.opt.out.clone(),
         jobs: server.opt.jobs,
-        litmus: None,
         ..CheckOptions::default()
     };
-    if let Some(dir) = h.get("corpus") {
-        opt.corpus = Some(PathBuf::from(dir));
-    }
-    if let Some(sel) = h.get("litmus") {
-        opt.litmus = Some((*sel).to_owned());
-    }
-    if let Some(n) = numeric::<u64>(&h, "programs")? {
-        opt.fuzz = n;
-    }
-    if let Some(seed) = numeric::<u64>(&h, "seed")? {
-        opt.base_seed = seed;
-    }
-    if let Some(n) = numeric::<usize>(&h, "max_threads")? {
-        opt.config.max_threads = n.max(1);
-    }
-    if let Some(n) = numeric::<usize>(&h, "max_ops")? {
-        opt.config.max_ops = n.max(1);
-    }
-    if let Some(n) = numeric::<u64>(&h, "max_states")? {
-        opt.config.max_states = n.max(1);
-    }
-    if let Some(n) = numeric::<u64>(&h, "seeds")? {
-        opt.config.sim_seeds = n;
-    }
-    if let Some(n) = numeric::<u32>(&h, "reduction")? {
-        opt.config.reduction = n != 0;
-    }
-    if let Some(n) = numeric::<u32>(&h, "lazy")? {
-        opt.config.lazy = n != 0;
-    }
-    if let Some(p) = h.get("policy") {
-        opt.policy = Some(parse_policy(p)?);
-    }
-    if let Some(k) = h.get("kernel") {
-        opt.config.kernel = parse_kernel(k)?;
-    }
-    if let Some(c) = h.get("coherence") {
-        opt.config.coherence = parse_coherence(c)?;
-    }
-    if opt.corpus.is_none() && opt.litmus.is_none() && opt.fuzz == 0 {
-        opt.litmus = Some("all".into());
-    }
+    let opt = CheckOptions::from_args(Args::from_headers(&CHECK, body)?, base)?;
     let mut cfg = opt.config.clone();
     let jobs = collect_jobs(&opt, &mut cfg)
         .map_err(|what| HarnessError::Protocol { what })?;
@@ -846,30 +731,11 @@ fn handle_trace(
     conn: &mut Box<dyn Conn>,
     body: &str,
 ) -> Result<(), DispatchError> {
-    let h = parse_headers(body)?;
-    let mut opt = TraceOptions {
-        workload: workload(require(&h, "workload")?)?,
-        ..TraceOptions::default()
-    };
-    if let Some(p) = h.get("policy") {
-        opt.policy = parse_policy(p)?;
-    }
-    if let Some(sb) = numeric::<usize>(&h, "sb")? {
-        opt.sb_entries = sb.max(1);
-    }
-    if let Some(insts) = numeric::<u64>(&h, "insts")? {
-        opt.insts = insts.max(1);
-    }
-    if let Some(seed) = numeric::<u64>(&h, "seed")? {
-        opt.seed = seed;
-    }
-    if let Some(k) = h.get("kernel") {
-        opt.kernel = parse_kernel(k)?;
-    }
-    if let Some(c) = h.get("coherence") {
-        opt.coherence = parse_coherence(c)?;
-    }
-    opt.budget = server.effective_budget(numeric::<u64>(&h, "budget")?);
+    let mut args = Args::from_headers(&TRACE, body)?;
+    // A capture names its workload; only the CLI has a default.
+    args.require("workload")?;
+    let mut opt = TraceOptions::from_args(args, TraceOptions::default())?;
+    opt.budget = server.effective_budget(opt.budget);
     let run = try_run_traced(&opt).map_err(|r| DispatchError::Reply(HarnessError::Deadlock(r)))?;
     let events: usize = run.tracks.iter().map(|(_, r)| r.len()).sum();
     write_frame(
@@ -886,59 +752,44 @@ fn handle_trace(
     Ok(())
 }
 
-/// CLI usage for `tus-harness serve`.
-fn serve_usage() -> ! {
-    eprintln!(
-        "usage: tus-harness serve [--listen ADDR:PORT] [--socket PATH]\n\
-         \x20                       [--jobs N] [--handlers N] [--out DIR]\n\
-         \x20                       [--no-cache] [--max-budget CYCLES]\n\
-         a long-lived simulation daemon: shares one memo map and one on-disk\n\
-         run cache across every client; speaks the length-prefixed frame\n\
-         protocol (see EXPERIMENTS.md); never panics on a bad request"
-    );
-    std::process::exit(2);
-}
+/// `tus-harness serve`.
+pub static SERVE: Command = Command {
+    name: "serve",
+    positional: None,
+    flags: &[
+        Flag::value("--listen", "listen", "ADDR:PORT").cli(),
+        Flag::value("--socket", "socket", "PATH").cli(),
+        JOBS,
+        Flag::value("--handlers", "handlers", "N").cli(),
+        OUT,
+        NO_CACHE,
+        Flag::value("--max-budget", "max_budget", "CYCLES").cli(),
+    ],
+    about: "a long-lived simulation daemon: shares one memo map and one on-disk\n\
+            run cache across every client; speaks the length-prefixed frame\n\
+            protocol (see EXPERIMENTS.md); never panics on a bad request",
+};
 
-/// Parses `serve` arguments.
-pub fn parse_serve_args(args: &[String]) -> ServeOptions {
-    let mut opt = ServeOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--listen" => opt.tcp = Some(it.next().unwrap_or_else(|| serve_usage()).clone()),
-            "--socket" => opt.socket = Some(it.next().unwrap_or_else(|| serve_usage()).into()),
-            "--jobs" => {
-                opt.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| serve_usage())
-            }
-            "--handlers" => {
-                opt.handlers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| serve_usage())
-            }
-            "--out" => opt.out = it.next().unwrap_or_else(|| serve_usage()).into(),
-            "--no-cache" => opt.cache = false,
-            "--max-budget" => {
-                opt.max_budget = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| serve_usage()),
-                )
-            }
-            _ => serve_usage(),
-        }
+impl ServeOptions {
+    /// The options a `serve` command line gives.
+    pub fn from_args(mut args: Args<'_>) -> Result<ServeOptions, HarnessError> {
+        let mut opt = ServeOptions::default();
+        opt.tcp = args.str("listen").map(str::to_owned);
+        opt.socket = args.str("socket").map(PathBuf::from);
+        opt.jobs = args.count("jobs")?.unwrap_or(opt.jobs);
+        opt.handlers = args.count("handlers")?.unwrap_or(opt.handlers);
+        opt.out = args.str("out").map_or(opt.out, PathBuf::from);
+        opt.cache = args.switch("cache")?.unwrap_or(opt.cache);
+        opt.max_budget = args.num("max_budget")?;
+        args.finish()?;
+        Ok(opt)
     }
-    opt
 }
 
 /// Entry point for `tus-harness serve ...`.
-pub fn main_serve(args: &[String]) -> ! {
-    let opt = parse_serve_args(args);
+pub fn main_serve(argv: &[String]) -> ! {
+    let opt = parse_cli(&SERVE, "tus-harness serve", argv, ServeOptions::from_args)
+        .unwrap_or_else(|code| std::process::exit(code));
     match bind(opt) {
         Ok(bound) => match bound.run() {
             Ok(()) => std::process::exit(0),
@@ -959,7 +810,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_serve_args_covers_flags() {
+    fn serve_flags_cover_options() {
         let args: Vec<String> = [
             "--listen", "127.0.0.1:0", "--socket", "/tmp/x.sock", "--jobs", "3", "--handlers",
             "2", "--out", "/tmp/o", "--no-cache", "--max-budget", "5000",
@@ -967,7 +818,7 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = parse_serve_args(&args);
+        let o = ServeOptions::from_args(Args::from_argv(&SERVE, &args).unwrap()).unwrap();
         assert_eq!(o.tcp.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(o.socket, Some(PathBuf::from("/tmp/x.sock")));
         assert_eq!(o.jobs, 3);

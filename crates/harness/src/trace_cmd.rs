@@ -14,6 +14,8 @@
 
 use std::path::PathBuf;
 
+use crate::args::{parse_cli, Args, Command, Flag, BUDGET, COHERENCE, KERNEL, OUT, POLICY, SB, SEED};
+use crate::errors::{workload, HarnessError};
 use crate::table::Table;
 use tus::System;
 use tus_sim::stats::names;
@@ -22,6 +24,7 @@ use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimConfig};
 use tus_workloads::{by_name, Workload};
 
 /// Parsed `trace` subcommand options.
+#[derive(Debug)]
 pub struct TraceOptions {
     /// The workload to run (default: `502.gcc1-like`).
     pub workload: Workload,
@@ -64,72 +67,47 @@ impl Default for TraceOptions {
     }
 }
 
-fn trace_usage() -> ! {
-    eprintln!(
-        "usage: tus-harness trace [WORKLOAD] [--policy base|SSB|CSB|SPB|TUS]\n\
-         \x20                       [--sb N] [--kernel lockstep|event] [--seed N]\n\
-         \x20                       [--coherence mesi|tardis] [--insts N] [--cap N] [--out DIR]\n\
-         runs one traced simulation, writes Chrome-trace JSON (load it in\n\
-         chrome://tracing or ui.perfetto.dev) and prints the per-core\n\
-         cycle-attribution breakdown (every cycle lands in exactly one\n\
-         category; the sum is asserted to equal total cycles)"
-    );
-    std::process::exit(2);
-}
+/// `tus-harness trace` and the `TraceCapture` request.
+pub static TRACE: Command = Command {
+    name: "trace",
+    positional: Some("workload"),
+    flags: &[
+        POLICY,
+        SB,
+        KERNEL,
+        SEED,
+        COHERENCE,
+        Flag::value("--insts", "insts", "N"),
+        Flag::value("--cap", "cap", "N").cli(),
+        OUT,
+        BUDGET.wire(),
+    ],
+    about: "runs one traced simulation, writes Chrome-trace JSON (load it in\n\
+            chrome://tracing or ui.perfetto.dev) and prints the per-core\n\
+            cycle-attribution breakdown (every cycle lands in exactly one\n\
+            category; the sum is asserted to equal total cycles)",
+};
 
-/// Parses the arguments following the `trace` keyword.
-pub fn parse_trace_args(args: &[String]) -> TraceOptions {
-    let mut opt = TraceOptions::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> u64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("trace: {name} needs a number");
-                trace_usage()
-            })
-        };
-        match a.as_str() {
-            "--policy" => {
-                let label = it.next().unwrap_or_else(|| trace_usage());
-                opt.policy = PolicyKind::ALL
-                    .into_iter()
-                    .find(|p| p.label().eq_ignore_ascii_case(label))
-                    .unwrap_or_else(|| {
-                        eprintln!("trace: unknown policy {label:?}");
-                        trace_usage()
-                    });
-            }
-            "--sb" => opt.sb_entries = num("--sb").max(1) as usize,
-            "--seed" => opt.seed = num("--seed"),
-            "--insts" => opt.insts = num("--insts").max(1),
-            "--cap" => opt.cap = num("--cap").max(16) as usize,
-            "--out" => opt.out = it.next().unwrap_or_else(|| trace_usage()).into(),
-            "--kernel" => {
-                let label = it.next().unwrap_or_else(|| trace_usage());
-                opt.kernel = KernelKind::parse(label).unwrap_or_else(|| {
-                    eprintln!("trace: unknown kernel {label:?}");
-                    trace_usage()
-                });
-            }
-            "--coherence" => {
-                let label = it.next().unwrap_or_else(|| trace_usage());
-                opt.coherence = CoherenceKind::parse(label).unwrap_or_else(|| {
-                    eprintln!("trace: unknown coherence backend {label:?}");
-                    trace_usage()
-                });
-            }
-            w if !w.starts_with('-') => {
-                // Structured lookup: a typo prints the full known-name
-                // list (HarnessError::UnknownWorkload), then usage.
-                opt.workload = crate::errors::workload(w).unwrap_or_else(|e| {
-                    eprintln!("trace: {e}");
-                    trace_usage()
-                });
-            }
-            _ => trace_usage(),
+impl TraceOptions {
+    /// The options a `trace` command line or a `TraceCapture` request
+    /// gives, over `base`.
+    pub fn from_args(mut args: Args<'_>, base: TraceOptions) -> Result<TraceOptions, HarnessError> {
+        let mut opt = base;
+        if let Some(name) = args.str("workload") {
+            opt.workload = workload(name)?;
         }
+        opt.policy = args.policy()?.unwrap_or(opt.policy);
+        opt.sb_entries = args.num("sb")?.map_or(opt.sb_entries, |n: usize| n.max(1));
+        opt.kernel = args.kernel()?.unwrap_or(opt.kernel);
+        opt.seed = args.num("seed")?.unwrap_or(opt.seed);
+        opt.coherence = args.coherence()?.unwrap_or(opt.coherence);
+        opt.insts = args.num("insts")?.map_or(opt.insts, |n: u64| n.max(1));
+        opt.cap = args.num("cap")?.map_or(opt.cap, |n: usize| n.max(16));
+        opt.out = args.str("out").map_or(opt.out, PathBuf::from);
+        opt.budget = args.num("budget")?.or(opt.budget);
+        args.finish()?;
+        Ok(opt)
     }
-    opt
 }
 
 /// The outcome of one traced run: per-track event streams plus the
@@ -290,8 +268,10 @@ pub fn breakdown_table(attributions: &[Attribution], cycles: u64) -> Table {
 }
 
 /// Entry point for the `trace` subcommand.
-pub fn main_trace(args: &[String]) -> ! {
-    let opt = parse_trace_args(args);
+pub fn main_trace(argv: &[String]) -> ! {
+    let build = |args: Args<'_>| TraceOptions::from_args(args, TraceOptions::default());
+    let opt = parse_cli(&TRACE, "tus-harness trace [WORKLOAD]", argv, build)
+        .unwrap_or_else(|code| std::process::exit(code));
     eprintln!(
         "[trace: {} {} sb{} {} seed {} — {} insts]",
         opt.workload.name,
@@ -341,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_trace_args_covers_flags() {
+    fn trace_flags_cover_options() {
         let args: Vec<String> = [
             "557.xz-like", "--policy", "csb", "--sb", "64", "--kernel", "lockstep", "--seed",
             "7", "--insts", "1234", "--cap", "512", "--out", "/tmp/x",
@@ -349,7 +329,8 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let opt = parse_trace_args(&args);
+        let opt = TraceOptions::from_args(Args::from_argv(&TRACE, &args).unwrap(), TraceOptions::default())
+            .unwrap();
         assert_eq!(opt.workload.name, "557.xz-like");
         assert_eq!(opt.policy, PolicyKind::Csb);
         assert_eq!(opt.sb_entries, 64);

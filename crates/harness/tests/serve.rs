@@ -11,9 +11,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use tus_harness::protocol::{
-    decode_error, parse_headers, read_frame, write_frame, Frame, FrameKind, ReadOutcome,
-};
+use tus_harness::protocol::{decode_error, read_frame, write_frame, Frame, FrameKind, ReadOutcome};
 use tus_harness::serve::{bind, ServeOptions};
 
 /// A daemon running on a background thread, plus the address to dial.
@@ -94,6 +92,14 @@ fn terminal(frames: &[Frame]) -> &Frame {
     frames.last().expect("at least one frame")
 }
 
+/// A reply's `key=value` header lines, up to the first blank line.
+fn headers(body: &str) -> std::collections::HashMap<&str, &str> {
+    body.lines()
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_once('=').expect("key=value header line"))
+        .collect()
+}
+
 const POINT: &str = "workload=502.gcc1-like\npolicy=tus\nsb=114\nscale=quick\n";
 
 #[test]
@@ -117,9 +123,8 @@ fn warm_point_requests_execute_zero_simulations() {
     let done = terminal(&cold);
     assert_eq!(done.kind, FrameKind::RunDone);
     assert!(cold.iter().any(|f| f.kind == FrameKind::Progress), "progress streamed");
-    let (head, payload) = done.body.split_once("\n\n").expect("header + result");
-    let head = format!("{head}\n");
-    let h = parse_headers(&head).expect("headers");
+    let (_, payload) = done.body.split_once("\n\n").expect("header + result");
+    let h = headers(&done.body);
     assert_eq!(h["executed"], "1", "cold request simulates");
 
     // Bit-exact vs the direct (non-daemon) path.
@@ -140,9 +145,8 @@ fn warm_point_requests_execute_zero_simulations() {
     let warm = server.request(FrameKind::RunPoint, POINT);
     let done = terminal(&warm);
     assert_eq!(done.kind, FrameKind::RunDone);
-    let (head, warm_payload) = done.body.split_once("\n\n").expect("header + result");
-    let head = format!("{head}\n");
-    let h = parse_headers(&head).expect("headers");
+    let (_, warm_payload) = done.body.split_once("\n\n").expect("header + result");
+    let h = headers(&done.body);
     assert_eq!(h["executed"], "0", "warm request must not simulate");
     assert_eq!(h["memo_hits"], "1");
     assert_eq!(warm_payload, payload, "warm bytes identical to cold bytes");
@@ -224,11 +228,31 @@ fn coherence_backend_header_is_validated_and_routed() {
     let frames = request_on(&mut s, FrameKind::RunPoint, &format!("{POINT}coherence=mesi\n"));
     let done = terminal(&frames);
     assert_eq!(done.kind, FrameKind::RunDone);
-    let (head, _) = done.body.split_once("\n\n").expect("header + result");
-    let head = format!("{head}\n");
-    let h = parse_headers(&head).expect("headers");
+    let h = headers(&done.body);
     assert_eq!(h["executed"], "1", "backends must not share memo entries");
 
+    server.shutdown();
+}
+
+/// A header the request kind does not take is refused, not ignored: a
+/// `RunPoint` carrying `insts=` (a trace setting) or a misspelt
+/// `kernal=` gets a `protocol` error naming the key instead of running
+/// the default spec, and the connection keeps serving.
+#[test]
+fn unknown_request_headers_are_refused() {
+    let server = start(|_| {});
+    let mut s = server.dial();
+    for key in ["insts=100", "kernal=lockstep"] {
+        let frames = request_on(&mut s, FrameKind::RunPoint, &format!("{POINT}{key}\n"));
+        let err = terminal(&frames);
+        assert_eq!(err.kind, FrameKind::Error, "{key} must be refused");
+        let (token, message) = decode_error(&err.body);
+        assert_eq!(token, "protocol");
+        let name = key.split_once('=').expect("key=value").0;
+        assert!(message.contains(&format!("{name:?}")), "names the key: {message}");
+    }
+    let frames = request_on(&mut s, FrameKind::Ping, "still here");
+    assert_eq!(terminal(&frames).body, "still here");
     server.shutdown();
 }
 
@@ -391,7 +415,7 @@ fn counters_reflect_shared_executor_state() {
     let frames = server.request(FrameKind::Counters, "");
     let done = terminal(&frames);
     assert_eq!(done.kind, FrameKind::CountersReply);
-    let h = parse_headers(&done.body).expect("headers");
+    let h = headers(&done.body);
     assert_eq!(h["executed"], "1", "one simulation across both requests");
     assert_eq!(h["memo_hits"], "1");
     assert!(h["requests"].parse::<u64>().expect("requests") >= 3);
@@ -406,8 +430,7 @@ fn fuzz_sweep_over_the_wire() {
     let frames = server.request(FrameKind::FuzzSweep, "programs=3\nseeds=2\nseed=1\n");
     let done = terminal(&frames);
     assert_eq!(done.kind, FrameKind::FuzzDone);
-    let head = format!("{}\n", done.body.split_once("\n\n").expect("header").0);
-    let h = parse_headers(&head).expect("headers");
+    let h = headers(&done.body);
     assert_eq!(h["programs"], "3");
     assert_eq!(h["violations"], "0");
     assert!(frames.iter().any(|f| f.kind == FrameKind::Progress));
@@ -428,9 +451,8 @@ fn model_check_over_the_wire() {
     let frames = request_on(&mut s, FrameKind::Check, "seeds=2\n");
     let done = terminal(&frames);
     assert_eq!(done.kind, FrameKind::CheckDone);
-    let (head, rendered) = done.body.split_once("\n\n").expect("header + body");
-    let head = format!("{head}\n");
-    let h = parse_headers(&head).expect("headers");
+    let (_, rendered) = done.body.split_once("\n\n").expect("header + body");
+    let h = headers(&done.body);
     assert_eq!(h["programs"], "18");
     assert_eq!(h["verified"], "18");
     assert_eq!(h["violations"], "0");
@@ -443,8 +465,7 @@ fn model_check_over_the_wire() {
     let frames = request_on(&mut s, FrameKind::Check, "litmus=SB,MP\nprograms=2\nseeds=0\n");
     let done = terminal(&frames);
     assert_eq!(done.kind, FrameKind::CheckDone);
-    let head = format!("{}\n", done.body.split_once("\n\n").expect("header").0);
-    let h = parse_headers(&head).expect("headers");
+    let h = headers(&done.body);
     assert_eq!(h["programs"], "4");
     assert_eq!(h["violations"], "0");
 

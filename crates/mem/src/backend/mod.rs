@@ -41,8 +41,7 @@ use std::collections::VecDeque;
 
 use tus_sim::trace::{TraceEvent, TraceRecord, Tracer};
 use tus_sim::{
-    CoherenceKind, CoreId, Cycle, DelayQueue, LineAddr, LineId, LineInterner, Schedulable, Slab,
-    StatSet,
+    CoherenceKind, CoreId, Cycle, DelayQueue, LineAddr, LineId, LineInterner, Slab, StatSet,
 };
 
 use crate::cache::L3Cache;
@@ -588,10 +587,10 @@ impl Directory {
         s.set("writebacks", st.writebacks as f64);
         s
     }
-}
 
-impl Schedulable for Directory {
-    fn next_work(&self, now: Cycle) -> Option<Cycle> {
+    /// The home node's next-work answer (the [`tus_sim::sched`]
+    /// contract).
+    pub fn next_work(&self, now: Cycle) -> Option<Cycle> {
         // Replays are drained by the memory system within the same tick
         // they are produced, so they are normally never pending between
         // ticks; claim work defensively if any are.

@@ -13,7 +13,7 @@
 //!    per message so the TSO litmus harness can explore interleavings.
 
 use tus_sim::trace::{TraceEvent, TraceRecord, Tracer};
-use tus_sim::{BoxPool, CoreId, Cycle, DelayQueue, Schedulable, SimRng};
+use tus_sim::{BoxPool, CoreId, Cycle, DelayQueue, SimRng};
 
 use crate::line::LineData;
 use crate::msgs::Msg;
@@ -199,12 +199,6 @@ impl Network {
     /// delivery is about to mutate.
     pub fn next_due_for(&self, dst: Node) -> Option<Cycle> {
         self.queues[dst.index(self.cores)].next_due()
-    }
-}
-
-impl Schedulable for Network {
-    fn next_work(&self, _now: Cycle) -> Option<Cycle> {
-        self.next_due()
     }
 }
 

@@ -8,7 +8,7 @@
 
 use tus_sim::sched::earliest;
 use tus_sim::trace::TraceRecord;
-use tus_sim::{CoreId, Cycle, Schedulable, SimConfig, SimRng, StatSet};
+use tus_sim::{CoreId, Cycle, SimConfig, SimRng, StatSet};
 
 use crate::backend::Directory;
 use crate::mainmem::MainMemory;
@@ -233,7 +233,7 @@ impl MemorySystem {
     /// by the per-core slice, not by `tick`, so the event-driven kernel
     /// accounts them to the core unit.
     pub fn fabric_next_work(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = earliest(self.net.next_work(now), self.dir.next_work(now));
+        let mut next = earliest(self.net.next_due(), self.dir.next_work(now));
         for c in &self.ctrls {
             next = earliest(next, c.next_deferred_fwd());
             if next.is_some_and(|c| c <= now) {

@@ -3,7 +3,7 @@
 //! Each schedulable *unit* (the memory fabric, one per-core slice) owns a
 //! small integer id and at most one live key in the calendar: the earliest
 //! cycle at which ticking that unit could change machine state (the
-//! [`Schedulable`] contract, kept incrementally per unit instead of
+//! [`sched`] contract, kept incrementally per unit instead of
 //! recomputed machine-wide every cycle).
 //!
 //! # Ordering
@@ -41,7 +41,7 @@
 //! pop order — strictly `(due, id)` ascending — is preserved by merging
 //! the bucket cursor with the heap head at every pop.
 //!
-//! [`Schedulable`]: crate::Schedulable
+//! [`sched`]: crate::sched
 //! [`schedule`]: Calendar::schedule
 //! [`pop_due`]: Calendar::pop_due
 

@@ -49,6 +49,14 @@ impl PolicyKind {
             PolicyKind::Spb => "SPB",
         }
     }
+
+    /// Parses a `--policy` flag value: a [`PolicyKind::label`], in any
+    /// case (`tus`, `TUS`, `Base`).
+    pub fn parse(s: &str) -> Option<PolicyKind> {
+        PolicyKind::ALL
+            .into_iter()
+            .find(|p| p.label().eq_ignore_ascii_case(s))
+    }
 }
 
 impl fmt::Display for PolicyKind {
@@ -759,6 +767,21 @@ mod tests {
     fn forward_latency_by_size() {
         for (n, lat) in [(114, 5), (65, 5), (64, 4), (33, 4), (32, 3), (16, 3)] {
             assert_eq!(SbConfig { entries: n }.forward_latency(), lat, "n={n}");
+        }
+    }
+
+    #[test]
+    fn selector_labels_parse_back() {
+        for p in PolicyKind::ALL {
+            assert_eq!(PolicyKind::parse(p.label()), Some(p));
+            assert_eq!(PolicyKind::parse(&p.label().to_ascii_lowercase()), Some(p));
+        }
+        assert_eq!(PolicyKind::parse("tso"), None);
+        for k in KernelKind::ALL {
+            assert_eq!(KernelKind::parse(k.label()), Some(k));
+        }
+        for c in CoherenceKind::ALL {
+            assert_eq!(CoherenceKind::parse(c.label()), Some(c));
         }
     }
 

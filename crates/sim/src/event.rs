@@ -126,6 +126,7 @@ mod tests {
     #[test]
     fn earliest_first() {
         let mut q = DelayQueue::new();
+        assert_eq!(q.next_due(), None);
         q.push(Cycle::new(30), 30);
         q.push(Cycle::new(10), 10);
         q.push(Cycle::new(20), 20);

@@ -12,7 +12,7 @@
 //! * [`config`] — the full Table I machine description ([`SimConfig`]) with
 //!   a builder, plus the store-drain policy selector ([`PolicyKind`]) and
 //!   the simulation-kernel selector ([`KernelKind`]).
-//! * [`sched`] — the [`Schedulable`] contract the event kernel uses to
+//! * [`sched`] — the next-work contract the event kernel uses to
 //!   compute per-component next-event cycles.
 //! * [`calendar`] — the priority queue of unit next-work keys
 //!   ([`Calendar`]) behind the event-driven kernel.
@@ -50,7 +50,6 @@ pub mod types;
 
 pub use calendar::Calendar;
 pub use config::{CoherenceKind, KernelKind, PolicyKind, SimConfig, SimConfigBuilder};
-pub use sched::Schedulable;
 pub use event::DelayQueue;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use lineid::{BoxPool, LineId, LineInterner, Slab};

@@ -24,29 +24,21 @@
 //! idle cycle to the same stall/occupancy counters the lockstep tick would
 //! have bumped, so `StatSet` output is bit-identical between kernels.
 //!
+//! # The `next_work` answer
+//!
+//! Each unit answers through an inherent method of its own type
+//! (`next_work(now)` or `next_due()`): the earliest cycle `>= now` at
+//! which ticking it could change simulated state, or `None` if it is
+//! fully quiesced (no pending work at all, not even in the future).
+//! `Some(c)` with `c <= now` means "I have work right now". Answering
+//! `Some(now)` when unsure is always safe; answering a cycle later than
+//! the true next state change is a correctness bug. [`earliest`] folds
+//! the answers of a unit's parts.
+//!
 //! [`Calendar`]: crate::Calendar
 //! [`DelayQueue::next_due`]: crate::DelayQueue::next_due
 
-use crate::event::DelayQueue;
 use crate::types::Cycle;
-
-/// A component the event kernel can query for its next event.
-pub trait Schedulable {
-    /// Earliest cycle `>= now` at which ticking this component could change
-    /// simulated state, or `None` if it is fully quiesced (no pending work
-    /// at all, not even in the future).
-    ///
-    /// Returning `Some(c)` with `c <= now` means "I have work right now".
-    /// Returning `Some(now)` when unsure is always safe; returning a cycle
-    /// later than the true next state change is a correctness bug.
-    fn next_work(&self, now: Cycle) -> Option<Cycle>;
-}
-
-impl<T> Schedulable for DelayQueue<T> {
-    fn next_work(&self, _now: Cycle) -> Option<Cycle> {
-        self.next_due()
-    }
-}
 
 /// Folds two optional next-event cycles into their minimum.
 ///
@@ -62,15 +54,6 @@ pub fn earliest(a: Option<Cycle>, b: Option<Cycle>) -> Option<Cycle> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delay_queue_is_schedulable() {
-        let mut q = DelayQueue::new();
-        assert_eq!(q.next_work(Cycle::new(0)), None);
-        q.push(Cycle::new(17), "x");
-        q.push(Cycle::new(5), "y");
-        assert_eq!(q.next_work(Cycle::new(0)), Some(Cycle::new(5)));
-    }
 
     #[test]
     fn earliest_folds_none_as_identity() {

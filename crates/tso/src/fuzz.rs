@@ -558,10 +558,7 @@ fn parse_loc(s: &str) -> Result<Loc, String> {
 }
 
 fn parse_policy(label: &str) -> Result<PolicyKind, String> {
-    PolicyKind::ALL
-        .into_iter()
-        .find(|p| p.label().eq_ignore_ascii_case(label))
-        .ok_or_else(|| format!("unknown policy {label:?}"))
+    PolicyKind::parse(label).ok_or_else(|| format!("unknown policy {label:?}"))
 }
 
 /// Parses a corpus file produced by [`encode_case`].
