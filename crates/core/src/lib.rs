@@ -13,8 +13,11 @@
 //!   groups for store cycles (Sections III-A/III-B, Figure 6).
 //! * [`wcb`] — the re-purposed write-combining buffers that coalesce
 //!   coherent stores across non-consecutive lines.
-//! * [`policy`] — the five drain policies the evaluation compares:
-//!   baseline, TUS, SSB, CSB and SPB, behind one [`policy::Policy`] enum.
+//! * [`policy`] — the five drain policies the evaluation compares, as one
+//!   [`policy::Policy`] told apart by where committed stores wait:
+//!   nowhere (baseline, and SPB with its burst prefetcher), SSB's TSOB,
+//!   or the WCBs, whose one front end takes CSB's permission-checked
+//!   flush or TUS's unauthorized one.
 //! * [`system`] — [`System`]: cores + policies + memory, ticked cycle by
 //!   cycle, with run loops, progress watchdogs and statistics.
 //!

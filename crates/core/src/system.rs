@@ -362,11 +362,6 @@ impl System {
         &mut self.cores[i]
     }
 
-    /// A policy, for inspection.
-    pub fn policy(&self, i: usize) -> &Policy {
-        &self.policies[i]
-    }
-
     /// The memory system, for inspection.
     pub fn mem(&self) -> &MemorySystem {
         &self.mem
@@ -822,14 +817,15 @@ impl System {
                 let _ = writeln!(out, "core{i} sb head line state: {:?}", self.mem.ctrls[i].line_state(h.addr.line()));
             }
             let _ = writeln!(out, "core{i} ctrl: {:?}", self.mem.ctrls[i]);
-            if let Policy::Tus(p) = &self.policies[i] {
+            let p = &self.policies[i];
+            if let Some(woq) = p.woq() {
                 let _ = writeln!(
                     out,
                     "core{i} wcbs: occupied={} woq_len={}",
-                    p.wcbs().occupied(),
-                    p.woq().len()
+                    p.occupancy().wcb_occupied,
+                    woq.len()
                 );
-                for (j, e) in p.woq().iter().enumerate().take(16) {
+                for (j, e) in woq.iter().enumerate().take(16) {
                     let st = self.mem.ctrls[i].line_state(e.line);
                     let _ = writeln!(
                         out,

@@ -26,8 +26,6 @@ pub struct WcbBuf {
     pub cid: u32,
     /// Cycle the buffer was allocated (age-based flush).
     pub born: Cycle,
-    /// Number of stores coalesced into this buffer.
-    pub stores: u64,
 }
 
 /// The set of WCBs of one core.
@@ -52,10 +50,9 @@ pub struct WcbSet {
     next_cid: u32,
     searches: u64,
     coalesced_stores: u64,
-    cycle_merges: u64,
     tracer: Tracer,
     /// Retired line-data boxes awaiting reuse. Flushed buffers return
-    /// their boxes here (via [`WcbSet::recycle`]) so steady-state
+    /// their boxes here (via [`WcbSet::release`]) so steady-state
     /// allocate/flush cycles never touch the heap: the pool plateaus at
     /// the buffer count.
     spare: Vec<Box<LineData>>,
@@ -83,7 +80,6 @@ impl WcbSet {
             next_cid: 0,
             searches: 0,
             coalesced_stores: 0,
-            cycle_merges: 0,
             tracer: Tracer::default(),
             spare: Vec::new(),
         }
@@ -147,9 +143,8 @@ impl WcbSet {
                 for b in self.bufs.iter_mut().flatten() {
                     b.cid = cid;
                 }
-                self.cycle_merges += 1;
                 if self.tracer.is_enabled() {
-                    let size = self.group_members(cid).len() as u32;
+                    let size = self.occupied() as u32;
                     self.tracer.emit(now, 0, TraceEvent::AtomicGroupMerge { group: cid, size });
                 }
                 true
@@ -159,7 +154,6 @@ impl WcbSet {
             let b = self.bufs[i].as_mut().expect("found");
             tus_mem::line::write_value(&mut b.data, addr.line_offset(), size, value);
             b.mask.set_range(addr.line_offset(), size);
-            b.stores += 1;
             self.coalesced_stores += 1;
             self.last_written = Some(i);
             return Ok(merged);
@@ -181,7 +175,6 @@ impl WcbSet {
                 mask: ByteMask::range(addr.line_offset(), size),
                 cid,
                 born: now,
-                stores: 1,
             });
             self.last_written = Some(i);
             return Ok(false);
@@ -209,29 +202,9 @@ impl WcbSet {
         }
     }
 
-    /// Whether any buffer holds bytes overlapping the access but not
-    /// covering it (the load must wait for the flush).
-    pub fn partial_overlap(&self, addr: Addr, size: usize) -> bool {
-        self.find(addr.line())
-            .map(|i| {
-                let b = self.bufs[i].as_ref().expect("found");
-                b.mask.overlaps(addr.line_offset(), size)
-                    && !b.mask.covers(addr.line_offset(), size)
-            })
-            .unwrap_or(false)
-    }
-
-    /// Indices of the buffers forming the oldest group (by allocation
-    /// cycle) — the natural flush victim.
-    pub fn oldest_group(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.oldest_group_into(&mut out);
-        out
-    }
-
-    /// Allocation-free [`WcbSet::oldest_group`]: clears `out` and fills
-    /// it with the indices of the oldest group (empty when no buffer is
-    /// in use).
+    /// Clears `out` and fills it with the indices of the buffers forming
+    /// the oldest group (by allocation cycle) — the natural flush victim.
+    /// `out` stays empty when no buffer is in use.
     pub fn oldest_group_into(&self, out: &mut Vec<usize>) {
         out.clear();
         let Some(oldest) = self
@@ -243,70 +216,17 @@ impl WcbSet {
         else {
             return;
         };
-        self.group_members_into(oldest, out);
-    }
-
-    /// Indices of the buffers in group `cid`.
-    pub fn group_members(&self, cid: u32) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.group_members_into(cid, &mut out);
-        out
-    }
-
-    /// Appends the indices of the buffers in group `cid` to `out`.
-    pub fn group_members_into(&self, cid: u32, out: &mut Vec<usize>) {
         out.extend(
             self.bufs
                 .iter()
                 .enumerate()
-                .filter(|(_, b)| b.as_ref().is_some_and(|b| b.cid == cid))
+                .filter(|(_, b)| b.as_ref().is_some_and(|b| b.cid == oldest))
                 .map(|(i, _)| i),
         );
     }
 
-    /// All distinct group ids currently present, oldest first.
-    pub fn groups(&self) -> Vec<u32> {
-        let mut v: Vec<(Cycle, u32)> = Vec::new();
-        for b in self.bufs.iter().flatten() {
-            match v.iter_mut().find(|(_, c)| *c == b.cid) {
-                Some((born, _)) => *born = (*born).min(b.born),
-                None => v.push((b.born, b.cid)),
-            }
-        }
-        v.sort();
-        v.into_iter().map(|(_, c)| c).collect()
-    }
-
-    /// Removes and returns the buffers at `indices` (after a successful
-    /// flush to the L1D).
-    pub fn take(&mut self, indices: &[usize]) -> Vec<WcbBuf> {
-        let mut out = Vec::with_capacity(indices.len());
-        self.take_into(indices, &mut out);
-        out
-    }
-
-    /// Allocation-free [`WcbSet::take`]: appends the removed buffers to
-    /// `out`. Pass the buffers back through [`WcbSet::recycle`] once
-    /// their contents are consumed so their data boxes are reused.
-    pub fn take_into(&mut self, indices: &[usize], out: &mut Vec<WcbBuf>) {
-        for &i in indices {
-            out.push(self.bufs[i].take().expect("taking an empty WCB"));
-        }
-        if self
-            .last_written
-            .is_some_and(|lw| self.bufs[lw].is_none())
-        {
-            self.last_written = None;
-        }
-    }
-
-    /// Returns a flushed buffer's line-data box to the spare pool.
-    pub fn recycle(&mut self, buf: WcbBuf) {
-        self.spare.push(buf.data);
-    }
-
-    /// Removes the buffers at `indices` and recycles their data boxes in
-    /// one step (for callers that do not need the contents).
+    /// Removes the buffers at `indices` (after their group was written to
+    /// the L1D) and keeps their data boxes for reuse.
     pub fn release(&mut self, indices: &[usize]) {
         for &i in indices {
             let b = self.bufs[i].take().expect("releasing an empty WCB");
@@ -339,11 +259,6 @@ impl WcbSet {
     pub fn coalesced_stores(&self) -> u64 {
         self.coalesced_stores
     }
-
-    /// Cycle merges performed.
-    pub fn cycle_merges(&self) -> u64 {
-        self.cycle_merges
-    }
 }
 
 #[cfg(test)]
@@ -372,6 +287,13 @@ mod tests {
         );
     }
 
+    /// The lines of the oldest group, in buffer order.
+    fn oldest_lines(w: &WcbSet) -> Vec<LineAddr> {
+        let mut g = Vec::new();
+        w.oldest_group_into(&mut g);
+        g.iter().map(|&i| w.buf(i).expect("member").line).collect()
+    }
+
     #[test]
     fn cycle_detection_on_alternating_lines() {
         // A, B, A: writing A again while B was last-written => cycle.
@@ -379,10 +301,11 @@ mod tests {
         assert_eq!(w.write(Addr::new(0x000), 8, 1, Cycle::ZERO), Ok(false));
         assert_eq!(w.write(Addr::new(0x100), 8, 2, Cycle::ZERO), Ok(false));
         assert_eq!(w.write(Addr::new(0x008), 8, 3, Cycle::ZERO), Ok(true));
-        assert_eq!(w.cycle_merges(), 1);
-        let groups = w.groups();
-        assert_eq!(groups.len(), 1, "buffers merged into one group");
-        assert_eq!(w.group_members(groups[0]).len(), 2);
+        assert_eq!(
+            oldest_lines(&w),
+            [LineAddr::new(0), LineAddr::new(4)],
+            "buffers merged into one group"
+        );
     }
 
     #[test]
@@ -390,8 +313,8 @@ mod tests {
         let mut w = WcbSet::new(2);
         w.write(Addr::new(0x000), 8, 1, Cycle::ZERO).expect("ok");
         assert_eq!(w.write(Addr::new(0x008), 8, 2, Cycle::ZERO), Ok(false));
-        assert_eq!(w.cycle_merges(), 0);
-        assert_eq!(w.groups().len(), 1);
+        assert_eq!(w.occupied(), 1);
+        assert_eq!(oldest_lines(&w), [LineAddr::new(0)]);
     }
 
     #[test]
@@ -399,20 +322,23 @@ mod tests {
         let mut w = WcbSet::new(1);
         w.write(Addr::new(0x100), 4, 0xAABBCCDD, Cycle::ZERO).expect("ok");
         assert_eq!(w.forward(Addr::new(0x100), 8), None);
-        assert!(w.partial_overlap(Addr::new(0x100), 8));
-        assert!(!w.partial_overlap(Addr::new(0x108), 8));
+        // The refused load overlaps held bytes; the next one holds none.
+        let b = w.buf(0).expect("held");
+        assert!(b.mask.overlaps(0, 8) && !b.mask.covers(0, 8));
+        assert!(!b.mask.overlaps(8, 8));
         assert_eq!(w.forward(Addr::new(0x102), 2), Some(0xAABB));
     }
 
     #[test]
-    fn oldest_group_and_take() {
+    fn oldest_group_and_release() {
         let mut w = WcbSet::new(2);
         w.write(Addr::new(0x000), 8, 1, Cycle::new(5)).expect("ok");
         w.write(Addr::new(0x100), 8, 2, Cycle::new(9)).expect("ok");
-        let g = w.oldest_group();
+        let mut g = Vec::new();
+        w.oldest_group_into(&mut g);
         assert_eq!(g.len(), 1);
-        let taken = w.take(&g);
-        assert_eq!(taken[0].line, LineAddr::new(0));
+        assert_eq!(w.buf(g[0]).expect("member").line, LineAddr::new(0));
+        w.release(&g);
         assert_eq!(w.occupied(), 1);
         assert_eq!(w.oldest_age(Cycle::new(20)), 11);
     }
@@ -423,9 +349,13 @@ mod tests {
         w.write(Addr::new(0x200), 8, 1, Cycle::new(30)).expect("ok");
         w.write(Addr::new(0x000), 8, 2, Cycle::new(10)).expect("ok");
         w.write(Addr::new(0x100), 8, 3, Cycle::new(20)).expect("ok");
-        let gs = w.groups();
-        assert_eq!(gs.len(), 3);
-        let first = &w.group_members(gs[0]);
-        assert_eq!(w.buf(first[0]).expect("buf").line, LineAddr::new(0));
+        let mut g = Vec::new();
+        for line in [0, 4, 8] {
+            w.oldest_group_into(&mut g);
+            assert_eq!(g.len(), 1, "three separate groups");
+            assert_eq!(w.buf(g[0]).expect("member").line, LineAddr::new(line));
+            w.release(&g);
+        }
+        assert!(w.is_empty());
     }
 }

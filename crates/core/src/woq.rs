@@ -445,13 +445,7 @@ impl Woq {
         self.pop_group_members(g)
     }
 
-    /// Queue positions of entries with the retry flag set.
-    pub fn retry_positions(&self) -> Vec<usize> {
-        self.retry_iter().collect()
-    }
-
-    /// Iterator over queue positions of entries with the retry flag set
-    /// (allocation-free form of [`Woq::retry_positions`]).
+    /// Iterator over queue positions of entries with the retry flag set.
     pub fn retry_iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.entries
             .iter()
@@ -591,10 +585,10 @@ mod tests {
         w.mark_relinquished(2, 3);
         let e = w.entry(0);
         assert!(!e.ready && e.retry && !e.can_cycle);
-        assert_eq!(w.retry_positions(), vec![0]);
+        assert!(w.retry_iter().eq([0]));
         // Re-acquisition clears retry.
         w.mark_ready(2, 3);
-        assert!(w.retry_positions().is_empty());
+        assert_eq!(w.retry_iter().next(), None);
     }
 
     #[test]

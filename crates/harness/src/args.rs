@@ -156,6 +156,10 @@ pub struct Args<'a> {
     pairs: Vec<(&'a str, &'a str, bool)>,
 }
 
+/// The largest `sb=` taken: the size of SSB's TSOB, the largest store
+/// queue the simulator models.
+const MAX_SB: usize = 1024;
+
 pub(crate) fn bad(what: String) -> HarnessError {
     HarnessError::Protocol { what }
 }
@@ -249,6 +253,15 @@ impl<'a> Args<'a> {
         match self.num(key)? {
             Some(0) => Err(bad(format!("{key}=0: must be at least 1"))),
             n => Ok(n),
+        }
+    }
+
+    /// `sb=`, the store-buffer size: 0 reads as 1, and a size above
+    /// `MAX_SB` is refused (the buffer reserves its entries up front).
+    pub fn sb(&mut self) -> Result<Option<usize>, HarnessError> {
+        match self.num::<usize>("sb")? {
+            Some(n) if n > MAX_SB => Err(bad(format!("sb={n}: at most {MAX_SB} entries"))),
+            n => Ok(n.map(|n| n.max(1))),
         }
     }
 

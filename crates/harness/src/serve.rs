@@ -529,7 +529,7 @@ pub static POINT: Command = Command {
 pub fn point_spec(mut args: Args<'_>) -> Result<(RunSpec, Option<u64>, Option<u64>), HarnessError> {
     let w = workload(args.require("workload")?)?;
     let policy = args.policy()?.ok_or_else(|| missing("policy"))?;
-    let sb = args.num("sb")?.map_or(114, |n: usize| n.max(1));
+    let sb = args.sb()?.unwrap_or(114);
     let scale = args.scale()?.unwrap_or(Scale::Normal);
     let mut spec = RunSpec::new(w, policy, sb, scale);
     spec.seed = args.num("seed")?.unwrap_or(spec.seed);

@@ -97,7 +97,7 @@ impl TraceOptions {
             opt.workload = workload(name)?;
         }
         opt.policy = args.policy()?.unwrap_or(opt.policy);
-        opt.sb_entries = args.num("sb")?.map_or(opt.sb_entries, |n: usize| n.max(1));
+        opt.sb_entries = args.sb()?.unwrap_or(opt.sb_entries);
         opt.kernel = args.kernel()?.unwrap_or(opt.kernel);
         opt.seed = args.num("seed")?.unwrap_or(opt.seed);
         opt.coherence = args.coherence()?.unwrap_or(opt.coherence);

@@ -410,3 +410,20 @@ fn mutated_command_lines_and_headers_never_panic() {
     }
     assert!(runs >= 2_000, "only {runs} mutated inputs");
 }
+
+/// `sb` sizes the store buffer, which reserves its entries up front: a
+/// `RunPoint` or `TraceCapture` asking for a trillion entries is refused
+/// by name instead of aborting the daemon on the allocation.
+#[test]
+fn oversized_sb_is_refused() {
+    for cmd in [&POINT, &TRACE] {
+        let body = "workload=557.xz-like\npolicy=tus\nsb=1000000000000\n";
+        let e = daemon(cmd, body).expect_err(cmd.name);
+        assert_eq!(e.kind_token(), "protocol", "{}", cmd.name);
+        assert!(
+            e.to_string().contains("sb=1000000000000"),
+            "{}: {e}",
+            cmd.name
+        );
+    }
+}
