@@ -8,8 +8,8 @@ use tus::{AuthorizationUnit, WcbSet, Woq};
 use tus_bench::Bench;
 use tus_cpu::StoreBuffer;
 use tus_mem::ByteMask;
-use tus_sim::{Addr, Cycle, LineAddr, PolicyKind, SimRng};
-use tus_tso::{all_litmus_tests, generate_case, tso_outcomes};
+use tus_sim::{Addr, Cycle, LineAddr, PolicyKind};
+use tus_tso::{all_litmus_tests, case_at, tso_outcomes};
 
 fn main() {
     let mut b = Bench::from_args();
@@ -75,7 +75,7 @@ fn main() {
     {
         // The costliest case of the `verify` benchmark's pool: a
         // 4-thread program from fuzz stream 1 (`tus-harness fuzz --seed 1`).
-        let case = generate_case(&mut SimRng::seed(1).fork(12 + 1));
+        let case = case_at(1, 12);
         b.bench("tso_enumeration/fuzz-seed1-case12", || {
             black_box(tso_outcomes(&case.program).len())
         });

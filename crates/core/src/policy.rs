@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use tus_cpu::StoreBuffer;
+use tus_cpu::{ForwardResult, StoreBuffer};
 use tus_mem::prefetch::SpbPrefetcher;
 use tus_mem::{
     CacheEvent, Network, PrivateCache, ProbeResult, StoreAttemptClass, StoreWriteOutcome,
@@ -66,8 +66,6 @@ pub struct PolicyOccupancy {
 #[derive(Debug)]
 pub struct Policy {
     prefetch_at_commit: bool,
-    /// The L1D latency a load forwarded from a policy-side buffer pays.
-    l1_lat: u64,
     stage: Stage,
 }
 
@@ -95,7 +93,6 @@ impl Policy {
         };
         Policy {
             prefetch_at_commit: cfg.tus.prefetch_at_commit,
-            l1_lat: cfg.mem.l1d.latency,
             stage,
         }
     }
@@ -133,15 +130,13 @@ impl Policy {
         }
     }
 
-    /// Store-to-load forwarding from policy-owned buffers: the value and
-    /// the latency the load pays.
-    pub fn forward_load(&mut self, addr: Addr, size: usize) -> Option<(u64, u64)> {
-        let value = match &mut self.stage {
-            Stage::Direct(_) => None,
+    /// Store-to-load forwarding from policy-owned buffers.
+    pub fn forward_load(&mut self, addr: Addr, size: usize) -> ForwardResult {
+        match &mut self.stage {
+            Stage::Direct(_) => ForwardResult::Miss,
             Stage::Tsob(t) => t.forward(addr, size),
             Stage::Csb(front) | Stage::Tus(front, _) => front.wcbs.forward(addr, size),
-        };
-        value.map(|v| (v, self.l1_lat))
+        }
     }
 
     /// Notification that a store committed (SPB training,
@@ -477,7 +472,10 @@ impl Tsob {
         }
     }
 
-    fn forward(&mut self, addr: Addr, size: usize) -> Option<u64> {
+    /// Forwarding from the youngest TSOB entry the load overlaps: a hit
+    /// when it covers the load, partial (the load waits for it to drain)
+    /// when it does not.
+    fn forward(&mut self, addr: Addr, size: usize) -> ForwardResult {
         self.searches += 1;
         for &(a, s, v) in self.queue.iter().rev() {
             let (a0, a1) = (a.raw(), a.raw() + s as u64);
@@ -485,16 +483,13 @@ impl Tsob {
             if a0 <= b0 && b1 <= a1 {
                 let shift = (b0 - a0) * 8;
                 let mask = if size >= 8 { u64::MAX } else { (1u64 << (size * 8)) - 1 };
-                return Some((v >> shift) & mask);
+                return ForwardResult::Hit { value: (v >> shift) & mask };
             }
             if a0 < b1 && b0 < a1 {
-                // Partial overlap: fall through to memory (SSB forwards
-                // through the L1D in the original design; partial cases
-                // are rare and modeled as misses).
-                return None;
+                return ForwardResult::Partial;
             }
         }
-        None
+        ForwardResult::Miss
     }
 }
 

@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use tus_cpu::{Core, MemPort, TraceSource};
+use tus_cpu::{Core, ForwardResult, MemPort, TraceSource};
 use tus_mem::{CacheEvent, MemDeadlockSnapshot, MemorySystem, Network, PrivateCache};
 use tus_sim::calendar::Calendar;
 use tus_sim::sched::earliest;
@@ -240,7 +240,7 @@ struct Port<'a> {
 }
 
 impl MemPort for Port<'_> {
-    fn forward_load(&mut self, addr: Addr, size: usize) -> Option<(u64, u64)> {
+    fn forward_load(&mut self, addr: Addr, size: usize) -> ForwardResult {
         self.policy.forward_load(addr, size)
     }
     fn issue_load(&mut self, addr: Addr, size: usize, token: u64, now: Cycle) {
@@ -944,6 +944,41 @@ mod tests {
                 }
             }
             assert_eq!(vals, &expect[..], "policy {policy} returned wrong values");
+        }
+    }
+
+    /// A load that a held store covers only in part waits for it to
+    /// drain, under every policy: the WCBs and SSB's TSOB hold bytes the
+    /// L1D does not have yet, so reading the L1D alone loses them.
+    #[test]
+    fn partly_covered_load_sees_its_own_store() {
+        let a = Addr::new(0x10_000);
+        let traces = [
+            // A fresh line: the 4 stored bytes plus 4 zero bytes.
+            (vec![TraceInst::store(a, 4, 0x2222_2222), TraceInst::load(a, 8)], 0x2222_2222),
+            // The fence puts the 8-byte store in the L1D first.
+            (
+                vec![
+                    TraceInst::store(a, 8, 0x1111_1111_1111_1111),
+                    TraceInst::fence(),
+                    TraceInst::store(a, 4, 0x2222_2222),
+                    TraceInst::load(a, 8),
+                ],
+                0x1111_1111_2222_2222,
+            ),
+        ];
+        for policy in PolicyKind::ALL {
+            for (insts, expect) in &traces {
+                let cfg = cfg_with(policy, 8);
+                let mut sys = System::new(&cfg, vec![Box::new(VecTrace::new(insts.clone()))], 5);
+                sys.core_mut(0).record_loads(true);
+                sys.run_to_completion(1_000_000);
+                assert_eq!(
+                    sys.core(0).loaded_values(),
+                    [*expect],
+                    "policy {policy}: {insts:?}"
+                );
+            }
         }
     }
 

@@ -9,6 +9,7 @@
 //! last one written, a cycle exists and the involved buffers merge into
 //! one atomic group that must be written to the L1D together.
 
+use tus_cpu::ForwardResult;
 use tus_mem::{ByteMask, LineData};
 use tus_sim::trace::{TraceEvent, TraceRecord, Tracer};
 use tus_sim::{Addr, Cycle, LineAddr};
@@ -34,14 +35,15 @@ pub struct WcbBuf {
 ///
 /// ```
 /// use tus::WcbSet;
+/// use tus_cpu::ForwardResult;
 /// use tus_sim::{Addr, Cycle};
 ///
 /// let mut w = WcbSet::new(2);
 /// assert!(w.write(Addr::new(0x100), 4, 7, Cycle::ZERO).is_ok());
 /// assert!(w.write(Addr::new(0x104), 4, 9, Cycle::ZERO).is_ok()); // coalesces
 /// assert_eq!(w.occupied(), 1);
-/// assert_eq!(w.forward(Addr::new(0x100), 4), Some(7));
-/// assert_eq!(w.forward(Addr::new(0x104), 4), Some(9));
+/// assert_eq!(w.forward(Addr::new(0x100), 4), ForwardResult::Hit { value: 7 });
+/// assert_eq!(w.forward(Addr::new(0x104), 4), ForwardResult::Hit { value: 9 });
 /// ```
 #[derive(Debug, Clone)]
 pub struct WcbSet {
@@ -189,16 +191,21 @@ impl WcbSet {
             .position(|b| b.as_ref().is_some_and(|b| b.line == line))
     }
 
-    /// Store-to-load forwarding search: returns the value when a buffer
-    /// fully covers the access.
-    pub fn forward(&mut self, addr: Addr, size: usize) -> Option<u64> {
+    /// Store-to-load forwarding search: a hit when the buffer holding the
+    /// load's line has every byte of it, partial when it has only some
+    /// (the load must wait for the flush), a miss when it has none.
+    pub fn forward(&mut self, addr: Addr, size: usize) -> ForwardResult {
         self.searches += 1;
-        let i = self.find(addr.line())?;
-        let b = self.bufs[i].as_ref().expect("found");
-        if b.mask.covers(addr.line_offset(), size) {
-            Some(tus_mem::line::read_value(&b.data, addr.line_offset(), size))
+        let Some(i) = self.find(addr.line()) else {
+            return ForwardResult::Miss;
+        };
+        let (b, offset) = (self.bufs[i].as_ref().expect("found"), addr.line_offset());
+        if b.mask.covers(offset, size) {
+            ForwardResult::Hit { value: tus_mem::line::read_value(&b.data, offset, size) }
+        } else if b.mask.overlaps(offset, size) {
+            ForwardResult::Partial
         } else {
-            None
+            ForwardResult::Miss
         }
     }
 
@@ -272,8 +279,8 @@ mod tests {
         w.write(Addr::new(0x104), 4, 0x22, Cycle::ZERO).expect("ok");
         assert_eq!(w.occupied(), 1);
         assert_eq!(w.coalesced_stores(), 1);
-        assert_eq!(w.forward(Addr::new(0x100), 4), Some(0x11));
-        assert_eq!(w.forward(Addr::new(0x104), 4), Some(0x22));
+        assert_eq!(w.forward(Addr::new(0x100), 4), ForwardResult::Hit { value: 0x11 });
+        assert_eq!(w.forward(Addr::new(0x104), 4), ForwardResult::Hit { value: 0x22 });
     }
 
     #[test]
@@ -321,12 +328,13 @@ mod tests {
     fn forward_requires_full_cover() {
         let mut w = WcbSet::new(1);
         w.write(Addr::new(0x100), 4, 0xAABBCCDD, Cycle::ZERO).expect("ok");
-        assert_eq!(w.forward(Addr::new(0x100), 8), None);
-        // The refused load overlaps held bytes; the next one holds none.
-        let b = w.buf(0).expect("held");
-        assert!(b.mask.overlaps(0, 8) && !b.mask.covers(0, 8));
-        assert!(!b.mask.overlaps(8, 8));
-        assert_eq!(w.forward(Addr::new(0x102), 2), Some(0xAABB));
+        // Bytes 0-7 overlap the held 0-3 without being covered; bytes
+        // 8-15 of the same line hold nothing, and another line has no
+        // buffer at all.
+        assert_eq!(w.forward(Addr::new(0x100), 8), ForwardResult::Partial);
+        assert_eq!(w.forward(Addr::new(0x108), 8), ForwardResult::Miss);
+        assert_eq!(w.forward(Addr::new(0x200), 8), ForwardResult::Miss);
+        assert_eq!(w.forward(Addr::new(0x102), 2), ForwardResult::Hit { value: 0xAABB });
     }
 
     #[test]

@@ -21,9 +21,11 @@ use crate::trace::{OpClass, TraceInst, TraceSource};
 /// The core's window to the memory system and the drain-policy layer.
 pub trait MemPort {
     /// Attempts store-to-load forwarding from policy-owned buffers (WCBs,
-    /// SSB's TSOB) — searched in parallel with the SB and L1D. Returns the
-    /// value and the access latency on a hit.
-    fn forward_load(&mut self, addr: Addr, size: usize) -> Option<(u64, u64)>;
+    /// SSB's TSOB) — searched in parallel with the SB and L1D. A hit pays
+    /// the L1D latency; a partial overlap makes the load retry, as one
+    /// with the SB does. Never [`ForwardResult::NotReady`]: held stores
+    /// have their data.
+    fn forward_load(&mut self, addr: Addr, size: usize) -> ForwardResult;
 
     /// Issues a load to the memory hierarchy; completion must be delivered
     /// back via [`Core::load_complete`] with the same token.
@@ -828,17 +830,23 @@ impl Core {
                             deferred.push((now.raw() + 1, seq));
                             continue;
                         }
-                        ForwardResult::Miss => {
-                            if let Some((value, lat)) = port.forward_load(addr, size) {
+                        ForwardResult::Miss => match port.forward_load(addr, size) {
+                            ForwardResult::Hit { value } => {
                                 self.stats.policy_forwards += 1;
-                                self.finish_exec(seq, now + lat, Some(value));
-                            } else {
+                                let done = now + self.cfg.mem.l1d.latency;
+                                self.finish_exec(seq, done, Some(value));
+                            }
+                            ForwardResult::NotReady | ForwardResult::Partial => {
+                                deferred.push((now.raw() + 1, seq));
+                                continue;
+                            }
+                            ForwardResult::Miss => {
                                 self.stats.mem_loads += 1;
                                 let e = self.rob_mut(seq).expect("entry exists");
                                 e.state = RState::Issued;
                                 port.issue_load(addr, size, seq, now);
                             }
-                        }
+                        },
                     }
                 }
                 OpClass::Store => {
@@ -975,8 +983,8 @@ mod tests {
     }
 
     impl MemPort for NullPort {
-        fn forward_load(&mut self, _addr: Addr, _size: usize) -> Option<(u64, u64)> {
-            Some((0, 5))
+        fn forward_load(&mut self, _addr: Addr, _size: usize) -> ForwardResult {
+            ForwardResult::Hit { value: 0 }
         }
         fn issue_load(&mut self, addr: Addr, _size: usize, token: u64, _now: Cycle) {
             self.issued.push((addr, token));
@@ -1094,8 +1102,8 @@ mod tests {
         let mut core = Core::new(CoreId::new(0), &cfg, Box::new(VecTrace::new(insts)));
         struct MissPort(Vec<u64>);
         impl MemPort for MissPort {
-            fn forward_load(&mut self, _a: Addr, _s: usize) -> Option<(u64, u64)> {
-                None
+            fn forward_load(&mut self, _a: Addr, _s: usize) -> ForwardResult {
+                ForwardResult::Miss
             }
             fn issue_load(&mut self, _a: Addr, _s: usize, token: u64, _n: Cycle) {
                 self.0.push(token);
@@ -1162,8 +1170,8 @@ mod tests {
         // A load that never completes blocks commit; the ROB fills.
         struct BlackHole;
         impl MemPort for BlackHole {
-            fn forward_load(&mut self, _a: Addr, _s: usize) -> Option<(u64, u64)> {
-                None
+            fn forward_load(&mut self, _a: Addr, _s: usize) -> ForwardResult {
+                ForwardResult::Miss
             }
             fn issue_load(&mut self, _a: Addr, _s: usize, _t: u64, _n: Cycle) {}
             fn store_committed(&mut self, _a: Addr, _s: usize, _n: Cycle) {}

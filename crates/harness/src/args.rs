@@ -102,6 +102,12 @@ pub(crate) const NO_SHRINK: Flag = Flag::sets("--no-shrink", "shrink", "0").cli(
 pub(crate) const NO_CACHE: Flag = Flag::sets("--no-cache", "cache", "0").cli();
 pub(crate) const TRACING: Flag = Flag::sets("--trace", "trace", "1").cli();
 
+/// The policies a `--policy` value selects: that one, or all five.
+pub(crate) fn policy_list(policy: &Option<PolicyKind>) -> &[PolicyKind] {
+    const ALL: &[PolicyKind] = &PolicyKind::ALL;
+    policy.as_ref().map_or(ALL, std::slice::from_ref)
+}
+
 /// A command's argument table.
 #[derive(Debug)]
 pub struct Command {

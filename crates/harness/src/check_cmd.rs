@@ -15,20 +15,20 @@
 //! `tus-harness fuzz --replay FILE` re-runs them on the real simulator.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use tus_sim::{PolicyKind, SimRng};
+use tus_sim::PolicyKind;
 use tus_tso::check::{check_program_policies, CheckConfig, CheckOutcome, CheckReport, CheckStats};
-use tus_tso::fuzz::{decode_case, encode_case, generate_case, shrink_with, FuzzCase};
 use tus_tso::conformance::default_addrs;
+use tus_tso::fuzz::{cases_in_bounds, decode_case, encode_case, shrink_with, FuzzCase};
 use tus_tso::litmus::all_litmus_tests;
 
 use crate::args::{
-    parse_cli, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY, SEED,
+    parse_cli, policy_list, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY,
+    SEED,
 };
 use crate::errors::HarnessError;
-use crate::executor::Executor;
+use crate::executor::{run_indexed, Executor};
 
 /// Timing-seed count recorded in persisted check repros — generous, so a
 /// later `fuzz --replay` gives the simulator a real chance to wander
@@ -247,34 +247,26 @@ pub fn collect_jobs(opt: &CheckOptions, cfg: &mut CheckConfig) -> Result<Vec<Che
         }
     }
     if opt.programs > 0 {
-        // Rejection-sample the general generator down to the bounds: the
-        // same program shapes the fuzzer sweeps, now checked exhaustively.
-        let mut index = 0u64;
-        let mut accepted = 0u64;
-        let budget = opt.programs.saturating_mul(64).max(1024);
-        while accepted < opt.programs && index < budget {
-            let mut rng = SimRng::seed(opt.base_seed).fork(index.wrapping_add(1));
-            index += 1;
-            let case = generate_case(&mut rng);
-            if case.program.threads.len() <= cfg.max_threads && case.program.ops() <= cfg.max_ops {
-                jobs.push(CheckJob {
-                    name: format!("fuzz-seed{}-case{}", opt.base_seed, index - 1),
-                    case,
-                });
-                accepted += 1;
-            }
-        }
-        if accepted < opt.programs {
+        // The first in-bound cases of the stream the fuzzer sweeps: the
+        // same program shapes, now checked exhaustively.
+        let (cases, drawn) =
+            cases_in_bounds(opt.base_seed, opt.programs, cfg.max_threads, cfg.max_ops);
+        if (cases.len() as u64) < opt.programs {
             return Err(format!(
-                "generator produced only {accepted}/{} in-bound programs in {budget} attempts",
+                "generator produced only {}/{} in-bound programs in {drawn} attempts",
+                cases.len(),
                 opt.programs
             ));
         }
+        jobs.extend(cases.into_iter().map(|(index, case)| CheckJob {
+            name: format!("fuzz-seed{}-case{index}", opt.base_seed),
+            case,
+        }));
     }
     Ok(jobs)
 }
 
-/// Runs the sweep over a worker pool; `progress(done, total,
+/// Runs the sweep on the worker pool; `progress(done, total,
 /// violations_so_far)` fires after every checked program.
 pub fn sweep_jobs(
     jobs: &[CheckJob],
@@ -283,39 +275,24 @@ pub fn sweep_jobs(
     workers: usize,
     progress: &(dyn Fn(u64, u64, usize) + Sync),
 ) -> CheckSummary {
-    let next = AtomicUsize::new(0);
-    let done = AtomicU64::new(0);
-    let results: Mutex<Vec<(usize, CheckReport)>> = Mutex::new(Vec::new());
     let n = jobs.len() as u64;
-    std::thread::scope(|s| {
-        for _ in 0..workers.clamp(1, jobs.len().max(1)) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let job = &jobs[i];
-                let report =
-                    check_program_policies(&job.case.program, &job.case.addrs, cfg, policies);
-                let mut r = results.lock().unwrap_or_else(PoisonError::into_inner);
-                r.push((i, report));
-                let violations =
-                    r.iter().filter(|(_, r)| matches!(r.outcome(), CheckOutcome::Violated)).count();
-                drop(r);
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                progress(d, n, violations);
-            });
-        }
+    let violations = AtomicUsize::new(0);
+    let check = |i: usize| {
+        let case = &jobs[i].case;
+        check_program_policies(&case.program, &case.addrs, cfg, policies)
+    };
+    let reports = run_indexed(jobs.len(), workers, check, |done, report| {
+        let violated = usize::from(matches!(report.outcome(), CheckOutcome::Violated));
+        let so_far = violations.fetch_add(violated, Ordering::Relaxed) + violated;
+        progress(done as u64, n, so_far);
     });
-    let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    results.sort_by_key(|(i, _)| *i);
 
     let mut summary = CheckSummary {
         programs: n,
         per_policy: policies.iter().map(|&p| (p, CheckStats::default(), 0)).collect(),
         ..CheckSummary::default()
     };
-    for (i, report) in results {
+    for (job, report) in jobs.iter().zip(reports) {
         for pc in &report.policies {
             if let Some(slot) = summary.per_policy.iter_mut().find(|(p, ..)| *p == pc.policy) {
                 slot.1.absorb(&pc.stats);
@@ -326,10 +303,10 @@ pub fn sweep_jobs(
             CheckOutcome::Verified => summary.verified += 1,
             CheckOutcome::BoundExceeded(_) => {
                 summary.bound_exceeded += 1;
-                summary.findings.push(CheckFinding { job: jobs[i].clone(), report });
+                summary.findings.push(CheckFinding { job: job.clone(), report });
             }
             CheckOutcome::Violated => {
-                summary.findings.push(CheckFinding { job: jobs[i].clone(), report });
+                summary.findings.push(CheckFinding { job: job.clone(), report });
             }
         }
     }
@@ -379,17 +356,17 @@ pub fn render_finding(f: &CheckFinding) -> String {
         for o in &pc.missed {
             let _ = writeln!(s, "policy {}: MISSED outcome {o} (over-strong)", pc.policy.label());
         }
-        for o in &pc.sim_extra {
+        for o in &pc.sim.violations {
             let _ = writeln!(
                 s,
                 "policy {}: simulator outcome {o} escapes the enumerated set",
                 pc.policy.label()
             );
         }
-        for seed in &pc.sim_timeouts {
+        for (seed, _) in &pc.sim.timeouts {
             let _ = writeln!(s, "policy {}: cross-check hang at seed {seed}", pc.policy.label());
         }
-        for seed in &pc.sim_truncated {
+        for seed in &pc.sim.truncated_seeds {
             let _ =
                 writeln!(s, "policy {}: truncated registers at seed {seed}", pc.policy.label());
         }
@@ -441,8 +418,7 @@ pub fn run_check(opt: &CheckOptions) -> i32 {
             return 2;
         }
     };
-    let policies: Vec<PolicyKind> =
-        opt.policy.map_or_else(|| PolicyKind::ALL.to_vec(), |p| vec![p]);
+    let policies = policy_list(&opt.policy);
     let started = std::time::Instant::now();
     eprintln!(
         "checking {} programs x {} policies (≤{} threads, ≤{} ops, ≤{} states, reduction {}, lazy {}, {} cross-check seeds, {} jobs)",
@@ -456,7 +432,7 @@ pub fn run_check(opt: &CheckOptions) -> i32 {
         cfg.sim_seeds,
         opt.jobs
     );
-    let summary = sweep_jobs(&jobs, &cfg, &policies, opt.jobs, &|d, n, violations| {
+    let summary = sweep_jobs(&jobs, &cfg, policies, opt.jobs, &|d, n, violations| {
         if d % 25 == 0 || d == n {
             eprintln!(
                 "[{d}/{n} programs, {violations} violation(s), {:.1}s]",
@@ -468,7 +444,7 @@ pub fn run_check(opt: &CheckOptions) -> i32 {
         eprint!("{}", render_finding(f));
         if matches!(f.report.outcome(), CheckOutcome::Violated) {
             eprint!("{}", f.job.case);
-            match persist_finding(opt, &cfg, &policies, f) {
+            match persist_finding(opt, &cfg, policies, f) {
                 Ok(p) => eprintln!("persisted: {} (replay with: tus-harness fuzz --replay)", p.display()),
                 Err(e) => eprintln!("check: cannot persist repro: {e}"),
             }

@@ -8,8 +8,9 @@
 //! * **Parallelism** — [`Executor::run_many`] fans the deduplicated spec
 //!   list out over a worker pool of scoped `std` threads (`--jobs N`,
 //!   default [`std::thread::available_parallelism`]), one spec per job.
-//!   Results land in per-spec slots, so output order — and therefore
-//!   every table and CSV byte — is independent of scheduling.
+//!   Results come back in spec order, so output order — and therefore
+//!   every table and CSV byte — is independent of scheduling. `fuzz` and
+//!   `check` sweep on the same pool.
 //! * **Memoization** — each [`RunSpec`] has a stable content key
 //!   ([`RunSpec::memo_key`]); results are cached in-process across all
 //!   figures of an `all` run, and optionally on disk (under
@@ -267,45 +268,23 @@ impl Executor {
             .expect("one spec, one result")
     }
 
-    /// Runs `todo` (already deduplicated) on scoped worker threads, one
-    /// spec per job, returning per-spec result slots plus the first
-    /// captured panic message, if any job panicked.
+    /// Runs `todo` (already deduplicated) on the worker pool, one spec
+    /// per job, returning per-spec results plus the first captured panic
+    /// message, if any job panicked.
     ///
     /// A panic inside a job is caught at the job boundary: that spec's
     /// slot stays `None`, every other job (including jobs claimed later by
     /// the same worker) still runs, and no lock is left poisoned.
     fn execute(&self, todo: &[RunSpec]) -> (Vec<Option<RunResult>>, Option<String>) {
         let panicked: Mutex<Option<String>> = Mutex::new(None);
-        let job = |spec: &RunSpec| match std::panic::catch_unwind(AssertUnwindSafe(|| run(spec))) {
+        let job = |i: usize| match std::panic::catch_unwind(AssertUnwindSafe(|| run(&todo[i]))) {
             Ok(result) => Some(result),
             Err(payload) => {
                 lock_unpoisoned(&panicked).get_or_insert_with(|| panic_message(&*payload));
                 None
             }
         };
-        let jobs = self.jobs.min(todo.len());
-        let out = if jobs <= 1 {
-            todo.iter().map(job).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<RunResult>>> =
-                todo.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for _ in 0..jobs {
-                    s.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = todo.get(i) else {
-                            break;
-                        };
-                        *lock_unpoisoned(&slots[i]) = job(spec);
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-                .collect()
-        };
+        let out = run_indexed(todo.len(), self.jobs, job, |_, _| {});
         (out, panicked.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 
@@ -335,6 +314,46 @@ impl Executor {
             eprintln!("warning: cannot write run cache {}: {e}", path.display());
         }
     }
+}
+
+/// The harness's one worker pool: runs `job(i)` for every `i` in `0..n`
+/// on up to `workers` scoped threads, which take indices in order, and
+/// returns the results in index order, so the output is the same however
+/// the jobs were scheduled. `finished(k, &result)` runs on the worker
+/// right after each job, `k` counting the jobs finished so far (progress
+/// reports). With one worker, or at most one job, the jobs run inline on
+/// the caller's thread.
+pub(crate) fn run_indexed<T: Send>(
+    n: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+    finished: impl Fn(usize, &T) + Sync,
+) -> Vec<T> {
+    let (next, done) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    // Results are pushed as they finish (no slot per index up front: a
+    // sweep's `n` comes from the command line).
+    let results = Mutex::new(Vec::new());
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let result = job(i);
+        finished(done.fetch_add(1, Ordering::Relaxed) + 1, &result);
+        lock_unpoisoned(&results).push((i, result));
+    };
+    if workers.min(n) <= 1 {
+        work();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..workers.min(n) {
+                s.spawn(work);
+            }
+        });
+    }
+    let mut results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Results of a batch, addressable by spec.
@@ -459,6 +478,21 @@ mod tests {
             insts: 3_000,
             ..RunSpec::new(by_name(name).expect("exists"), policy, sb, Scale::Quick)
         }
+    }
+
+    /// The pool returns results in index order whatever the worker
+    /// count, and reports every finished job once, counting up.
+    #[test]
+    fn run_indexed_keeps_index_order() {
+        for workers in [1, 3, 8] {
+            let counts = Mutex::new(Vec::new());
+            let out = run_indexed(20, workers, |i| i * i, |k, _| lock_unpoisoned(&counts).push(k));
+            assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>(), "{workers} workers");
+            let mut counts = counts.into_inner().unwrap();
+            counts.sort_unstable();
+            assert_eq!(counts, (1..=20).collect::<Vec<_>>(), "{workers} workers");
+        }
+        assert!(run_indexed(0, 4, |i| i, |_, _| panic!("no job runs")).is_empty());
     }
 
     #[test]

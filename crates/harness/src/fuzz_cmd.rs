@@ -7,25 +7,27 @@
 //! persists both the original and the shrunk counterexample under
 //! `<out>/fuzz-corpus/` as replayable text files (`--replay FILE`).
 //!
-//! The sweep fans out over a scoped-thread worker pool (`--jobs`);
-//! results are keyed by program index, so generation — and therefore
-//! every finding — is independent of scheduling.
+//! The sweep fans out over the harness's worker pool (`--jobs`); program
+//! `i` is [`tus_tso::fuzz::case_at`]`(seed, i)` and results come back in
+//! index order, so generation — and therefore every finding — is
+//! independent of scheduling.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimRng};
+use tus_sim::{CoherenceKind, KernelKind, PolicyKind};
+use tus_tso::check::CheckConfig;
 use tus_tso::fuzz::{
-    check_case_matrix, check_policy_matrix, decode_case, encode_case, generate_case,
-    shrink_case_matrix, CaseFailure, FailureKind, FuzzCase,
+    case_at, cases_in_bounds, check_policies, decode_case, encode_case, shrink_with, CaseFailure,
+    FailureKind, FuzzCase,
 };
 
 use crate::args::{
-    parse_cli, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY, SEED, TRACING,
+    parse_cli, policy_list, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY,
+    SEED, TRACING,
 };
 use crate::errors::HarnessError;
-use crate::executor::Executor;
+use crate::executor::{run_indexed, Executor};
 
 /// Parsed `fuzz` subcommand options.
 #[derive(Debug)]
@@ -127,25 +129,6 @@ impl FuzzOptions {
     }
 }
 
-/// The RNG for program `index`: index-stable (workers may pick programs
-/// in any order) and a pure function of the base seed.
-fn case_rng(base_seed: u64, index: u64) -> SimRng {
-    SimRng::seed(base_seed).fork(index.wrapping_add(1))
-}
-
-fn check(
-    case: &FuzzCase,
-    policy: Option<PolicyKind>,
-    seeds: u64,
-    kernel: KernelKind,
-    coherence: CoherenceKind,
-) -> Option<CaseFailure> {
-    match policy {
-        Some(p) => check_policy_matrix(case, p, seeds, kernel, coherence),
-        None => check_case_matrix(case, seeds, kernel, coherence),
-    }
-}
-
 /// One confirmed finding of the sweep.
 pub(crate) struct Finding {
     /// Program index within the sweep (the RNG fork).
@@ -176,8 +159,10 @@ pub(crate) fn report_finding(opt: &FuzzOptions, f: &Finding) -> std::io::Result<
 
     if opt.shrink {
         eprintln!("shrinking ...");
-        let (small, small_fail) =
-            shrink_case_matrix(&f.case, f.failure.policy, opt.seeds, opt.kernel, opt.coherence);
+        let policy = [f.failure.policy];
+        let (small, small_fail) = shrink_with(&f.case, |c| {
+            check_policies(c, &policy, opt.seeds, opt.kernel, opt.coherence)
+        });
         eprintln!(
             "shrunk to {} thread(s), {} op(s): {}",
             small.program.threads.len(),
@@ -222,7 +207,7 @@ fn replay(opt: &FuzzOptions, path: &Path) -> i32 {
         policy.map_or("all", |p| p.label()),
     );
     eprint!("{}", entry.case);
-    match check(&entry.case, policy, seeds, opt.kernel, opt.coherence) {
+    match check_policies(&entry.case, policy_list(&policy), seeds, opt.kernel, opt.coherence) {
         Some(fail) => {
             eprintln!("still failing: {fail}");
             if let FailureKind::Timeout { report, .. } = &fail.kind {
@@ -237,91 +222,63 @@ fn replay(opt: &FuzzOptions, path: &Path) -> i32 {
     }
 }
 
-/// Runs the differential sweep itself: `opt.programs` generated cases
-/// checked over the worker pool, findings returned sorted by program
-/// index. `progress(done, total, violations_so_far)` is invoked after
-/// every checked program — the CLI throttles it to stderr lines, the
+/// Runs the differential sweep itself: `opt.programs` cases of stream
+/// `opt.base_seed` checked on the worker pool, findings returned sorted by
+/// program index. `progress(done, total, violations_so_far)` is invoked
+/// after every checked program — the CLI throttles it to stderr lines, the
 /// daemon streams it as `Progress` frames.
-///
-/// Locks recover from poisoning ([`PoisonError::into_inner`]): findings
-/// are pushed as complete values, so a panicking checker thread (or a
-/// panicking `progress` callback) cannot cascade into losing every other
-/// worker's findings.
 pub(crate) fn sweep_cases(
     opt: &FuzzOptions,
     progress: &(dyn Fn(u64, u64, usize) + Sync),
 ) -> Vec<Finding> {
-    let next = AtomicUsize::new(0);
-    let done = AtomicU64::new(0);
-    let findings: Mutex<Vec<Finding>> = Mutex::new(Vec::new());
-    let n = opt.programs;
-    std::thread::scope(|s| {
-        for _ in 0..opt.jobs.min(n.max(1) as usize) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as u64;
-                if i >= n {
-                    break;
-                }
-                let case = generate_case(&mut case_rng(opt.base_seed, i));
-                if let Some(failure) =
-                    check(&case, opt.policy, opt.seeds, opt.kernel, opt.coherence)
-                {
-                    findings
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(Finding { index: i, case, failure });
-                }
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let violations = findings.lock().unwrap_or_else(PoisonError::into_inner).len();
-                progress(d, n, violations);
-            });
-        }
+    let policies = policy_list(&opt.policy);
+    let violations = AtomicUsize::new(0);
+    let check = |i: usize| {
+        let case = case_at(opt.base_seed, i as u64);
+        let failure = check_policies(&case, policies, opt.seeds, opt.kernel, opt.coherence)?;
+        Some(Finding { index: i as u64, case, failure })
+    };
+    let checked = run_indexed(opt.programs as usize, opt.jobs, check, |done, finding| {
+        let found = usize::from(finding.is_some());
+        let so_far = violations.fetch_add(found, Ordering::Relaxed) + found;
+        progress(done as u64, opt.programs, so_far);
     });
-    let mut findings = findings.into_inner().unwrap_or_else(PoisonError::into_inner);
-    findings.sort_by_key(|f| f.index);
-    findings
+    checked.into_iter().flatten().collect()
 }
 
-/// Bounds a `--save-corpus` case must satisfy so `tus-harness check`
-/// can sweep the corpus exhaustively at its defaults.
-const CORPUS_MAX_THREADS: usize = 3;
-const CORPUS_MAX_OPS: usize = 8;
-
-/// `--save-corpus N`: rejection-samples the generator down to the model
-/// checker's default bounds and persists N cases under
-/// `<out>/fuzz-corpus/` in the replayable corpus format. Deterministic in
-/// the base seed; returns the process exit code.
+/// `--save-corpus N`: persists the first N cases of the stream within the
+/// model checker's default bounds under `<out>/fuzz-corpus/` in the
+/// replayable corpus format. Deterministic in the base seed; returns the
+/// process exit code.
 fn save_corpus(opt: &FuzzOptions) -> i32 {
     let corpus = opt.out.join("fuzz-corpus");
     if let Err(e) = std::fs::create_dir_all(&corpus) {
         eprintln!("fuzz: cannot create {}: {e}", corpus.display());
         return 2;
     }
-    let mut accepted = 0u64;
-    let mut index = 0u64;
-    let budget = opt.save_corpus.saturating_mul(64).max(1024);
-    while accepted < opt.save_corpus && index < budget {
-        let case = generate_case(&mut case_rng(opt.base_seed, index));
-        index += 1;
-        if case.program.threads.len() > CORPUS_MAX_THREADS || case.program.ops() > CORPUS_MAX_OPS {
-            continue;
-        }
-        let path = corpus.join(format!("gen-seed{}-{accepted:03}.txt", opt.base_seed));
-        if let Err(e) = std::fs::write(&path, encode_case(&case, None, opt.seeds)) {
+    let bounds = CheckConfig::default();
+    let (cases, drawn) =
+        cases_in_bounds(opt.base_seed, opt.save_corpus, bounds.max_threads, bounds.max_ops);
+    for (k, (_, case)) in cases.iter().enumerate() {
+        let path = corpus.join(format!("gen-seed{}-{k:03}.txt", opt.base_seed));
+        if let Err(e) = std::fs::write(&path, encode_case(case, None, opt.seeds)) {
             eprintln!("fuzz: cannot write {}: {e}", path.display());
             return 2;
         }
-        accepted += 1;
     }
-    if accepted < opt.save_corpus {
+    if (cases.len() as u64) < opt.save_corpus {
         eprintln!(
-            "fuzz: generator produced only {accepted}/{} in-bound cases in {budget} attempts",
+            "fuzz: generator produced only {}/{} in-bound cases in {drawn} attempts",
+            cases.len(),
             opt.save_corpus
         );
         return 2;
     }
     eprintln!(
-        "persisted {accepted} corpus cases (≤{CORPUS_MAX_THREADS} threads, ≤{CORPUS_MAX_OPS} ops) under {}",
+        "persisted {} corpus cases (≤{} threads, ≤{} ops) under {}",
+        cases.len(),
+        bounds.max_threads,
+        bounds.max_ops,
         corpus.display()
     );
     0
@@ -337,7 +294,7 @@ pub fn run_fuzz(opt: &FuzzOptions) -> i32 {
         return save_corpus(opt);
     }
     let started = std::time::Instant::now();
-    let policies = opt.policy.map_or(PolicyKind::ALL.len() as u64, |_| 1);
+    let policies = policy_list(&opt.policy).len() as u64;
     eprintln!(
         "fuzzing {} programs x {} policies x {} seeds (base seed {}, {} jobs, {} kernel, {} coherence)",
         opt.programs, policies, opt.seeds, opt.base_seed, opt.jobs, opt.kernel, opt.coherence
@@ -385,15 +342,6 @@ pub fn main_fuzz(argv: &[String]) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn case_rng_is_index_stable() {
-        let a = generate_case(&mut case_rng(7, 3));
-        let b = generate_case(&mut case_rng(7, 3));
-        assert_eq!(a, b);
-        let c = generate_case(&mut case_rng(7, 4));
-        assert_ne!(a, c, "different indices give different cases");
-    }
 
     #[test]
     fn fuzz_flags_cover_options() {

@@ -32,8 +32,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::args::{
-    missing, parse_cli, Args, Command, Flag, BUDGET, COHERENCE, FULL, JOBS, KERNEL, NORMAL,
-    NO_CACHE, OUT, POLICY, QUICK, SB, SEED,
+    missing, parse_cli, policy_list, Args, Command, Flag, BUDGET, COHERENCE, FULL, JOBS, KERNEL,
+    NORMAL, NO_CACHE, OUT, POLICY, QUICK, SB, SEED,
 };
 use crate::check_cmd::{
     collect_jobs, persist_finding, render_finding, render_stats, sweep_jobs, CheckOptions, CHECK,
@@ -676,12 +676,10 @@ fn handle_check(
     let mut cfg = opt.config.clone();
     let jobs = collect_jobs(&opt, &mut cfg)
         .map_err(|what| HarnessError::Protocol { what })?;
-    let policies: Vec<tus_sim::PolicyKind> = opt
-        .policy
-        .map_or_else(|| tus_sim::PolicyKind::ALL.to_vec(), |p| vec![p]);
+    let policies = policy_list(&opt.policy);
     let started = Instant::now();
     let progress: Mutex<&mut Box<dyn Conn>> = Mutex::new(conn);
-    let summary = sweep_jobs(&jobs, &cfg, &policies, opt.jobs, &|done, total, violations| {
+    let summary = sweep_jobs(&jobs, &cfg, policies, opt.jobs, &|done, total, violations| {
         if done % 25 == 0 || done == total {
             let mut conn = progress.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             let _ = write_frame(
@@ -696,7 +694,7 @@ fn handle_check(
     for f in &summary.findings {
         rendered.push_str(&render_finding(f));
         if matches!(f.report.outcome(), tus_tso::check::CheckOutcome::Violated) {
-            match persist_finding(&opt, &cfg, &policies, f) {
+            match persist_finding(&opt, &cfg, policies, f) {
                 Ok(p) => eprintln!("tus-serve: persisted check repro {}", p.display()),
                 Err(e) => eprintln!("tus-serve: cannot persist check repro: {e}"),
             }

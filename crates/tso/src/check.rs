@@ -38,12 +38,14 @@
 //!    the first level whose occupancy bound never fires is equivalent to
 //!    the unbounded machine — a sound fixpoint.
 //!
-//! A canonical-state memo (full per-thread pc + buffer contents + memory
-//! + observations, hashed) cuts revisits; explored/pruned/memoized counts
-//! are reported per policy. On top of the model diff, a sampled
+//! A canonical-state memo (full per-thread pc, buffer contents, memory
+//! and observations, hashed) cuts revisits; explored/pruned/memoized
+//! counts are reported per policy. On top of the model diff, a sampled
 //! **simulator cross-check** runs the real machine over a handful of
-//! timing seeds and asserts every observed outcome is in the enumerated
-//! set — tying the cycle-level implementation to the exhaustively
+//! timing seeds through the fuzzer's run loop
+//! ([`crate::conformance::check_conformance_against`]), with the
+//! enumerated set as the allowed one, and asserts every observed outcome
+//! is in it — tying the cycle-level implementation to the exhaustively
 //! verified envelope (and catching the feature-gated `bug-woq-reorder`
 //! fault through `check`, not just through fuzzing: under that feature
 //! the TUS machine also drains *non-head* runs, which surfaces as extra
@@ -53,7 +55,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use tus_sim::{Addr, CoherenceKind, FxHashSet, KernelKind, PolicyKind};
 
-use crate::conformance::{try_run_once_matrix, RunVerdict};
+use crate::conformance::{check_conformance_against, ConformanceReport};
 use crate::fuzz::{CaseFailure, FailureKind, FuzzCase};
 use crate::prog::{LOp, Outcome, Program};
 use crate::refmodel::tso_outcomes;
@@ -194,12 +196,9 @@ pub struct PolicyCheck {
     pub extra: Vec<Outcome>,
     /// Outcomes TSO allows but the machine never reaches (over-strong).
     pub missed: Vec<Outcome>,
-    /// Simulator-observed outcomes outside the enumerated set.
-    pub sim_extra: Vec<Outcome>,
-    /// Cross-check seeds whose runs timed out (rendered elsewhere).
-    pub sim_timeouts: Vec<u64>,
-    /// Cross-check seeds whose runs returned truncated registers.
-    pub sim_truncated: Vec<u64>,
+    /// The simulator cross-check: sampled runs judged against the
+    /// enumerated set (its `allowed`).
+    pub sim: ConformanceReport,
     /// Exploration counters.
     pub stats: CheckStats,
 }
@@ -208,11 +207,7 @@ impl PolicyCheck {
     /// Whether this policy passed: exact set equality and a clean
     /// cross-check.
     pub fn clean(&self) -> bool {
-        self.extra.is_empty()
-            && self.missed.is_empty()
-            && self.sim_extra.is_empty()
-            && self.sim_timeouts.is_empty()
-            && self.sim_truncated.is_empty()
+        self.extra.is_empty() && self.missed.is_empty() && self.sim.conforms()
     }
 }
 
@@ -251,19 +246,17 @@ impl CheckReport {
     }
 
     /// The first failing policy's divergence, as a shrinkable
-    /// [`CaseFailure`] (`None` when verified or bound-exceeded).
+    /// [`CaseFailure`] (`None` when verified or bound-exceeded): an
+    /// outcome the machine has but TSO forbids, else one TSO allows but
+    /// the machine never reaches, else the cross-check's first failure.
     pub fn first_failure(&self) -> Option<CaseFailure> {
         let p = self.policies.iter().find(|p| !p.clean())?;
         let kind = if let Some(o) = p.extra.first() {
             FailureKind::Violation(o.clone())
         } else if let Some(o) = p.missed.first() {
             FailureKind::Missing(o.clone())
-        } else if let Some(o) = p.sim_extra.first() {
-            FailureKind::Violation(o.clone())
-        } else if let Some(&seed) = p.sim_timeouts.first() {
-            FailureKind::Timeout { seed, report: String::new() }
         } else {
-            FailureKind::Truncated { seed: *p.sim_truncated.first()? }
+            return p.sim.first_failure(p.policy);
         };
         Some(CaseFailure { policy: p.policy, kind })
     }
@@ -486,14 +479,10 @@ pub fn explore_policy(
     Ok((all, stats))
 }
 
-/// Checks one program: enumerates every policy's observable machine,
-/// diffs each against the TSO reference set (exact equality), and
-/// cross-checks sampled simulator runs against the enumerated envelope.
-pub fn check_program(prog: &Program, addrs: &[Addr], cfg: &CheckConfig) -> CheckReport {
-    check_program_policies(prog, addrs, cfg, &PolicyKind::ALL)
-}
-
-/// [`check_program`] restricted to a policy subset.
+/// Checks one program under `policies`: enumerates each policy's
+/// observable machine, diffs it against the TSO reference set (exact
+/// equality), and cross-checks sampled simulator runs against the
+/// enumerated envelope.
 pub fn check_program_policies(
     prog: &Program,
     addrs: &[Addr],
@@ -533,37 +522,30 @@ pub fn check_program_policies(
             enumerated.difference(&reference).cloned().collect();
         let missed: Vec<Outcome> =
             reference.difference(&enumerated).cloned().collect();
-        let mut sim_extra = BTreeSet::new();
-        let mut sim_timeouts = Vec::new();
-        let mut sim_truncated = Vec::new();
-        for seed in 0..cfg.sim_seeds {
-            match try_run_once_matrix(prog, addrs, policy, seed, cfg.kernel, cfg.coherence) {
-                RunVerdict::Outcome(o) => {
-                    if !enumerated.contains(&o) {
-                        sim_extra.insert(o);
-                    }
-                }
-                RunVerdict::Timeout(_) => sim_timeouts.push(seed),
-                RunVerdict::Truncated { .. } => sim_truncated.push(seed),
-            }
-        }
         report.policies.push(PolicyCheck {
             policy,
             enumerated: enumerated.len(),
             extra,
             missed,
-            sim_extra: sim_extra.into_iter().collect(),
-            sim_timeouts,
-            sim_truncated,
+            sim: check_conformance_against(
+                enumerated,
+                prog,
+                addrs,
+                policy,
+                cfg.sim_seeds,
+                cfg.kernel,
+                cfg.coherence,
+            ),
             stats,
         });
     }
     report
 }
 
-/// Checks a fuzz case (program + address map) — the corpus entry point.
+/// Checks a fuzz case (program + address map) under all five policies —
+/// the corpus entry point.
 pub fn check_case_model(case: &FuzzCase, cfg: &CheckConfig) -> CheckReport {
-    check_program(&case.program, &case.addrs, cfg)
+    check_program_policies(&case.program, &case.addrs, cfg, &PolicyKind::ALL)
 }
 
 #[cfg(test)]
@@ -590,7 +572,7 @@ mod tests {
     #[test]
     fn all_policies_match_reference_on_sb() {
         let p = sb();
-        let report = check_program(&p, &default_addrs(&p), &cfg());
+        let report = check_program_policies(&p, &default_addrs(&p), &cfg(), &PolicyKind::ALL);
         assert_eq!(report.outcome(), CheckOutcome::Verified, "{report:?}");
         assert_eq!(report.policies.len(), PolicyKind::ALL.len());
         let reference = tso_outcomes(&p);
@@ -653,16 +635,16 @@ mod tests {
             thread(vec![ld(0)]),
             thread(vec![ld(0)]),
         ]);
-        let r = check_program(&wide, &default_addrs(&wide), &cfg());
+        let r = check_program_policies(&wide, &default_addrs(&wide), &cfg(), &PolicyKind::ALL);
         assert!(matches!(r.outcome(), CheckOutcome::BoundExceeded(Bound::Threads { got: 4, max: 3 })));
 
         let long = Program::new(vec![thread(vec![st(0, 1); 9])]);
-        let r = check_program(&long, &default_addrs(&long), &cfg());
+        let r = check_program_policies(&long, &default_addrs(&long), &cfg(), &PolicyKind::ALL);
         assert!(matches!(r.outcome(), CheckOutcome::BoundExceeded(Bound::Ops { got: 9, max: 8 })));
 
         let tiny = CheckConfig { max_states: 3, ..cfg() };
         let p = sb();
-        let r = check_program(&p, &default_addrs(&p), &tiny);
+        let r = check_program_policies(&p, &default_addrs(&p), &tiny, &PolicyKind::ALL);
         assert!(matches!(r.outcome(), CheckOutcome::BoundExceeded(Bound::States { max: 3 })));
     }
 
@@ -707,7 +689,7 @@ mod tests {
             thread(vec![st(0, 1), st(1, 1)]),
             thread(vec![ld(1), ld(0)]),
         ]);
-        let report = check_program(&p, &default_addrs(&p), &cfg());
+        let report = check_program_policies(&p, &default_addrs(&p), &cfg(), &PolicyKind::ALL);
         assert_eq!(report.outcome(), CheckOutcome::Violated);
         let tus = report
             .policies

@@ -13,6 +13,7 @@ use tus::{DeadlockReport, RunGoal, System};
 use tus_cpu::{TraceInst, VecTrace};
 use tus_sim::{Addr, CoherenceKind, KernelKind, PolicyKind, SimConfig, SimRng};
 
+use crate::fuzz::{CaseFailure, FailureKind};
 use crate::prog::{LOp, Outcome, Program};
 use crate::refmodel::tso_outcomes;
 
@@ -56,16 +57,6 @@ pub enum RunVerdict {
         /// Values actually collected.
         got: usize,
     },
-}
-
-impl RunVerdict {
-    /// The completed outcome, if any.
-    pub fn outcome(self) -> Option<Outcome> {
-        match self {
-            RunVerdict::Outcome(o) => Some(o),
-            _ => None,
-        }
-    }
 }
 
 /// Compiles one thread to a trace, inserting `0..=max_pad` random ALU
@@ -158,7 +149,8 @@ pub fn try_run_once_matrix(
 pub struct ConformanceReport {
     /// Outcomes the simulator produced.
     pub observed: BTreeSet<Outcome>,
-    /// Outcomes x86-TSO allows.
+    /// Outcomes the run was judged against: x86-TSO's set, or the model
+    /// checker's enumerated set for one policy.
     pub allowed: BTreeSet<Outcome>,
     /// Observed outcomes outside the allowed set (must be empty).
     pub violations: Vec<Outcome>,
@@ -191,6 +183,20 @@ impl ConformanceReport {
             .count() as f64
             / self.allowed.len() as f64
     }
+
+    /// The first failure of `policy`'s runs as a shrinkable
+    /// [`CaseFailure`], checked in the order violation, timeout,
+    /// truncation; `None` when the runs conform.
+    pub fn first_failure(&self, policy: PolicyKind) -> Option<CaseFailure> {
+        let kind = if let Some(o) = self.violations.first() {
+            FailureKind::Violation(o.clone())
+        } else if let Some((seed, r)) = self.timeouts.first() {
+            FailureKind::Timeout { seed: *seed, report: format!("{r}") }
+        } else {
+            FailureKind::Truncated { seed: *self.truncated_seeds.first()? }
+        };
+        Some(CaseFailure { policy, kind })
+    }
 }
 
 /// Checks that `prog` on the simulator under `policy` only produces
@@ -198,25 +204,10 @@ impl ConformanceReport {
 /// default address map, kernel and backend.
 pub fn check_conformance(prog: &Program, policy: PolicyKind, seeds: u64) -> ConformanceReport {
     let (kernel, coherence) = (KernelKind::default(), CoherenceKind::default());
-    check_conformance_matrix(prog, &default_addrs(prog), policy, seeds, kernel, coherence)
-}
-
-/// [`check_conformance`] with a custom location→address map, kernel and
-/// backend. The reference set depends only on the program (addresses
-/// change timing and lex-order interactions, never TSO semantics), so
-/// the same axiomatic set applies to every map.
-pub fn check_conformance_matrix(
-    prog: &Program,
-    addrs: &[Addr],
-    policy: PolicyKind,
-    seeds: u64,
-    kernel: KernelKind,
-    coherence: CoherenceKind,
-) -> ConformanceReport {
     check_conformance_against(
         tso_outcomes(prog),
         prog,
-        addrs,
+        &default_addrs(prog),
         policy,
         seeds,
         kernel,
@@ -224,11 +215,15 @@ pub fn check_conformance_matrix(
     )
 }
 
-/// [`check_conformance_matrix`] against a reference set the caller has
-/// already computed with [`tso_outcomes`]. The set depends only on the
-/// program, so a caller checking several policies computes it once and
-/// passes it on from one report's [`ConformanceReport::allowed`] to the
-/// next call.
+/// Runs `prog` under `policy` once per timing seed in `0..seeds`, with a
+/// custom location→address map, kernel and backend, and judges every
+/// outcome against `allowed`: the one simulator run loop. The fuzzer
+/// passes x86-TSO's set ([`tso_outcomes`]). That set depends only on the
+/// program (addresses change timing and lex-order interactions, never
+/// TSO semantics), so a caller checking several policies computes it once
+/// and passes it on from one report's [`ConformanceReport::allowed`] to
+/// the next call. The model checker's cross-check passes each policy's
+/// enumerated set.
 pub fn check_conformance_against(
     allowed: BTreeSet<Outcome>,
     prog: &Program,
@@ -288,8 +283,8 @@ mod tests {
         }
     }
 
-    /// Same-cycle single-thread sanity: outcome equals the sequential
-    /// semantics.
+    /// Same-cycle single-thread sanity: every timing seed's outcome
+    /// equals the sequential semantics.
     #[test]
     fn single_thread_outcome_is_sequential() {
         let p = crate::prog::Program::new(vec![thread(vec![
@@ -299,12 +294,10 @@ mod tests {
             ld(1),
             ld(0),
         ])]);
-        let (kernel, coherence) = (KernelKind::default(), CoherenceKind::default());
-        let o = try_run_once_matrix(&p, &default_addrs(&p), PolicyKind::Tus, 3, kernel, coherence)
-            .outcome()
-            .expect("run completes");
-        assert_eq!(o.regs, vec![vec![5, 6, 5]]);
-        assert_eq!(o.mem, vec![5, 6]);
+        let r = check_conformance(&p, PolicyKind::Tus, 4);
+        assert!(r.conforms(), "{r:?}");
+        let sequential = Outcome { regs: vec![vec![5, 6, 5]], mem: vec![5, 6] };
+        assert_eq!(r.observed, BTreeSet::from([sequential]));
     }
 
     /// Both kernels observe the *identical* outcome set on litmus tests:
@@ -319,7 +312,8 @@ mod tests {
                 let addrs = default_addrs(&t.program);
                 let mesi = CoherenceKind::default();
                 let [lock, event] = [KernelKind::Lockstep, KernelKind::Event].map(|k| {
-                    check_conformance_matrix(&t.program, &addrs, policy, 8, k, mesi)
+                    let allowed = tso_outcomes(&t.program);
+                    check_conformance_against(allowed, &t.program, &addrs, policy, 8, k, mesi)
                 });
                 assert!(lock.conforms() && event.conforms(), "{} non-conforming", t.name);
                 assert_eq!(
@@ -342,7 +336,8 @@ mod tests {
         {
             for policy in [PolicyKind::Baseline, PolicyKind::Tus] {
                 let addrs = default_addrs(&t.program);
-                let r = check_conformance_matrix(
+                let r = check_conformance_against(
+                    tso_outcomes(&t.program),
                     &t.program,
                     &addrs,
                     policy,

@@ -17,9 +17,7 @@
 
 use tus_sim::{Addr, CoherenceKind, KernelKind, PolicyKind, SimRng};
 
-use crate::conformance::{
-    check_conformance_against, check_conformance_matrix, default_addrs, ConformanceReport,
-};
+use crate::conformance::{check_conformance_against, default_addrs};
 use crate::prog::{LOp, Loc, Outcome, Program, Thread};
 use crate::refmodel::tso_outcomes;
 
@@ -161,6 +159,37 @@ fn layout_addrs(layout: AddrLayout, n: usize) -> Vec<Addr> {
         .collect()
 }
 
+/// The case at `index` of stream `seed`: a pure function of both, so
+/// workers may take indices in any order, and `fuzz --seed S` finds case
+/// `i` of a sweep again.
+pub fn case_at(seed: u64, index: u64) -> FuzzCase {
+    generate_case(&mut SimRng::seed(seed).fork(index.wrapping_add(1)))
+}
+
+/// The first `n` cases of stream `seed` with at most `max_threads`
+/// threads and `max_ops` operations, each with its stream index, and the
+/// number of cases drawn. The search draws 64 cases per wanted one (at
+/// least 1 024) before it gives up, so it returns fewer than `n` only
+/// when the bounds reject nearly every case.
+pub fn cases_in_bounds(
+    seed: u64,
+    n: u64,
+    max_threads: usize,
+    max_ops: usize,
+) -> (Vec<(u64, FuzzCase)>, u64) {
+    let budget = n.saturating_mul(64).max(1024);
+    let mut found = Vec::new();
+    let mut drawn = 0;
+    while (found.len() as u64) < n && drawn < budget {
+        let case = case_at(seed, drawn);
+        if case.program.threads.len() <= max_threads && case.program.ops() <= max_ops {
+            found.push((drawn, case));
+        }
+        drawn += 1;
+    }
+    (found, drawn)
+}
+
 /// Why a case failed the differential check.
 #[derive(Debug)]
 pub enum FailureKind {
@@ -213,69 +242,20 @@ impl std::fmt::Display for CaseFailure {
     }
 }
 
-/// Differentially checks `case` under one policy across `seeds` timing
-/// variations; `None` means every run completed and stayed within TSO.
-pub fn check_policy(case: &FuzzCase, policy: PolicyKind, seeds: u64) -> Option<CaseFailure> {
-    check_policy_matrix(case, policy, seeds, KernelKind::default(), CoherenceKind::default())
-}
-
-/// [`check_policy`] under an explicit kernel and coherence backend — one
-/// point of the policy × kernel × backend differential matrix.
-pub fn check_policy_matrix(
+/// Differentially checks `case` under each of `policies` in turn, on
+/// one kernel and one backend, across `seeds` timing variations; the
+/// first failing policy's first failure, or `None` when every run
+/// completed and stayed within TSO. The reference set depends only on
+/// the program, so it is computed once for the whole list.
+pub fn check_policies(
     case: &FuzzCase,
-    policy: PolicyKind,
-    seeds: u64,
-    kernel: KernelKind,
-    coherence: CoherenceKind,
-) -> Option<CaseFailure> {
-    let report =
-        check_conformance_matrix(&case.program, &case.addrs, policy, seeds, kernel, coherence);
-    first_failure(policy, &report)
-}
-
-/// The first failure in `report`, checked in the order violation,
-/// timeout, truncation.
-fn first_failure(policy: PolicyKind, report: &ConformanceReport) -> Option<CaseFailure> {
-    if let Some(o) = report.violations.first() {
-        return Some(CaseFailure {
-            policy,
-            kind: FailureKind::Violation(o.clone()),
-        });
-    }
-    if let Some((seed, r)) = report.timeouts.first() {
-        return Some(CaseFailure {
-            policy,
-            kind: FailureKind::Timeout {
-                seed: *seed,
-                report: format!("{r}"),
-            },
-        });
-    }
-    if let Some(seed) = report.truncated_seeds.first() {
-        return Some(CaseFailure {
-            policy,
-            kind: FailureKind::Truncated { seed: *seed },
-        });
-    }
-    None
-}
-
-/// Differentially checks `case` across **all five** drain policies.
-pub fn check_case(case: &FuzzCase, seeds: u64) -> Option<CaseFailure> {
-    check_case_matrix(case, seeds, KernelKind::default(), CoherenceKind::default())
-}
-
-/// [`check_case`] under an explicit kernel and coherence backend: all
-/// five drain policies, one kernel, one backend. The reference set depends
-/// only on the program, so it is computed once for all five.
-pub fn check_case_matrix(
-    case: &FuzzCase,
+    policies: &[PolicyKind],
     seeds: u64,
     kernel: KernelKind,
     coherence: CoherenceKind,
 ) -> Option<CaseFailure> {
     let mut allowed = tso_outcomes(&case.program);
-    for policy in PolicyKind::ALL {
+    for &policy in policies {
         let report = check_conformance_against(
             allowed,
             &case.program,
@@ -285,12 +265,19 @@ pub fn check_case_matrix(
             kernel,
             coherence,
         );
-        if let Some(f) = first_failure(policy, &report) {
+        if let Some(f) = report.first_failure(policy) {
             return Some(f);
         }
         allowed = report.allowed;
     }
     None
+}
+
+/// Differentially checks `case` across **all five** drain policies, with
+/// the default kernel and backend.
+pub fn check_case(case: &FuzzCase, seeds: u64) -> Option<CaseFailure> {
+    let (kernel, coherence) = (KernelKind::default(), CoherenceKind::default());
+    check_policies(case, &PolicyKind::ALL, seeds, kernel, coherence)
 }
 
 /// Drops threads that became empty and compacts location indices,
@@ -365,40 +352,12 @@ fn merge_locs(case: &FuzzCase, from: usize, to: usize) -> FuzzCase {
     })
 }
 
-/// Greedily shrinks a failing case while it keeps failing under
-/// `policy`: drop single ops, then whole threads, then merge location
-/// pairs, to a fixpoint. Returns the minimal case and its failure.
-///
-/// # Panics
-///
-/// Panics if `case` does not actually fail `check_policy` (shrinking
-/// needs a reproducible failure as its predicate).
-pub fn shrink_case(case: &FuzzCase, policy: PolicyKind, seeds: u64) -> (FuzzCase, CaseFailure) {
-    shrink_case_matrix(case, policy, seeds, KernelKind::default(), CoherenceKind::default())
-}
-
-/// [`shrink_case`] at an explicit (kernel, backend) matrix point, so a
-/// failure found under e.g. the Tardis backend is shrunk against the
-/// same machine that produced it.
-///
-/// # Panics
-///
-/// Panics if `case` does not fail at the given matrix point.
-pub fn shrink_case_matrix(
-    case: &FuzzCase,
-    policy: PolicyKind,
-    seeds: u64,
-    kernel: KernelKind,
-    coherence: CoherenceKind,
-) -> (FuzzCase, CaseFailure) {
-    shrink_with(case, |c| check_policy_matrix(c, policy, seeds, kernel, coherence))
-}
-
-/// The shrinker proper, generic over the failing predicate — the single
-/// entry point shared by `fuzz` (simulator differential failures) and
-/// `check` (model-enumeration diffs). Greedily minimizes while `failing`
-/// keeps returning `Some`: drop single ops, then whole threads, then
-/// merge location pairs, to a fixpoint.
+/// The shrinker, generic over the failing predicate — shared by `fuzz`
+/// (simulator differential failures, [`check_policies`]) and `check`
+/// (model-enumeration diffs). Greedily minimizes while `failing` keeps
+/// returning `Some`: drop single ops, then whole threads, then merge
+/// location pairs, to a fixpoint. Returns the minimal case and its
+/// failure.
 ///
 /// # Panics
 ///
@@ -675,6 +634,29 @@ mod tests {
     }
 
     #[test]
+    fn case_at_is_index_stable() {
+        let a = case_at(7, 3);
+        assert_eq!(a, case_at(7, 3));
+        assert_ne!(a, case_at(7, 4), "different indices give different cases");
+    }
+
+    /// The in-bound search keeps stream order and stream indices, and
+    /// stops at its draw budget when the bounds reject everything.
+    #[test]
+    fn cases_in_bounds_filters_the_stream() {
+        let (found, drawn) = cases_in_bounds(7, 5, 3, 8);
+        assert_eq!(found.len(), 5);
+        assert_eq!(drawn, found[4].0 + 1, "the search stops at the fifth hit");
+        for (i, case) in &found {
+            assert_eq!(*case, case_at(7, *i));
+            assert!(case.program.threads.len() <= 3 && case.program.ops() <= 8);
+        }
+        assert!(found.windows(2).all(|w| w[0].0 < w[1].0));
+        // Every generated case has at least two operations.
+        assert_eq!(cases_in_bounds(7, 5, 3, 1), (Vec::new(), 1024));
+    }
+
+    #[test]
     fn corpus_roundtrip() {
         let case = FuzzCase {
             program: Program::new(vec![
@@ -756,8 +738,8 @@ mod tests {
         let mut rng = SimRng::seed(0xF00D);
         for i in 0..4 {
             let case = generate_case(&mut rng);
-            let fail =
-                check_case_matrix(&case, 3, KernelKind::default(), CoherenceKind::Tardis);
+            let (kernel, policies) = (KernelKind::default(), &PolicyKind::ALL);
+            let fail = check_policies(&case, policies, 3, kernel, CoherenceKind::Tardis);
             assert!(
                 fail.is_none(),
                 "case {i} failed under tardis: {}\n{case}",
@@ -775,9 +757,9 @@ mod tests {
         let mut rng = SimRng::seed(0xBEEF);
         for i in 0..4 {
             let case = generate_case(&mut rng);
-            let mesi = CoherenceKind::default();
-            let lock = check_case_matrix(&case, 3, KernelKind::Lockstep, mesi);
-            let event = check_case_matrix(&case, 3, KernelKind::Event, mesi);
+            let [lock, event] = [KernelKind::Lockstep, KernelKind::Event].map(|k| {
+                check_policies(&case, &PolicyKind::ALL, 3, k, CoherenceKind::default())
+            });
             assert_eq!(
                 lock.is_none(),
                 event.is_none(),

@@ -14,12 +14,18 @@
 //! ```
 #![cfg(feature = "bug-woq-reorder")]
 
-use tus_sim::{PolicyKind, SimRng};
-use tus_tso::fuzz::{check_policy, generate_case, shrink_case, FailureKind, FuzzCase};
+use tus_sim::{CoherenceKind, KernelKind, PolicyKind};
+use tus_tso::fuzz::{case_at, check_policies, shrink_with, CaseFailure, FailureKind, FuzzCase};
 
 /// Timing seeds per check: enough scheduling diversity to expose the
 /// readiness races the bug needs, small enough to keep the test quick.
 const SEEDS: u64 = 8;
+
+/// The differential check under the TUS policy alone.
+fn check_tus(case: &FuzzCase) -> Option<CaseFailure> {
+    let (kernel, coherence) = (KernelKind::default(), CoherenceKind::default());
+    check_policies(case, &[PolicyKind::Tus], SEEDS, kernel, coherence)
+}
 
 /// Generated programs to try before giving up. The reorder is easy to
 /// hit (any two independently-granted WOQ groups can invert), so the
@@ -30,8 +36,8 @@ const MAX_PROGRAMS: u64 = 120;
 /// reorder shows up as a differential failure.
 fn find_failing_case() -> (FuzzCase, u64) {
     for i in 0..MAX_PROGRAMS {
-        let case = generate_case(&mut SimRng::seed(0xB06).fork(i + 1));
-        if check_policy(&case, PolicyKind::Tus, SEEDS).is_some() {
+        let case = case_at(0xB06, i);
+        if check_tus(&case).is_some() {
             return (case, i);
         }
     }
@@ -41,7 +47,7 @@ fn find_failing_case() -> (FuzzCase, u64) {
 #[test]
 fn fuzzer_catches_injected_woq_reorder() {
     let (case, index) = find_failing_case();
-    let failure = check_policy(&case, PolicyKind::Tus, SEEDS).expect("still fails");
+    let failure = check_tus(&case).expect("still fails");
     // The injected bug reorders visibility; it must surface as a non-TSO
     // outcome (or, at worst, a structural failure), never pass silently.
     match &failure.kind {
@@ -56,7 +62,7 @@ fn fuzzer_catches_injected_woq_reorder() {
 #[test]
 fn injected_bug_shrinks_to_minimal_counterexample() {
     let (case, _) = find_failing_case();
-    let (small, fail) = shrink_case(&case, PolicyKind::Tus, SEEDS);
+    let (small, fail) = shrink_with(&case, check_tus);
     eprintln!(
         "shrunk to {} thread(s) / {} op(s): {fail}\n{small}",
         small.program.threads.len(),
@@ -73,5 +79,5 @@ fn injected_bug_shrinks_to_minimal_counterexample() {
         small.program.ops()
     );
     // The minimized case must reproduce the failure on its own.
-    assert!(check_policy(&small, PolicyKind::Tus, SEEDS).is_some());
+    assert!(check_tus(&small).is_some());
 }

@@ -22,13 +22,13 @@
 
 use std::collections::BTreeSet;
 
-use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimRng};
+use tus_sim::{CoherenceKind, KernelKind, PolicyKind};
 use tus_tso::check::{explore_policy, CheckConfig};
-use tus_tso::conformance::try_run_once_matrix;
-use tus_tso::fuzz::{generate_case, MAX_OPS, MAX_THREADS};
+use tus_tso::conformance::check_conformance_against;
+use tus_tso::fuzz::{case_at, cases_in_bounds, FuzzCase, MAX_OPS, MAX_THREADS};
 use tus_tso::litmus::all_litmus_tests;
 use tus_tso::prog::{Outcome, Program};
-use tus_tso::{tso_outcomes, RunVerdict};
+use tus_tso::tso_outcomes;
 
 /// The litmus library's program for `name`.
 fn litmus_program(name: &str) -> Program {
@@ -148,50 +148,44 @@ fn iriw_oracle_exact_set() {
     assert_exact("IRIW", &expected);
 }
 
-/// A generator case within the default check bounds, rejection-sampled
-/// like `tus-harness check --fuzz` does.
-fn bounded_case(base_seed: u64, skip: &mut u64) -> tus_tso::fuzz::FuzzCase {
-    loop {
-        let mut rng = SimRng::seed(base_seed).fork(skip.wrapping_add(1));
-        *skip += 1;
-        let case = generate_case(&mut rng);
-        if case.program.threads.len() <= 3 && case.program.ops() <= 8 {
-            return case;
-        }
-    }
+/// The first `n` cases of stream `seed` within the default check
+/// bounds, as `tus-harness check --programs` draws them.
+fn bounded_cases(seed: u64, n: u64) -> Vec<FuzzCase> {
+    let cfg = CheckConfig::default();
+    let (found, _) = cases_in_bounds(seed, n, cfg.max_threads, cfg.max_ops);
+    assert_eq!(found.len() as u64, n, "stream {seed} has {n} in-bound cases");
+    found.into_iter().map(|(_, case)| case).collect()
 }
 
 /// Exhaustive ⊇ sampled: every outcome the real simulator produces on a
 /// random program (any policy, several timing seeds) is in the
-/// explorer's enumerated set for that policy.
+/// explorer's enumerated set for that policy, and every run produces one.
 #[test]
 fn explorer_set_contains_every_fuzzer_observation() {
     let cfg = CheckConfig { sim_seeds: 0, ..CheckConfig::default() };
-    let mut skip = 0;
-    for _ in 0..8 {
-        let case = bounded_case(11, &mut skip);
+    let (kernel, coherence) = (KernelKind::default(), CoherenceKind::default());
+    for case in bounded_cases(11, 8) {
         for policy in PolicyKind::ALL {
             let (enumerated, _) = explore_policy(&case.program, policy, &cfg)
                 .unwrap_or_else(|b| panic!("in-bound program exceeded a bound: {b}"));
-            for seed in 0..6 {
-                match try_run_once_matrix(
-                    &case.program,
-                    &case.addrs,
-                    policy,
-                    seed,
-                    KernelKind::default(),
-                    CoherenceKind::default(),
-                ) {
-                    RunVerdict::Outcome(o) => assert!(
-                        enumerated.contains(&o),
-                        "policy {} seed {seed}: simulator outcome {o} escapes the \
-                         enumerated set of\n{}",
-                        policy.label(),
-                        case
-                    ),
-                    other => panic!("simulator failed to produce an outcome: {other:?}"),
-                }
-            }
+            let sim = check_conformance_against(
+                enumerated,
+                &case.program,
+                &case.addrs,
+                policy,
+                6,
+                kernel,
+                coherence,
+            );
+            assert!(
+                sim.conforms(),
+                "policy {}: simulator outcomes {:?} escape the enumerated set of\n{case}\n\
+                 (timeouts at {:?}, truncated at {:?})",
+                policy.label(),
+                sim.violations,
+                sim.timeouts.iter().map(|(seed, _)| seed).collect::<Vec<_>>(),
+                sim.truncated_seeds,
+            );
         }
     }
 }
@@ -205,10 +199,8 @@ fn prunings_are_outcome_preserving_on_random_programs() {
     let pruned_cfg = CheckConfig { sim_seeds: 0, ..CheckConfig::default() };
     let exhaustive_cfg =
         CheckConfig { reduction: false, lazy: false, sim_seeds: 0, ..CheckConfig::default() };
-    let mut skip = 0;
     let (mut total_pruned, mut total_levels) = (0u64, 0u32);
-    for i in 0..50 {
-        let case = bounded_case(23, &mut skip);
+    for (i, case) in bounded_cases(23, 50).into_iter().enumerate() {
         for policy in PolicyKind::ALL {
             let (fast, stats) = explore_policy(&case.program, policy, &pruned_cfg)
                 .unwrap_or_else(|b| panic!("program {i} (pruned): {b}"));
@@ -245,7 +237,7 @@ fn reference_model_matches_unpruned_explorer_at_generator_bounds() {
     };
     let mut four_threads = 0;
     for i in 0..100u64 {
-        let case = generate_case(&mut SimRng::seed(1).fork(i + 1));
+        let case = case_at(1, i);
         let (explored, _) = explore_policy(&case.program, PolicyKind::Baseline, &unpruned)
             .unwrap_or_else(|b| panic!("case {i}: {b}"));
         assert_eq!(

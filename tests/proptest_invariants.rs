@@ -9,6 +9,7 @@
 
 use tus::{AuthorizationUnit, ConflictDecision, WcbSet, Woq};
 use tus_mem::line::{combine, read_value, write_value};
+use tus_cpu::ForwardResult;
 use tus_mem::ByteMask;
 use tus_sim::{Addr, Cycle, LineAddr, SimRng};
 
@@ -180,7 +181,8 @@ fn wcb_forwarding_matches_model() {
         }
         for slot in 0..16u64 {
             let addr = base + slot * 8;
-            if let Some(v) = w.forward(Addr::new(addr), 8) {
+            let forwarded = w.forward(Addr::new(addr), 8);
+            if let ForwardResult::Hit { value: v } = forwarded {
                 // Full-cover hit: every byte must match the model.
                 for b in 0..8u64 {
                     let expect = model.get(&(addr + b)).copied();
@@ -191,6 +193,14 @@ fn wcb_forwarding_matches_model() {
                     );
                 }
             }
+            // Partial exactly when the model holds some, not all, of the
+            // load's bytes: the load must then wait for the flush.
+            let held = (0..8u64).filter(|b| model.contains_key(&(addr + b))).count();
+            assert_eq!(
+                forwarded == ForwardResult::Partial,
+                (1..8).contains(&held),
+                "seed {seed}, slot {slot}: {forwarded:?} with {held} of 8 bytes held"
+            );
         }
     }
 }
