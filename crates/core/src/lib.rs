@@ -47,8 +47,8 @@ pub mod woq;
 pub use lex::{AuthorizationUnit, ConflictDecision};
 pub use policy::{Policy, PolicyOccupancy};
 pub use system::{
-    set_trace_default, trace_default, CoreDeadlockState, DeadlockKind, DeadlockReport, RunCtl,
-    RunGoal, StepOutcome, System, DEFAULT_TRACE_CAP,
+    CoreDeadlockState, DeadlockKind, DeadlockReport, RunCtl, RunGoal, StepOutcome, System,
+    DEFAULT_TRACE_CAP,
 };
 pub use wcb::WcbSet;
 pub use woq::{GroupId, Woq, WoqEntry};

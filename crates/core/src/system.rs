@@ -15,8 +15,6 @@
 //! protocol or the drain policy aborts the run with diagnostics instead
 //! of hanging.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use tus_cpu::{Core, ForwardResult, MemPort, TraceSource};
 use tus_mem::{CacheEvent, MemDeadlockSnapshot, MemorySystem, Network, PrivateCache};
 use tus_sim::calendar::Calendar;
@@ -34,28 +32,9 @@ const NO_PROGRESS: DeadlockKind = DeadlockKind::NoProgress {
     cycles: WATCHDOG_CYCLES,
 };
 
-/// Ring capacity used when tracing is armed through the process-wide
-/// default ([`set_trace_default`]) rather than an explicit
-/// [`System::enable_trace`] call.
+/// Default per-component ring capacity for [`System::enable_trace`]
+/// (the `trace` command's `--cap`).
 pub const DEFAULT_TRACE_CAP: usize = 1 << 16;
-
-/// Process-wide default-tracing switch. When set, every subsequently
-/// constructed [`System`] arms tracing on itself (ring capacity
-/// [`DEFAULT_TRACE_CAP`]). This exists for harness paths that build
-/// systems deep inside other crates (the differential fuzzer constructs
-/// its own `System`s), where threading a flag through every call site
-/// would churn APIs for an observation-only feature.
-static TRACE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default-tracing switch (see [`TRACE_DEFAULT`]).
-pub fn set_trace_default(on: bool) {
-    TRACE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// Reads the process-wide default-tracing switch.
-pub fn trace_default() -> bool {
-    TRACE_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// Why a run loop gave up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,7 +249,7 @@ impl System {
             .map(|(i, t)| Core::new(CoreId::new(i as u16), cfg, t))
             .collect();
         let policies = (0..cfg.cores).map(|_| Policy::new(cfg)).collect();
-        let mut sys = System {
+        System {
             cfg: *cfg,
             cores,
             policies,
@@ -281,11 +260,7 @@ impl System {
             cal: Calendar::new(cfg.cores + 1),
             charged: vec![Cycle::ZERO; cfg.cores],
             committed_total: 0,
-        };
-        if trace_default() {
-            sys.enable_trace(DEFAULT_TRACE_CAP);
         }
-        sys
     }
 
     /// Arms structured tracing on every component (cores, policies,
@@ -441,11 +416,11 @@ impl System {
     //
     // Unit 0 is the memory fabric (the whole `MemorySystem::tick`, kept
     // atomic so its internal delivery order is untouched); unit `1 + i`
-    // is core `i`'s slice. The calendar's `(due, id)` pop order therefore
-    // reproduces the lockstep intra-cycle order — fabric first, cores
-    // ascending — and a unit only runs on cycles where its `next_work`
-    // key is due, with skipped spans charged in bulk (per unit, deferred
-    // until just before the unit's state can change).
+    // is core `i`'s slice. A busy cycle runs its due units in one
+    // ascending-id pass, which is the lockstep intra-cycle order — fabric
+    // first, cores ascending — and a unit only runs on cycles where its
+    // `next_work` key is due, with skipped spans charged in bulk (per
+    // unit, deferred until just before the unit's state can change).
 
     /// Conservatively re-seeds the calendar: every unit scheduled *now*,
     /// every idle ledger marked charged-up-to-now. The first cycle then
@@ -454,12 +429,7 @@ impl System {
     /// entry so manual `tick()` calls or back-to-back warm-up/measure
     /// loops never leave stale keys behind.
     fn seed_calendar(&mut self) {
-        let units = 1 + self.cores.len();
-        if self.cal.units() != units {
-            self.cal = Calendar::new(units);
-        }
-        self.cal.clear();
-        for id in 0..units {
+        for id in 0..=self.cores.len() {
             self.cal.schedule(id, self.now);
         }
         for c in &mut self.charged {
@@ -531,27 +501,29 @@ impl System {
         let now = self.now;
         match self.cal.next_key() {
             Some(k) if k <= now => {
-                // Pre-delivery pass: every core the fabric is about to
-                // touch gets its idle span charged against the
-                // pre-delivery state and a slice this cycle — exactly
-                // when lockstep would have processed the delivery.
-                if self.cal.key(0).is_some_and(|k| k <= now) {
+                let sent_before = self.mem.net.sent_count();
+                let fabric_ran = self.cal.take_due(0, now);
+                if fabric_ran {
+                    // Pre-delivery pass: every core the fabric is about
+                    // to touch gets its idle span charged against the
+                    // pre-delivery state and a slice this cycle — exactly
+                    // when lockstep would have processed the delivery.
                     for i in 0..self.cores.len() {
                         if self.mem.core_touched_by_fabric(i, now) {
                             self.flush_idle(i, now);
                             self.cal.schedule(1 + i, now);
                         }
                     }
+                    self.mem.tick(now);
                 }
-                let sent_before = self.mem.net.sent_count();
-                let mut fabric_ran = false;
+                // Keys at or before `now` are only set before this pass
+                // (the seed, the pre-delivery pass); a slice reschedules
+                // its core at `now + 1` or later. So one ascending pass
+                // reading the keys live runs every due core once, in
+                // lockstep order.
                 let mut events = std::mem::take(&mut self.event_scratch);
-                while let Some(id) = self.cal.pop_due(now) {
-                    if id == 0 {
-                        self.mem.tick(now);
-                        fabric_ran = true;
-                    } else {
-                        let i = id - 1;
+                for i in 0..self.cores.len() {
+                    if self.cal.take_due(1 + i, now) {
                         self.flush_idle(i, now);
                         self.core_slice(i, now, &mut events);
                         self.charged[i] = now + 1;
@@ -559,8 +531,8 @@ impl System {
                     }
                 }
                 self.event_scratch = events;
-                // Refresh the fabric key: its own pop consumed it, and
-                // core slices may have queued new messages (always for a
+                // Refresh the fabric key: the pass consumed it, and core
+                // slices may have queued new messages (always for a
                 // future cycle — the hop latency is at least 1).
                 if fabric_ran || self.mem.net.sent_count() != sent_before {
                     match self.mem.fabric_next_work(now) {
@@ -571,6 +543,10 @@ impl System {
                         None => self.cal.unschedule(0),
                     }
                 }
+                debug_assert!(
+                    self.cal.next_key().is_none_or(|k| k > now),
+                    "a unit due at {now} was left behind by the pass"
+                );
                 #[cfg(debug_assertions)]
                 for i in 0..self.cores.len() {
                     debug_assert!(

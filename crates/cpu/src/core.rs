@@ -53,10 +53,11 @@ pub enum StallReason {
     Regs,
 }
 
-/// What `dispatch` would do this cycle if nothing else changes first — a
-/// read-only mirror of the first iteration of the dispatch loop, used by
-/// the event kernel both to detect pending work and to attribute skipped
-/// cycles to the same stall counter lockstep would have bumped.
+/// What the next `dispatch` step does for the instruction at the front
+/// of the fetch buffer: allocate it, or stop on the first missing
+/// resource. `dispatch` loops on it; the event kernel reads the same
+/// answer to detect pending work and to attribute skipped cycles to the
+/// stall counter lockstep would have bumped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DispatchClass {
     /// The front end has no instruction to offer (`frontend_idle`).
@@ -537,30 +538,34 @@ impl Core {
         if self.fence_blocked(now, fence_drained) {
             self.stats.fence_wait += n;
         }
-        let class = match self.dispatch_class() {
+        let class = self.dispatch_class();
+        assert_ne!(class, DispatchClass::Dispatch, "idle cycle cannot dispatch");
+        self.charge_dispatch(class, false, n, now);
+    }
+
+    /// Charges `n` cycles whose dispatch stopped at `class` (after
+    /// allocating something, if `dispatched`) to the stall counter and
+    /// attribution class a lockstep `dispatch` bumps. The first missing
+    /// resource counts even after a partial dispatch; the empty front end
+    /// only when nothing dispatched. Attribution is exclusive: a cycle
+    /// that dispatched anything is a dispatch cycle, otherwise the first
+    /// missing resource (or the empty front end) owns it.
+    fn charge_dispatch(&mut self, class: DispatchClass, dispatched: bool, n: u64, now: Cycle) {
+        let s = &mut self.stats;
+        let (counter, attr) = match class {
+            DispatchClass::Dispatch => (None, AttrClass::Dispatch),
             DispatchClass::FrontEmpty => {
-                self.stats.frontend_idle += n;
-                AttrClass::FrontEmpty
+                ((!dispatched).then_some(&mut s.frontend_idle), AttrClass::FrontEmpty)
             }
-            DispatchClass::Stall(StallReason::Rob) => {
-                self.stats.stall_rob += n;
-                AttrClass::Rob
-            }
-            DispatchClass::Stall(StallReason::Lq) => {
-                self.stats.stall_lq += n;
-                AttrClass::Lq
-            }
-            DispatchClass::Stall(StallReason::Sb) => {
-                self.stats.stall_sb += n;
-                AttrClass::Sb
-            }
-            DispatchClass::Stall(StallReason::Regs) => {
-                self.stats.stall_regs += n;
-                AttrClass::Regs
-            }
-            DispatchClass::Dispatch => unreachable!("idle cycle cannot dispatch"),
+            DispatchClass::Stall(StallReason::Rob) => (Some(&mut s.stall_rob), AttrClass::Rob),
+            DispatchClass::Stall(StallReason::Lq) => (Some(&mut s.stall_lq), AttrClass::Lq),
+            DispatchClass::Stall(StallReason::Sb) => (Some(&mut s.stall_sb), AttrClass::Sb),
+            DispatchClass::Stall(StallReason::Regs) => (Some(&mut s.stall_regs), AttrClass::Regs),
         };
-        self.charge_class(class, n, now);
+        if let Some(c) = counter {
+            *c += n;
+        }
+        self.charge_class(if dispatched { AttrClass::Dispatch } else { attr }, n, now);
     }
 
     /// Whether the ROB head is a fence that commit would hold this cycle.
@@ -573,8 +578,8 @@ impl Core {
         })
     }
 
-    /// Read-only mirror of the first `dispatch` iteration (see
-    /// [`DispatchClass`]).
+    /// Whether the front instruction can dispatch now, and if not, why
+    /// (see [`DispatchClass`]).
     fn dispatch_class(&self) -> DispatchClass {
         let Some(inst) = self.fetch_buf.front() else {
             return DispatchClass::FrontEmpty;
@@ -595,8 +600,7 @@ impl Core {
             }
             _ => {}
         }
-        let needs_reg = inst.op != OpClass::Store && inst.op != OpClass::Fence;
-        if needs_reg {
+        if inst.op.needs_reg() {
             if inst.op.is_fp() {
                 if self.fp_regs_used >= self.cfg.backend.fp_regs {
                     return DispatchClass::Stall(StallReason::Regs);
@@ -640,50 +644,17 @@ impl Core {
 
     fn dispatch(&mut self, now: Cycle) {
         let mut dispatched = 0;
-        let mut stall: Option<StallReason> = None;
+        let mut class = DispatchClass::Dispatch;
         while dispatched < self.cfg.backend.dispatch_width {
-            let Some(&inst) = self.fetch_buf.front() else {
-                if dispatched == 0 {
-                    self.stats.frontend_idle += 1;
-                }
+            class = self.dispatch_class();
+            if class != DispatchClass::Dispatch {
                 break;
-            };
-            if self.rob.len() >= self.cfg.backend.rob_entries {
-                stall = Some(StallReason::Rob);
-                break;
-            }
-            match inst.op {
-                OpClass::Load => {
-                    if self.lq_used >= self.cfg.backend.lq_entries {
-                        stall = Some(StallReason::Lq);
-                        break;
-                    }
-                }
-                OpClass::Store => {
-                    if self.sb.is_full() {
-                        stall = Some(StallReason::Sb);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            let needs_reg = inst.op != OpClass::Store && inst.op != OpClass::Fence;
-            if needs_reg {
-                if inst.op.is_fp() {
-                    if self.fp_regs_used >= self.cfg.backend.fp_regs {
-                        stall = Some(StallReason::Regs);
-                        break;
-                    }
-                } else if self.int_regs_used >= self.cfg.backend.int_regs {
-                    stall = Some(StallReason::Regs);
-                    break;
-                }
             }
             // All resources available: allocate.
-            self.fetch_buf.pop_front();
+            let inst = self.fetch_buf.pop_front().expect("dispatch class saw an instruction");
             let seq = self.next_seq;
             self.next_seq += 1;
-            if needs_reg {
+            if inst.op.needs_reg() {
                 if inst.op.is_fp() {
                     self.fp_regs_used += 1;
                 } else {
@@ -746,31 +717,7 @@ impl Core {
             self.rob.push_back(e);
             dispatched += 1;
         }
-        if let Some(r) = stall {
-            match r {
-                StallReason::Rob => self.stats.stall_rob += 1,
-                StallReason::Lq => self.stats.stall_lq += 1,
-                StallReason::Sb => self.stats.stall_sb += 1,
-                StallReason::Regs => self.stats.stall_regs += 1,
-            }
-        }
-        // Exclusive attribution: a cycle that dispatched anything is a
-        // dispatch cycle even if the loop then hit a stall; otherwise the
-        // first missing resource (or the empty front end) owns it. The
-        // three arms are exhaustive — `dispatched == 0` with no stall
-        // implies the fetch buffer was empty on the first iteration.
-        let class = if dispatched > 0 {
-            AttrClass::Dispatch
-        } else {
-            match stall {
-                Some(StallReason::Rob) => AttrClass::Rob,
-                Some(StallReason::Lq) => AttrClass::Lq,
-                Some(StallReason::Sb) => AttrClass::Sb,
-                Some(StallReason::Regs) => AttrClass::Regs,
-                None => AttrClass::FrontEmpty,
-            }
-        };
-        self.charge_class(class, 1, now);
+        self.charge_dispatch(class, dispatched > 0, 1, now);
     }
 
     fn issue(&mut self, now: Cycle, port: &mut dyn MemPort) {

@@ -43,6 +43,12 @@ impl OpClass {
         matches!(self, OpClass::FpAdd | OpClass::FpMul | OpClass::FpDiv)
     }
 
+    /// Whether the op allocates a destination register (all but stores
+    /// and fences).
+    pub fn needs_reg(self) -> bool {
+        !matches!(self, OpClass::Store | OpClass::Fence)
+    }
+
     /// Whether the op can only execute on a general (Int/FP/SIMD) ALU
     /// (everything but the plain integer ALU op).
     pub fn needs_general_alu(self) -> bool {

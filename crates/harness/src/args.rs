@@ -100,7 +100,6 @@ pub(crate) const OUT: Flag = Flag::value("--out", "out", "DIR").cli();
 pub(crate) const JOBS: Flag = Flag::value("--jobs", "jobs", "N").cli();
 pub(crate) const NO_SHRINK: Flag = Flag::sets("--no-shrink", "shrink", "0").cli();
 pub(crate) const NO_CACHE: Flag = Flag::sets("--no-cache", "cache", "0").cli();
-pub(crate) const TRACING: Flag = Flag::sets("--trace", "trace", "1").cli();
 
 /// The policies a `--policy` value selects: that one, or all five.
 pub(crate) fn policy_list(policy: &Option<PolicyKind>) -> &[PolicyKind] {
@@ -501,7 +500,7 @@ mod tests {
         name: "long",
         positional: None,
         flags: &[
-            SEED, POLICY, KERNEL, COHERENCE, SB, QUICK, NORMAL, FULL, OUT, JOBS, TRACING,
+            SEED, POLICY, KERNEL, COHERENCE, SB, QUICK, NORMAL, FULL, OUT, JOBS, NO_CACHE,
         ],
         about: "",
     };

@@ -22,7 +22,6 @@ use tus_workloads::{all_single, parsec16, sb_bound_single, Workload};
 
 use crate::args::{
     bad, Args, Command, Flag, COHERENCE, FULL, JOBS, KERNEL, NORMAL, NO_CACHE, OUT, QUICK, SEED,
-    TRACING,
 };
 use crate::errors::HarnessError;
 use crate::executor::Executor;
@@ -56,8 +55,6 @@ pub struct Options {
     pub cache: bool,
     /// `bench-hotpath`'s throughput floor (`--min-sims-per-sec`; CLI only).
     pub min_sims_per_sec: Option<f64>,
-    /// Arm the event recorder in every simulation (`--trace`; CLI only).
-    pub trace: bool,
 }
 
 impl Default for Options {
@@ -72,7 +69,6 @@ impl Default for Options {
             jobs: Executor::default_jobs(),
             cache: true,
             min_sims_per_sec: None,
-            trace: false,
         }
     }
 }
@@ -93,7 +89,6 @@ pub static EXPERIMENT: Command = Command {
         NO_CACHE,
         KERNEL,
         COHERENCE,
-        TRACING,
         Flag::value("--min-sims-per-sec", "min_sims_per_sec", "X").cli(),
     ],
     about: "regenerates one table or figure of the paper's evaluation (`all`: every one)\n\
@@ -121,7 +116,6 @@ impl Options {
             }
             x => x.or(opt.min_sims_per_sec),
         };
-        opt.trace = args.switch("trace")?.unwrap_or(opt.trace);
         args.finish()?;
         Ok((name, opt))
     }

@@ -24,7 +24,7 @@ use tus_tso::fuzz::{
 
 use crate::args::{
     parse_cli, policy_list, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY,
-    SEED, TRACING,
+    SEED,
 };
 use crate::errors::HarnessError;
 use crate::executor::{run_indexed, Executor};
@@ -60,9 +60,6 @@ pub struct FuzzOptions {
     /// conformance must hold under *every* backend, so a tardis sweep is
     /// a first-class leg of the differential matrix, not a variant.
     pub coherence: CoherenceKind,
-    /// Arm the event recorder in every simulation of the process
-    /// (`--trace`; observation-only).
-    pub trace: bool,
 }
 
 impl Default for FuzzOptions {
@@ -79,7 +76,6 @@ impl Default for FuzzOptions {
             shrink: true,
             kernel: KernelKind::default(),
             coherence: CoherenceKind::default(),
-            trace: false,
         }
     }
 }
@@ -100,7 +96,6 @@ pub static FUZZ: Command = Command {
         Flag::value("--replay", "replay", "FILE").cli(),
         Flag::value("--save-corpus", "save_corpus", "N").cli(),
         NO_SHRINK,
-        TRACING,
     ],
     about: "checks N random litmus programs across all five policies against the\n\
             x86-TSO reference model; failures are shrunk and persisted under\n\
@@ -123,7 +118,6 @@ impl FuzzOptions {
         opt.replay = args.str("replay").map(PathBuf::from).or(opt.replay);
         opt.save_corpus = args.num("save_corpus")?.unwrap_or(opt.save_corpus);
         opt.shrink = args.switch("shrink")?.unwrap_or(opt.shrink);
-        opt.trace = args.switch("trace")?.unwrap_or(opt.trace);
         args.finish()?;
         Ok(opt)
     }
@@ -333,9 +327,6 @@ pub fn main_fuzz(argv: &[String]) -> ! {
     let build = |args: Args<'_>| FuzzOptions::from_args(args, FuzzOptions::default());
     let opt = parse_cli(&FUZZ, "tus-harness fuzz", argv, build)
         .unwrap_or_else(|code| std::process::exit(code));
-    if opt.trace {
-        tus::set_trace_default(true);
-    }
     std::process::exit(run_fuzz(&opt))
 }
 

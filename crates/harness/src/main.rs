@@ -3,7 +3,7 @@
 //! ```text
 //! tus-harness <experiment> [--quick|--normal|--full] [--seed N] [--out DIR]
 //!             [--parallel-cap N] [--jobs N] [--no-cache] [--kernel K]
-//!             [--coherence C] [--trace]
+//!             [--coherence C]
 //! tus-harness fuzz|check|trace|serve|client ...
 //! tus-harness bench-hotpath [experiment flags] [--min-sims-per-sec X]
 //!
@@ -59,9 +59,7 @@ fn usage() -> String {
         "{s}{}\n\
          experiments: {} all bench-hotpath\n\
          kernels (K): {} (default: {})\n\
-         coherence backends (C): {} (default: {})\n\
-         --trace arms the structured event recorder in every simulation\n\
-         (observation-only: outputs and memo keys are unchanged)",
+         coherence backends (C): {} (default: {})",
         EXPERIMENT.about,
         names.join(" "),
         KernelKind::ALL.map(|k| k.label()).join(" "),
@@ -251,9 +249,6 @@ fn main() {
             known(name).then_some((name, opt)).ok_or_else(unknown)
         })
         .unwrap_or_else(|e| std::process::exit(usage_error("tus-harness", &e, &usage())));
-    if opt.trace {
-        tus::set_trace_default(true);
-    }
     if name == "bench-hotpath" {
         std::process::exit(bench_hotpath(&opt));
     }

@@ -203,6 +203,13 @@ impl RunSpec {
         }
         b.build()
     }
+
+    /// The machine this spec runs, not yet started: one trace per core,
+    /// long enough for the warm-up and the measured instructions.
+    pub(crate) fn system(&self) -> System {
+        let traces = self.workload.traces(self.cores, self.seed, self.warmup + self.insts + 10_000);
+        System::new(&self.config(), traces, self.seed)
+    }
 }
 
 /// The measured outcome of one run (warm-up already subtracted).
@@ -266,12 +273,10 @@ pub fn try_run_limited(
     budget: Option<u64>,
     wall_ms: Option<u64>,
 ) -> Result<RunResult, Box<tus::DeadlockReport>> {
-    let cfg = spec.config();
-    let model = EnergyModel::from_config(&cfg);
     let wall = wall_ms.map(|ms| (Instant::now() + Duration::from_millis(ms), ms));
     let total = spec.warmup + spec.insts;
-    let traces = spec.workload.traces(spec.cores, spec.seed, total + 10_000);
-    let mut sys = System::new(&cfg, traces, spec.seed);
+    let mut sys = spec.system();
+    let model = EnergyModel::from_config(sys.config());
     let budget = budget.unwrap_or_else(|| default_budget(spec));
     let warm = if spec.warmup > 0 {
         step_until(&mut sys, RunGoal::Committed(spec.warmup), budget, wall)?

@@ -16,30 +16,21 @@ use std::path::PathBuf;
 
 use crate::args::{parse_cli, Args, Command, Flag, BUDGET, COHERENCE, KERNEL, OUT, POLICY, SB, SEED};
 use crate::errors::{workload, HarnessError};
+use crate::runner::{default_budget, RunSpec, Scale};
 use crate::table::Table;
-use tus::System;
 use tus_sim::stats::names;
 use tus_sim::trace::{AttrClass, Attribution, TraceRecord};
-use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimConfig};
-use tus_workloads::{by_name, Workload};
+use tus_sim::PolicyKind;
+use tus_workloads::by_name;
 
 /// Parsed `trace` subcommand options.
 #[derive(Debug)]
 pub struct TraceOptions {
-    /// The workload to run (default: `502.gcc1-like`).
-    pub workload: Workload,
-    /// Drain policy (default: TUS, the interesting one).
-    pub policy: PolicyKind,
-    /// SB entries (default: 32, the constrained point where stalls show).
-    pub sb_entries: usize,
-    /// Simulation kernel.
-    pub kernel: KernelKind,
-    /// Coherence backend.
-    pub coherence: CoherenceKind,
-    /// Seed.
-    pub seed: u64,
-    /// Instructions per core.
-    pub insts: u64,
+    /// The point to trace, measured from cycle zero (no warm-up). The
+    /// default is `502.gcc1-like` under TUS with 32 SB entries (the
+    /// constrained point where stalls show), 20 000 instructions per
+    /// core, seed 42.
+    pub spec: RunSpec,
     /// Ring capacity per component tracer.
     pub cap: usize,
     /// Output directory.
@@ -52,14 +43,13 @@ pub struct TraceOptions {
 
 impl Default for TraceOptions {
     fn default() -> Self {
+        let gcc = by_name("502.gcc1-like").expect("built-in workload");
         TraceOptions {
-            workload: by_name("502.gcc1-like").expect("built-in workload"),
-            policy: PolicyKind::Tus,
-            sb_entries: 32,
-            kernel: KernelKind::default(),
-            coherence: CoherenceKind::default(),
-            seed: 42,
-            insts: 20_000,
+            spec: RunSpec {
+                warmup: 0,
+                insts: 20_000,
+                ..RunSpec::new(gcc, PolicyKind::Tus, 32, Scale::Quick)
+            },
             cap: tus::DEFAULT_TRACE_CAP,
             out: PathBuf::from("results"),
             budget: None,
@@ -92,19 +82,30 @@ impl TraceOptions {
     /// The options a `trace` command line or a `TraceCapture` request
     /// gives, over `base`.
     pub fn from_args(mut args: Args<'_>, base: TraceOptions) -> Result<TraceOptions, HarnessError> {
-        let mut opt = base;
-        if let Some(name) = args.str("workload") {
-            opt.workload = workload(name)?;
-        }
-        opt.policy = args.policy()?.unwrap_or(opt.policy);
-        opt.sb_entries = args.sb()?.unwrap_or(opt.sb_entries);
-        opt.kernel = args.kernel()?.unwrap_or(opt.kernel);
-        opt.seed = args.num("seed")?.unwrap_or(opt.seed);
-        opt.coherence = args.coherence()?.unwrap_or(opt.coherence);
-        opt.insts = args.num("insts")?.map_or(opt.insts, |n: u64| n.max(1));
-        opt.cap = args.num("cap")?.map_or(opt.cap, |n: usize| n.max(16));
-        opt.out = args.str("out").map_or(opt.out, PathBuf::from);
-        opt.budget = args.num("budget")?.or(opt.budget);
+        let TraceOptions { spec, cap, out, budget } = base;
+        let w = match args.str("workload") {
+            Some(name) => workload(name)?,
+            None => spec.workload,
+        };
+        let policy = args.policy()?.unwrap_or(spec.policy);
+        let sb = args.sb()?.unwrap_or(spec.sb_entries);
+        let kernel = args.kernel()?.unwrap_or(spec.kernel);
+        let seed = args.num("seed")?.unwrap_or(spec.seed);
+        let coherence = args.coherence()?.unwrap_or(spec.coherence);
+        let insts = args.num("insts")?.map_or(spec.insts, |n: u64| n.max(1));
+        let opt = TraceOptions {
+            spec: RunSpec {
+                warmup: 0,
+                insts,
+                seed,
+                kernel,
+                coherence,
+                ..RunSpec::new(w, policy, sb, Scale::Quick)
+            },
+            cap: args.num("cap")?.map_or(cap, |n: usize| n.max(16)),
+            out: args.str("out").map_or(out, PathBuf::from),
+            budget: args.num("budget")?.or(budget),
+        };
         args.finish()?;
         Ok(opt)
     }
@@ -135,21 +136,10 @@ pub fn run_traced(opt: &TraceOptions) -> TracedRun {
 /// Fallible [`run_traced`]: budget exhaustion or a watchdog trip comes
 /// back as the simulator's structured [`tus::DeadlockReport`].
 pub fn try_run_traced(opt: &TraceOptions) -> Result<TracedRun, Box<tus::DeadlockReport>> {
-    let cores = if opt.workload.parallel { 16 } else { 1 };
-    let cfg: SimConfig = {
-        let mut b = SimConfig::builder();
-        b.cores(cores)
-            .sb_entries(opt.sb_entries)
-            .policy(opt.policy)
-            .kernel(opt.kernel)
-            .coherence(opt.coherence);
-        b.build()
-    };
-    let traces = opt.workload.traces(cores, opt.seed, opt.insts + 10_000);
-    let mut sys = System::new(&cfg, traces, opt.seed);
+    let mut sys = opt.spec.system();
     sys.enable_trace(opt.cap);
-    let budget = opt.budget.unwrap_or(400 * opt.insts + 2_000_000);
-    let stats = sys.try_run_committed(opt.insts, budget)?;
+    let budget = opt.budget.unwrap_or_else(|| default_budget(&opt.spec));
+    let stats = sys.try_run_committed(opt.spec.insts, budget)?;
     sys.check_attribution();
     Ok(TracedRun {
         tracks: sys.take_traces(),
@@ -272,21 +262,22 @@ pub fn main_trace(argv: &[String]) -> ! {
     let build = |args: Args<'_>| TraceOptions::from_args(args, TraceOptions::default());
     let opt = parse_cli(&TRACE, "tus-harness trace [WORKLOAD]", argv, build)
         .unwrap_or_else(|code| std::process::exit(code));
+    let spec = &opt.spec;
     eprintln!(
         "[trace: {} {} sb{} {} seed {} — {} insts]",
-        opt.workload.name,
-        opt.policy.label(),
-        opt.sb_entries,
-        opt.kernel.label(),
-        opt.seed,
-        opt.insts,
+        spec.workload.name,
+        spec.policy.label(),
+        spec.sb_entries,
+        spec.kernel.label(),
+        spec.seed,
+        spec.insts,
     );
     let run = run_traced(&opt);
     let events: usize = run.tracks.iter().map(|(_, r)| r.len()).sum();
     let stem = format!(
         "trace_{}_{}",
-        opt.workload.name.replace(['.', '/'], "-"),
-        opt.policy.label()
+        spec.workload.name.replace(['.', '/'], "-"),
+        spec.policy.label()
     );
     let json = opt.out.join(format!("{stem}.json"));
     if let Err(e) = write_chrome_trace(&json, &run.tracks) {
@@ -311,12 +302,14 @@ pub fn main_trace(argv: &[String]) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tus_sim::KernelKind;
 
     fn quick_opt() -> TraceOptions {
+        let base = TraceOptions::default();
         TraceOptions {
-            insts: 3_000,
+            spec: RunSpec { insts: 3_000, ..base.spec },
             cap: 4_096,
-            ..TraceOptions::default()
+            ..base
         }
     }
 
@@ -331,12 +324,13 @@ mod tests {
         .collect();
         let opt = TraceOptions::from_args(Args::from_argv(&TRACE, &args).unwrap(), TraceOptions::default())
             .unwrap();
-        assert_eq!(opt.workload.name, "557.xz-like");
-        assert_eq!(opt.policy, PolicyKind::Csb);
-        assert_eq!(opt.sb_entries, 64);
-        assert_eq!(opt.kernel, KernelKind::Lockstep);
-        assert_eq!(opt.seed, 7);
-        assert_eq!(opt.insts, 1234);
+        assert_eq!(opt.spec.workload.name, "557.xz-like");
+        assert_eq!(opt.spec.policy, PolicyKind::Csb);
+        assert_eq!(opt.spec.sb_entries, 64);
+        assert_eq!(opt.spec.kernel, KernelKind::Lockstep);
+        assert_eq!(opt.spec.seed, 7);
+        assert_eq!(opt.spec.insts, 1234);
+        assert_eq!(opt.spec.warmup, 0);
         assert_eq!(opt.cap, 512);
         assert_eq!(opt.out, PathBuf::from("/tmp/x"));
     }

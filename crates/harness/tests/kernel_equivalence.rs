@@ -7,11 +7,12 @@
 
 use tus_harness::executor::encode_result;
 use tus_harness::{run, RunSpec, Scale, Tweak};
-use tus_sim::{KernelKind, PolicyKind};
+use tus_sim::{CoherenceKind, KernelKind, PolicyKind};
 use tus_workloads::by_name;
 
 /// Experiment-shaped specs: every policy, two SB sizes, a second seed,
-/// a 16-core PARSEC point and an ablation tweak.
+/// a 16-core PARSEC point under each coherence backend and an ablation
+/// tweak.
 fn figure_points() -> Vec<RunSpec> {
     let short = |mut s: RunSpec| {
         s.warmup = 1_000;
@@ -31,7 +32,11 @@ fn figure_points() -> Vec<RunSpec> {
     let mut par = RunSpec::new(w("canneal-like"), PolicyKind::Tus, 114, Scale::Quick);
     par.warmup = 500;
     par.insts = 2_000;
-    specs.push(par);
+    specs.push(par.clone());
+    specs.push(RunSpec {
+        coherence: CoherenceKind::Tardis,
+        ..par
+    });
     specs.push(RunSpec {
         tweak: Some(Tweak {
             name: "no-pf-commit",
@@ -56,10 +61,11 @@ fn kernels_are_bit_identical_on_figure_points() {
         assert_eq!(
             under(KernelKind::Lockstep),
             under(KernelKind::Event),
-            "event kernel diverged from lockstep on point {i} ({}, {}, sb{})",
+            "event kernel diverged from lockstep on point {i} ({}, {}, sb{}, {})",
             spec.workload.name,
             spec.policy.label(),
             spec.sb_entries,
+            spec.coherence.label(),
         );
     }
 }

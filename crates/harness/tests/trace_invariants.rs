@@ -102,10 +102,11 @@ fn attribution_partitions_cycles_everywhere() {
 }
 
 /// Arming the tracer changes nothing observable: exported stats are
-/// bit-identical with tracing on vs off, on both kernels.
+/// bit-identical with tracing on vs off, under every policy on both
+/// kernels.
 #[test]
 fn tracing_is_observation_only() {
-    for policy in [PolicyKind::Baseline, PolicyKind::Tus, PolicyKind::Csb] {
+    for policy in PolicyKind::ALL {
         for kernel in KernelKind::ALL {
             let off = run_one("502.gcc1-like", policy, kernel, 42, false);
             let on = run_one("502.gcc1-like", policy, kernel, 42, true);

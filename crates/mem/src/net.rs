@@ -72,7 +72,6 @@ pub struct Network {
     jitter: u64,
     rng: SimRng,
     sent: u64,
-    trace_line: Option<tus_sim::LineAddr>,
     tracer: Tracer,
     /// Recycling pool for the line-data payloads carried by coherence
     /// messages. The network is the one component threaded through every
@@ -94,7 +93,6 @@ impl Network {
             jitter,
             rng,
             sent: 0,
-            trace_line: None,
             tracer: Tracer::default(),
             data_pool: BoxPool::new(),
         }
@@ -142,21 +140,10 @@ impl Network {
         let ch = src.index(self.cores) * (self.cores + 1) + dst.index(self.cores);
         let due = nominal.max(self.last_delivery[ch]);
         self.last_delivery[ch] = due;
-        if let Some(watch) = self.trace_line {
-            if msg.line() == watch {
-                eprintln!("[net {now}] {src:?} -> {dst:?} (due {due}): {msg:?}");
-            }
-        }
         self.tracer
             .emit(now, 0, TraceEvent::NetMsg { kind: msg.label() });
         self.queues[dst.index(self.cores)].push(due, (src, msg));
         self.sent += 1;
-    }
-
-    /// Enables eprintln-tracing of every message touching `line`
-    /// (protocol debugging).
-    pub fn trace_line(&mut self, line: Option<tus_sim::LineAddr>) {
-        self.trace_line = line;
     }
 
     /// Pops the next message due at `dst` by cycle `now`.

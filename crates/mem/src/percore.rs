@@ -68,9 +68,9 @@ pub enum StoreWriteOutcome {
     NotYet,
 }
 
-/// What [`PrivateCache::write_line_visible`] would do for a line *right
-/// now*, without doing it — a read-only mirror used by the event kernel
-/// to decide whether a blocked store drain is pending work, a
+/// What [`PrivateCache::write_line_visible`] does for a line *right
+/// now*: the write branches on it, and the event kernel reads it without
+/// writing to decide whether a blocked store drain is pending work, a
 /// counting retry (chargeable in bulk), or fully quiet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreAttemptClass {
@@ -448,30 +448,34 @@ impl PrivateCache {
         self.deferred_fwd.next_due()
     }
 
-    /// Read-only classification of what [`PrivateCache::write_line_visible`]
-    /// (and therefore the baseline/SSB/CSB store-drain attempts built on
-    /// it) would do for `line` this cycle. Mirrors that method's control
-    /// flow exactly; see [`StoreAttemptClass`].
+    /// What [`PrivateCache::write_line_visible`] (and therefore the
+    /// baseline/SSB/CSB store-drain attempts built on it) does for `line`
+    /// this cycle: the write branches on this answer, and the event
+    /// kernel reads it without writing; see [`StoreAttemptClass`].
     pub fn store_write_class(&self, line: LineAddr) -> StoreAttemptClass {
-        if let Some((set, way)) = self.l1d.lookup(line) {
-            let l2_writable = self
-                .l2
+        // Write permission is a property of the private hierarchy: an L2
+        // copy in M/E authorizes the write even if the L1D tag still says
+        // S.
+        let l2_writable = || {
+            self.l2
                 .lookup(line)
-                .is_some_and(|(s2, w2)| self.l2.way(s2, w2).state.can_write());
-            let l = self.l1d.way(set, way);
-            if l.unauth {
-                return StoreAttemptClass::BlockedQuiet;
+                .is_some_and(|(s2, w2)| self.l2.way(s2, w2).state.can_write())
+        };
+        match self.l1d.lookup(line) {
+            Some((set, way)) => {
+                let l = self.l1d.way(set, way);
+                if l.unauth {
+                    return StoreAttemptClass::BlockedQuiet;
+                }
+                if l.state.can_write() || (l.state.can_read() && l2_writable()) {
+                    return StoreAttemptClass::WouldComplete;
+                }
             }
-            if l.state.can_write() || (l.state.can_read() && l2_writable) {
-                return StoreAttemptClass::WouldComplete;
-            }
-        } else if let Some((s2, w2)) = self.l2.lookup(line) {
-            if self.l2.way(s2, w2).state.can_write() {
-                return StoreAttemptClass::WouldComplete;
-            }
+            None if l2_writable() => return StoreAttemptClass::WouldComplete,
+            None => {}
         }
-        // Miss path: `ensure_write_permission` is a no-op exactly when a
-        // request is already in flight or MSHRs are exhausted.
+        // Miss: a new GetM goes out unless one is already in flight or
+        // the MSHRs are exhausted.
         if self.outstanding.contains(line) || self.mshrs_full() {
             StoreAttemptClass::BlockedCounting
         } else {
@@ -672,7 +676,8 @@ impl PrivateCache {
     /// Writes masked bytes to a line, requiring write permission (the CSB
     /// flush path; also the building block of the baseline path). One call
     /// is one L1D write access regardless of how many stores coalesced
-    /// into the mask.
+    /// into the mask. Without permission it counts a store miss and, when
+    /// no request is in flight and an MSHR is free, sends a GetM.
     pub fn write_line_visible(
         &mut self,
         line: LineAddr,
@@ -681,47 +686,37 @@ impl PrivateCache {
         now: Cycle,
         net: &mut Network,
     ) -> StoreWriteOutcome {
-        // Write permission is a property of the private hierarchy: an L2
-        // copy in M/E authorizes the write even if the L1D tag still says
-        // S.
-        let writable_l2 = self
-            .l2
-            .lookup(line)
-            .filter(|&(s2, w2)| self.l2.way(s2, w2).state.can_write());
-        let hit = match (self.l1d.lookup(line), writable_l2) {
-            (Some((set, way)), _) => {
-                let l = self.l1d.way(set, way);
-                if l.unauth {
-                    return StoreWriteOutcome::NotYet;
-                }
-                let writable = l.state.can_write() || (l.state.can_read() && writable_l2.is_some());
-                writable.then_some((set, way))
+        match self.store_write_class(line) {
+            StoreAttemptClass::WouldComplete => {}
+            StoreAttemptClass::BlockedQuiet => return StoreWriteOutcome::NotYet,
+            StoreAttemptClass::BlockedCounting => {
+                self.stats.l1d_store_misses += 1;
+                return StoreWriteOutcome::NotYet;
             }
-            // Write-allocate into the L1D from the L2 and complete the
-            // write (the L2 round trip is folded into pipelined store
-            // handling).
-            (None, Some((s2, w2))) => {
-                self.fill_l1_from_l2(line);
-                let claimed = self.l1d.lookup(line);
-                if claimed.is_none() {
-                    // No L1D way could be claimed (fully pinned set): write
-                    // directly into the L2 copy instead of stalling forever.
-                    let (l2l, l2d) = self.l2.way_and_data_mut(s2, w2);
-                    combine(l2d, data, mask);
-                    l2l.state = Mesi::Modified;
-                    l2l.dirty = true;
-                    self.stats.l1d_writes += 1;
-                    self.store_visible(line, now);
-                    return StoreWriteOutcome::Done;
-                }
-                claimed
+            StoreAttemptClass::BlockedWouldRequest => {
+                self.stats.l1d_store_misses += 1;
+                self.request(line, ReqKind::GetM, false, now, net);
+                return StoreWriteOutcome::NotYet;
             }
-            (None, None) => None,
-        };
+        }
+        // Without an L1D copy the L2 one is writable: write-allocate into
+        // the L1D and complete the write (the L2 round trip is folded into
+        // pipelined store handling).
+        let hit = self.l1d.lookup(line).or_else(|| {
+            self.fill_l1_from_l2(line);
+            self.l1d.lookup(line)
+        });
         let Some((set, way)) = hit else {
-            self.stats.l1d_store_misses += 1;
-            self.ensure_write_permission(line, false, now, net);
-            return StoreWriteOutcome::NotYet;
+            // No L1D way could be claimed (fully pinned set): write
+            // directly into the L2 copy instead of stalling forever.
+            let (s2, w2) = self.l2.lookup(line).expect("writable L2 copy");
+            let (l2l, l2d) = self.l2.way_and_data_mut(s2, w2);
+            combine(l2d, data, mask);
+            l2l.state = Mesi::Modified;
+            l2l.dirty = true;
+            self.stats.l1d_writes += 1;
+            self.store_visible(line, now);
+            return StoreWriteOutcome::Done;
         };
         let (l, d) = self.l1d.way_and_data_mut(set, way);
         combine(d, data, mask);
@@ -2009,11 +2004,10 @@ mod tests {
         }
     }
 
-    /// `store_write_class` is the event kernel's read-only mirror of
-    /// `write_line_visible`: in every hierarchy state, the write then does
-    /// what the class says. `WouldComplete` completes; `BlockedWouldRequest`
-    /// opens one MSHR; `BlockedCounting` only counts a store miss;
-    /// `BlockedQuiet` moves no counter.
+    /// `write_line_visible` in every hierarchy state its class names:
+    /// `WouldComplete` completes; `BlockedWouldRequest` opens one MSHR;
+    /// `BlockedCounting` only counts a store miss; `BlockedQuiet` moves
+    /// no counter.
     #[test]
     fn store_write_class_predicts_write_line_visible() {
         use StoreAttemptClass::*;

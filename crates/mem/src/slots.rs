@@ -5,32 +5,30 @@
 //! line, and the external requests parked on a line (pending a policy
 //! decision, or delayed). Finding, inserting and removing by line cost one
 //! hash probe each: an `FxHashMap<LineAddr, u32>` maps every live line to
-//! its slot in a vector. The keys are simulator-internal line addresses,
-//! so the fast non-keyed hash is safe.
+//! its slot in a [`Slab`]. The keys are simulator-internal line
+//! addresses, so the fast non-keyed hash is safe.
 //!
-//! A removed slot goes on a free list *with its value*, so a `T` that owns
-//! a buffer (a waiter list) hands it, warm, to the slot's next occupant:
-//! steady-state reuse allocates nothing. Nothing observes which slot a
-//! line gets, so the reuse order (last freed first) is output-neutral.
+//! A freed slab slot keeps its value, so a `T` that owns a buffer (a
+//! waiter list) hands it, warm, to the slot's next occupant: steady-state
+//! reuse allocates nothing. Nothing observes
+//! which slot a line gets, so the reuse order (last freed first) is
+//! output-neutral.
 
-use tus_sim::{FxHashMap, LineAddr};
+use tus_sim::{FxHashMap, LineAddr, Slab};
 
 /// At most one `T` per line, found, inserted and removed in O(1).
 #[derive(Debug)]
 pub(crate) struct LineSlots<T> {
     /// The slot of every live line; its length is the live count.
     index: FxHashMap<LineAddr, u32>,
-    slots: Vec<T>,
-    /// Dead slots, each still holding what its last occupant left.
-    free: Vec<u32>,
+    slots: Slab<T>,
 }
 
 impl<T: Default> LineSlots<T> {
     pub(crate) fn new() -> Self {
         LineSlots {
             index: FxHashMap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            slots: Slab::new(),
         }
     }
 
@@ -46,33 +44,30 @@ impl<T: Default> LineSlots<T> {
 
     /// The live slot of `line`.
     pub(crate) fn get(&self, line: LineAddr) -> Option<&T> {
-        self.index.get(&line).map(|&i| &self.slots[i as usize])
+        self.index.get(&line).map(|&i| self.slots.get(i))
     }
 
     /// The live slot of `line`, mutably.
     pub(crate) fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
-        self.index.get(&line).map(|&i| &mut self.slots[i as usize])
+        self.index.get(&line).map(|&i| self.slots.get_mut(i))
     }
 
     /// Claims a slot for `line`, which must not have one. A reused slot
     /// still holds what its last occupant left: the caller overwrites the
     /// fields it needs and keeps the buffers.
     pub(crate) fn insert(&mut self, line: LineAddr) -> &mut T {
-        let i = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(T::default());
-            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots")
-        });
+        let i = self.slots.alloc();
         let prev = self.index.insert(line, i);
         debug_assert!(prev.is_none(), "one slot per line");
-        &mut self.slots[i as usize]
+        self.slots.get_mut(i)
     }
 
     /// Frees the slot of `line` and returns it, so the caller can move
     /// out what it needs; the rest stays for the next occupant.
     pub(crate) fn remove(&mut self, line: LineAddr) -> Option<&mut T> {
         let i = self.index.remove(&line)?;
-        self.free.push(i);
-        Some(&mut self.slots[i as usize])
+        self.slots.release(i);
+        Some(self.slots.get_mut(i))
     }
 
     /// The lines with a live slot, in no particular order.

@@ -76,10 +76,10 @@ impl fmt::Display for PolicyKind {
 pub enum KernelKind {
     /// Tick every component every cycle (the reference kernel).
     Lockstep,
-    /// Calendar-queue kernel: each unit (memory fabric, per-core slice)
-    /// keeps a `next_work` key in a priority queue and only due units are
-    /// ticked; idle stretches are jumped, with the skipped cycles charged
-    /// to the same counters lockstep ticks would have bumped.
+    /// Calendar kernel: each unit (memory fabric, per-core slice) keeps a
+    /// `next_work` key and only due units are ticked; idle stretches are
+    /// jumped, with the skipped cycles charged to the same counters
+    /// lockstep ticks would have bumped.
     Event,
 }
 

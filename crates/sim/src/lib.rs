@@ -14,8 +14,8 @@
 //!   the simulation-kernel selector ([`KernelKind`]).
 //! * [`sched`] — the next-work contract the event kernel uses to
 //!   compute per-component next-event cycles.
-//! * [`calendar`] — the priority queue of unit next-work keys
-//!   ([`Calendar`]) behind the event-driven kernel.
+//! * [`calendar`] — the per-unit next-work keys ([`Calendar`]) behind
+//!   the event-driven kernel.
 //! * [`lineid`] — dense per-run line identifiers ([`LineId`],
 //!   [`LineInterner`]) and the allocation-recycling primitives ([`Slab`],
 //!   [`BoxPool`]) behind the zero-allocation steady-state hot path.

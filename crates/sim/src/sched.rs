@@ -4,9 +4,10 @@
 //! directory) answers one question: *given the current cycle, when is the
 //! earliest cycle at which ticking you could change machine state?* The
 //! event kernel keeps one such answer per unit in its [`Calendar`], ticks
-//! only the units whose key is due, and, when every key lies strictly in
-//! the future, jumps the clock straight to the earliest one instead of
-//! ticking idle components cycle by cycle.
+//! only the units whose key is due (in one ascending-id pass, the
+//! lockstep order), and, when every key lies strictly in the future,
+//! jumps the clock straight to the earliest one instead of ticking idle
+//! components cycle by cycle.
 //!
 //! # Skip safety
 //!
