@@ -342,20 +342,10 @@ pub fn missing(key: &str) -> HarnessError {
     bad(format!("missing required {key:?}"))
 }
 
-/// Builds a CLI command's options from `argv` with `build`. On failure,
-/// prints it and the command's usage under `head` and returns the usage
-/// exit code, 2.
-pub fn parse_cli<T>(
-    cmd: &'static Command,
-    head: &str,
-    argv: &[String],
-    build: impl FnOnce(Args<'_>) -> Result<T, HarnessError>,
-) -> Result<T, i32> {
-    Args::from_argv(cmd, argv).and_then(build).map_err(|e| {
-        let synopsis = cmd.synopsis(head, true).replace('\n', "\n       ");
-        let usage = format!("usage: {synopsis}\n{}", cmd.about);
-        usage_error(&format!("tus-harness {}", cmd.name), &e, &usage)
-    })
+/// A CLI command's usage text: its synopsis under `head`, and what it does.
+pub fn cli_usage(cmd: &Command, head: &str) -> String {
+    let synopsis = cmd.synopsis(head, true).replace('\n', "\n       ");
+    format!("usage: {synopsis}\n{}", cmd.about)
 }
 
 /// Prints a CLI parse failure under `prefix`, then `usage`; returns the

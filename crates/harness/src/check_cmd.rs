@@ -14,8 +14,10 @@
 //! `<out>/fuzz-corpus/` in the corpus text format, so
 //! `tus-harness fuzz --replay FILE` re-runs them on the real simulator.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use tus_sim::PolicyKind;
 use tus_tso::check::{check_program_policies, CheckConfig, CheckOutcome, CheckReport, CheckStats};
@@ -24,11 +26,11 @@ use tus_tso::fuzz::{cases_in_bounds, decode_case, encode_case, shrink_with, Fuzz
 use tus_tso::litmus::all_litmus_tests;
 
 use crate::args::{
-    parse_cli, policy_list, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY,
-    SEED,
+    bad, policy_list, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY, SEED,
 };
 use crate::errors::HarnessError;
 use crate::executor::{run_indexed, Executor};
+use crate::request::{Progress, Reply, Side};
 
 /// Timing-seed count recorded in persisted check repros — generous, so a
 /// later `fuzz --replay` gives the simulator a real chance to wander
@@ -50,8 +52,6 @@ pub struct CheckOptions {
     pub config: CheckConfig,
     /// Restrict to one policy (default: all five).
     pub policy: Option<PolicyKind>,
-    /// Print the per-policy exploration statistics table.
-    pub stats: bool,
     /// Output directory; repro files land in `<out>/fuzz-corpus/`.
     pub out: PathBuf,
     /// Worker threads.
@@ -69,7 +69,6 @@ impl Default for CheckOptions {
             base_seed: 0,
             config: CheckConfig::default(),
             policy: None,
-            stats: false,
             out: PathBuf::from("results"),
             jobs: Executor::default_jobs(),
             shrink: true,
@@ -95,7 +94,6 @@ pub static CHECK: Command = Command {
         POLICY,
         KERNEL,
         COHERENCE,
-        Flag::sets("--stats", "stats", "1").cli(),
         OUT,
         JOBS,
         NO_SHRINK,
@@ -127,7 +125,6 @@ impl CheckOptions {
         cfg.kernel = args.kernel()?.unwrap_or(cfg.kernel);
         cfg.coherence = args.coherence()?.unwrap_or(cfg.coherence);
         opt.policy = args.policy()?.or(opt.policy);
-        opt.stats = args.switch("stats")?.unwrap_or(opt.stats);
         opt.out = args.str("out").map_or(opt.out, PathBuf::from);
         opt.jobs = args.num("jobs")?.map_or(opt.jobs, |n: usize| n.max(1));
         opt.shrink = args.switch("shrink")?.unwrap_or(opt.shrink);
@@ -186,8 +183,8 @@ impl CheckSummary {
 
 /// Collects the programs a sweep will check. Litmus tests may need more
 /// threads/ops than the configured bounds (IRIW has four threads); the
-/// bounds in `cfg` are raised to cover the selection, with a note on
-/// stderr, so `--litmus all` never reports spurious `bound exceeded`.
+/// bounds in `cfg` are raised to cover the selection, so `--litmus all`
+/// never reports spurious `bound exceeded`.
 pub fn collect_jobs(opt: &CheckOptions, cfg: &mut CheckConfig) -> Result<Vec<CheckJob>, String> {
     let mut jobs = Vec::new();
     if let Some(dir) = &opt.corpus {
@@ -229,15 +226,8 @@ pub fn collect_jobs(opt: &CheckOptions, cfg: &mut CheckConfig) -> Result<Vec<Che
         };
         let need_threads = picked.iter().map(|t| t.program.threads.len()).max().unwrap_or(0);
         let need_ops = picked.iter().map(|t| t.program.ops()).max().unwrap_or(0);
-        if need_threads > cfg.max_threads || need_ops > cfg.max_ops {
-            eprintln!(
-                "check: raising bounds to {} threads / {} ops to cover the litmus selection",
-                need_threads.max(cfg.max_threads),
-                need_ops.max(cfg.max_ops)
-            );
-            cfg.max_threads = cfg.max_threads.max(need_threads);
-            cfg.max_ops = cfg.max_ops.max(need_ops);
-        }
+        cfg.max_threads = cfg.max_threads.max(need_threads);
+        cfg.max_ops = cfg.max_ops.max(need_ops);
         for t in picked {
             let addrs = default_addrs(&t.program);
             jobs.push(CheckJob {
@@ -313,9 +303,8 @@ pub fn sweep_jobs(
     summary
 }
 
-/// Renders the `--stats` table: per-policy exploration counters.
+/// Renders the per-policy exploration counters.
 pub fn render_stats(summary: &CheckSummary) -> String {
-    use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -339,7 +328,6 @@ pub fn render_stats(summary: &CheckSummary) -> String {
 
 /// Renders one finding's diff (extra/missed/cross-check divergences).
 pub fn render_finding(f: &CheckFinding) -> String {
-    use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "--- {} [{}] ---", f.job.name, f.report.outcome());
     if let Some(b) = f.report.bound {
@@ -374,14 +362,15 @@ pub fn render_finding(f: &CheckFinding) -> String {
     s
 }
 
-/// Shrinks and persists one violating finding in the corpus format;
-/// returns the repro path.
-pub fn persist_finding(
+/// Shrinks and persists one violating finding in the corpus format,
+/// rendering the shrunk case and the repro path into `s`.
+fn persist_finding(
     opt: &CheckOptions,
     cfg: &CheckConfig,
     policies: &[PolicyKind],
     f: &CheckFinding,
-) -> std::io::Result<PathBuf> {
+    s: &mut String,
+) -> std::io::Result<()> {
     let corpus = opt.out.join("fuzz-corpus");
     std::fs::create_dir_all(&corpus)?;
     let (case, failure) = if opt.shrink {
@@ -394,33 +383,46 @@ pub fn persist_finding(
         })?;
         (f.job.case.clone(), failure)
     };
-    eprintln!(
-        "shrunk to {} thread(s), {} op(s): {failure}",
-        case.program.threads.len(),
-        case.program.ops()
+    let (threads, ops) = (case.program.threads.len(), case.program.ops());
+    let _ = write!(
+        s,
+        "shrunk to {threads} thread(s), {ops} op(s): {failure}\n{case}"
     );
-    eprint!("{case}");
     let path = corpus.join(format!("check-{}.txt", f.job.name));
     std::fs::write(&path, encode_case(&case, Some(failure.policy), REPRO_SEEDS))?;
-    Ok(path)
+    let _ = writeln!(
+        s,
+        "persisted: {} (replay with: tus-harness fuzz --replay)",
+        path.display()
+    );
+    Ok(())
 }
 
-/// Runs the check subcommand; returns the process exit code (0 = all
-/// verified, 1 = violation found, 2 = usage/IO error). `bound exceeded`
-/// programs are reported and counted but do not fail the sweep: the
-/// bound is the contract, and they are explicitly outside it.
-pub fn run_check(opt: &CheckOptions) -> i32 {
-    let mut cfg = opt.config.clone();
-    let jobs = match collect_jobs(opt, &mut cfg) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("check: {e}");
-            return 2;
-        }
+/// `tus-harness check` and the `Check` request. The reply counts the
+/// programs verified, violating (each shrunk and persisted) and over a
+/// bound, which is reported but not a failure: the bound is the
+/// contract, and such a program is explicitly outside it.
+pub fn run(side: Side<'_>, args: Args<'_>, progress: &Progress<'_>) -> Result<Reply, HarnessError> {
+    let base = match side {
+        Side::Cli => CheckOptions::default(),
+        Side::Daemon(s) => CheckOptions {
+            out: s.opt.out.clone(),
+            jobs: s.opt.jobs,
+            ..CheckOptions::default()
+        },
     };
+    let opt = CheckOptions::from_args(args, base)?;
+    let mut cfg = opt.config.clone();
+    let jobs = collect_jobs(&opt, &mut cfg).map_err(bad)?;
+    if (cfg.max_threads, cfg.max_ops) != (opt.config.max_threads, opt.config.max_ops) {
+        progress(&format!(
+            "raising bounds to {} threads / {} ops to cover the litmus selection",
+            cfg.max_threads, cfg.max_ops
+        ));
+    }
     let policies = policy_list(&opt.policy);
-    let started = std::time::Instant::now();
-    eprintln!(
+    let started = Instant::now();
+    progress(&format!(
         "checking {} programs x {} policies (≤{} threads, ≤{} ops, ≤{} states, reduction {}, lazy {}, {} cross-check seeds, {} jobs)",
         jobs.len(),
         policies.len(),
@@ -431,28 +433,24 @@ pub fn run_check(opt: &CheckOptions) -> i32 {
         if cfg.lazy { "on" } else { "off" },
         cfg.sim_seeds,
         opt.jobs
-    );
-    let summary = sweep_jobs(&jobs, &cfg, policies, opt.jobs, &|d, n, violations| {
-        if d % 25 == 0 || d == n {
-            eprintln!(
-                "[{d}/{n} programs, {violations} violation(s), {:.1}s]",
-                started.elapsed().as_secs_f64()
-            );
+    ));
+    let summary = sweep_jobs(&jobs, &cfg, policies, opt.jobs, &|done, total, violations| {
+        if done % 25 == 0 || done == total {
+            let secs = started.elapsed().as_secs_f64();
+            progress(&format!("{done}/{total} programs, {violations} violation(s), {secs:.1}s"));
         }
     });
+    let mut rendered = String::new();
     for f in &summary.findings {
-        eprint!("{}", render_finding(f));
+        rendered += &render_finding(f);
         if matches!(f.report.outcome(), CheckOutcome::Violated) {
-            eprint!("{}", f.job.case);
-            match persist_finding(opt, &cfg, policies, f) {
-                Ok(p) => eprintln!("persisted: {} (replay with: tus-harness fuzz --replay)", p.display()),
-                Err(e) => eprintln!("check: cannot persist repro: {e}"),
+            let _ = write!(rendered, "{}", f.job.case);
+            if let Err(e) = persist_finding(&opt, &cfg, policies, f, &mut rendered) {
+                let _ = writeln!(rendered, "cannot persist repro: {e}");
             }
         }
     }
-    if opt.stats {
-        eprint!("{}", render_stats(&summary));
-    }
+    rendered += &render_stats(&summary);
     let agg = summary
         .per_policy
         .iter()
@@ -460,30 +458,18 @@ pub fn run_check(opt: &CheckOptions) -> i32 {
             a.absorb(s);
             a
         });
-    eprintln!(
-        "[check: {:.1}s, {} programs, {} verified, {} violation(s), {} bound-exceeded, {} states explored, {} memoized, {} pruned]",
-        started.elapsed().as_secs_f64(),
+    Ok(format!(
+        "programs={}\nverified={}\nviolations={}\nbound_exceeded={}\nexplored={}\nmemoized={}\npruned={}\nseconds={:.6}\n\n{rendered}",
         summary.programs,
         summary.verified,
         summary.violations(),
         summary.bound_exceeded,
         agg.explored,
         agg.memoized,
-        agg.pruned
-    );
-    if summary.violations() > 0 {
-        1
-    } else {
-        0
-    }
-}
-
-/// Entry point called from `main` for `tus-harness check ...`.
-pub fn main_check(argv: &[String]) -> ! {
-    let build = |args: Args<'_>| CheckOptions::from_args(args, CheckOptions::default());
-    let opt = parse_cli(&CHECK, "tus-harness check", argv, build)
-        .unwrap_or_else(|code| std::process::exit(code));
-    std::process::exit(run_check(&opt))
+        agg.pruned,
+        started.elapsed().as_secs_f64(),
+    )
+    .into())
 }
 
 #[cfg(test)]
@@ -501,7 +487,7 @@ mod tests {
         let args: Vec<String> = [
             "--corpus", "/tmp/corpus", "--litmus", "SB,MP", "--programs", "7", "--seed", "3",
             "--max-threads", "4", "--max-ops", "10", "--max-states", "5000", "--seeds", "2",
-            "--no-reduction", "--no-lazy", "--stats", "--policy", "csb", "--kernel", "lockstep",
+            "--no-reduction", "--no-lazy", "--policy", "csb", "--kernel", "lockstep",
             "--coherence", "tardis", "--out", "/tmp/o", "--jobs", "2", "--no-shrink",
         ]
         .iter()
@@ -518,7 +504,6 @@ mod tests {
         assert_eq!(o.config.sim_seeds, 2);
         assert!(!o.config.reduction);
         assert!(!o.config.lazy);
-        assert!(o.stats);
         assert_eq!(o.policy, Some(PolicyKind::Csb));
         assert_eq!(o.config.kernel, KernelKind::Lockstep);
         assert_eq!(o.config.coherence, CoherenceKind::Tardis);

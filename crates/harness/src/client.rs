@@ -5,25 +5,24 @@
 //! stderr as they arrive, prints the terminal reply body to stdout, and
 //! maps the outcome onto process exit codes:
 //!
-//! * `0` — success reply (for `fuzz`, additionally: zero violations),
-//! * `1` — the daemon answered with a structured error reply (or a fuzz
-//!   sweep found violations — mirroring the `fuzz` subcommand),
+//! * `0` — success reply reporting no violations,
+//! * `1` — the daemon answered with a structured error reply, or a reply
+//!   whose `violations=` header is above 0 (a `fuzz` or `check` that
+//!   found some),
 //! * `2` — usage error, connect failure, or a broken connection.
+//!
+//! The CLI prints the reply of the same command with [`finish`] too.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::args::{bad, usage_error, Args, Command};
-use crate::check_cmd::CHECK;
+use crate::args::{bad, usage_error, Args};
 use crate::errors::HarnessError;
-use crate::experiments::EXPERIMENT;
-use crate::fuzz_cmd::FUZZ;
-use crate::protocol::{decode_error, read_frame, write_frame, Frame, FrameKind, ReadOutcome};
-use crate::serve::POINT;
-use crate::trace_cmd::TRACE;
+use crate::protocol::{decode_error, read_frame, write_frame, FrameKind, ReadOutcome};
+use crate::request::REQUESTS;
 
 /// Where the daemon lives.
 #[derive(Debug, Clone)]
@@ -43,23 +42,10 @@ pub struct ClientOptions {
     pub wait: Option<Duration>,
     /// The request frame to send.
     pub request: (FrameKind, String),
-    /// Expected number of violations is zero: `fuzz` exits 1 when the
-    /// reply reports any.
-    pub is_fuzz: bool,
     /// Write the terminal reply body here instead of stdout (`--out`,
     /// chiefly for `trace` JSON).
     pub out: Option<PathBuf>,
 }
-
-/// What `client <action>` sends for each action that carries settings:
-/// the request kind and the argument table its flags are checked against.
-const REQUESTS: [(FrameKind, &Command); 5] = [
-    (FrameKind::RunPoint, &POINT),
-    (FrameKind::Experiment, &EXPERIMENT),
-    (FrameKind::FuzzSweep, &FUZZ),
-    (FrameKind::Check, &CHECK),
-    (FrameKind::TraceCapture, &TRACE),
-];
 
 /// The client's usage text, its actions' flags taken from their tables.
 fn usage() -> String {
@@ -67,7 +53,7 @@ fn usage() -> String {
         "usage: tus-harness client (--connect HOST:PORT | --socket PATH) [--wait SECS] <action>\n\
          actions:\n  ping [MESSAGE]\n",
     );
-    for (_, cmd) in REQUESTS {
+    for cmd in REQUESTS.iter().map(|r| r.cmd) {
         let mut head = format!("  {}", cmd.name);
         if let Some(key) = cmd.positional {
             head = format!("{head} {}", key.to_ascii_uppercase());
@@ -77,7 +63,7 @@ fn usage() -> String {
     }
     s.push_str(
         "  counters\n  shutdown\n\
-         exit codes: 0 success, 1 structured error reply (or fuzz violations), 2 usage/IO",
+         exit codes: 0 success, 1 structured error reply or violations=N>0, 2 usage/IO",
     );
     s
 }
@@ -119,24 +105,21 @@ impl ClientOptions {
             ("counters", []) => ((FrameKind::Counters, String::new()), None),
             ("shutdown", []) => ((FrameKind::Shutdown, String::new()), None),
             (name, _) => {
-                let &(kind, cmd) = REQUESTS
+                let req = REQUESTS
                     .iter()
-                    .find(|(_, c)| c.name == name)
+                    .find(|r| r.cmd.name == name)
                     .ok_or_else(|| bad(format!("unknown action or arguments: {name}")))?;
-                let mut args = Args::from_argv(cmd, rest)?;
-                if let Some(key) = cmd.positional {
+                let mut args = Args::from_argv(req.cmd, rest)?;
+                if let Some(key) = req.cmd.positional {
                     args.require(key)?;
                 }
                 let out = args.str("out").map(PathBuf::from);
-                ((kind, args.into_headers()?), out)
+                ((req.kind, args.into_headers()?), out)
             }
         };
         Ok(ClientOptions {
             target,
             wait,
-            // `check` replies also carry a `violations=` header; a
-            // violating sweep exits 1 exactly like `fuzz`.
-            is_fuzz: matches!(request.0, FrameKind::FuzzSweep | FrameKind::Check),
             request,
             out,
         })
@@ -200,17 +183,14 @@ pub fn run_client(opt: &ClientOptions) -> i32 {
             }
         };
         match frame.kind {
-            FrameKind::Progress => {
-                eprint!("[{}]", frame.body.trim_end());
-                eprintln!();
-            }
+            FrameKind::Progress => print_progress(&frame.body),
             FrameKind::Error => {
                 let (token, message) = decode_error(&frame.body);
                 eprintln!("client: server error ({token}):");
                 eprintln!("{message}");
                 return 1;
             }
-            k if k.is_terminal_reply() => return finish(opt, &frame),
+            k if k.is_terminal_reply() => return finish(&frame.body, opt.out.as_deref()),
             k => {
                 eprintln!("client: unexpected {k:?} frame");
                 return 2;
@@ -219,41 +199,39 @@ pub fn run_client(opt: &ClientOptions) -> i32 {
     }
 }
 
-/// Handles the terminal success reply.
-fn finish(opt: &ClientOptions, frame: &Frame) -> i32 {
-    if let Some(path) = &opt.out {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("client: cannot create {}: {e}", dir.display());
-                    return 2;
-                }
+/// Prints one progress line on stderr, bracketed.
+pub fn print_progress(line: &str) {
+    eprintln!("[{}]", line.trim_end());
+}
+
+/// Prints a success reply's body on stdout, or writes it to `file`, and
+/// returns the exit code: 1 when a `violations=` header line is above 0,
+/// 2 when the file cannot be written, else 0.
+pub fn finish(body: &str, file: Option<&Path>) -> i32 {
+    if let Some(path) = file {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                eprintln!("cannot create {}: {e}", dir.display());
+                return 2;
             }
         }
-        if let Err(e) = std::fs::write(path, &frame.body) {
-            eprintln!("client: cannot write {}: {e}", path.display());
+        if let Err(e) = std::fs::write(path, body) {
+            eprintln!("cannot write {}: {e}", path.display());
             return 2;
         }
-        eprintln!("client: wrote {} bytes to {}", frame.body.len(), path.display());
+        eprintln!("wrote {} bytes to {}", body.len(), path.display());
     } else {
-        print!("{}", frame.body);
-        if !frame.body.ends_with('\n') && !frame.body.is_empty() {
+        print!("{body}");
+        if !body.ends_with('\n') && !body.is_empty() {
             println!();
         }
     }
-    if opt.is_fuzz {
-        // Mirror the local `fuzz` subcommand: violations mean exit 1.
-        let violations = frame
-            .body
-            .lines()
-            .find_map(|l| l.strip_prefix("violations="))
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(0);
-        if violations > 0 {
-            return 1;
-        }
-    }
-    0
+    let violations = body
+        .lines()
+        .take_while(|l| !l.is_empty())
+        .find_map(|l| l.strip_prefix("violations="))
+        .and_then(|v| v.parse::<u64>().ok());
+    i32::from(violations.is_some_and(|v| v > 0))
 }
 
 /// Entry point for `tus-harness client ...`.
@@ -289,7 +267,6 @@ mod tests {
         ] {
             assert!(body.contains(&format!("{line}\n")), "missing {line} in {body:?}");
         }
-        assert!(!o.is_fuzz);
     }
 
     #[test]
@@ -305,7 +282,6 @@ mod tests {
             "--connect", "h:1", "fuzz", "--programs", "5", "--seeds", "2",
         ])).unwrap();
         assert_eq!(o.request.0, FrameKind::FuzzSweep);
-        assert!(o.is_fuzz);
 
         let o = ClientOptions::parse(&strings(&[
             "--connect", "h:1", "check", "--litmus", "SB,MP", "--corpus", "results/fuzz-corpus",
@@ -313,7 +289,6 @@ mod tests {
             "--no-lazy", "--programs", "3",
         ])).unwrap();
         assert_eq!(o.request.0, FrameKind::Check);
-        assert!(o.is_fuzz, "check exits 1 on violations like fuzz");
         for line in [
             "litmus=SB,MP", "corpus=results/fuzz-corpus", "max_threads=4", "max_ops=10",
             "max_states=5000", "reduction=0", "lazy=0", "programs=3",
@@ -335,17 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_reply_violation_count_drives_exit_code() {
-        let opt = ClientOptions::parse(&strings(&["--connect", "h:1", "fuzz"])).unwrap();
-        let clean = Frame {
-            kind: FrameKind::FuzzDone,
-            body: "programs=5\nviolations=0\n".into(),
-        };
-        assert_eq!(finish(&opt, &clean), 0);
-        let dirty = Frame {
-            kind: FrameKind::FuzzDone,
-            body: "programs=5\nviolations=2\n".into(),
-        };
-        assert_eq!(finish(&opt, &dirty), 1);
+    fn violation_count_drives_exit_code() {
+        assert_eq!(finish("programs=5\nviolations=0\n", None), 0);
+        assert_eq!(finish("programs=5\nviolations=2\n", None), 1);
+        // Only header lines count: the body after the blank line is text.
+        assert_eq!(finish("programs=5\n\nviolations=2\n", None), 0);
     }
 }

@@ -76,7 +76,7 @@ impl std::fmt::Display for HarnessError {
                 for (n, _) in crate::experiments::EXPERIMENTS {
                     write!(f, " {n}")?;
                 }
-                Ok(())
+                write!(f, " all")
             }
             HarnessError::Deadlock(r) => write!(f, "{r}"),
             HarnessError::JobPanicked { what } => {

@@ -8,12 +8,14 @@
 //! order, and `--jobs N` parallelizes every batch without changing a
 //! single output byte.
 //!
-//! Every function prints the regenerated table(s) and writes CSVs under
-//! the output directory. The paper's absolute numbers came from gem5 +
-//! SPEC/PARSEC reference runs; here the *shape* is the target (see
-//! `EXPERIMENTS.md` for the paper-vs-measured record).
+//! Every function renders the regenerated table(s) into the reply and
+//! writes CSVs under the output directory. The paper's absolute numbers
+//! came from gem5 + SPEC/PARSEC reference runs; here the *shape* is the
+//! target (see `EXPERIMENTS.md` for the paper-vs-measured record).
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use tus_energy::{sb_area, sb_search_energy, woq_area, woq_search_energy};
 use tus_sim::stats::geomean;
@@ -21,10 +23,11 @@ use tus_sim::{CoherenceKind, KernelKind, PolicyKind, SimConfig};
 use tus_workloads::{all_single, parsec16, sb_bound_single, Workload};
 
 use crate::args::{
-    bad, Args, Command, Flag, COHERENCE, FULL, JOBS, KERNEL, NORMAL, NO_CACHE, OUT, QUICK, SEED,
+    Args, Command, Flag, COHERENCE, FULL, JOBS, KERNEL, NORMAL, NO_CACHE, OUT, QUICK, SEED,
 };
 use crate::errors::HarnessError;
 use crate::executor::Executor;
+use crate::request::{Progress, Reply, Side};
 use crate::runner::{RunResult, RunSpec, Scale, Tweak};
 use crate::table::Table;
 
@@ -53,8 +56,6 @@ pub struct Options {
     pub jobs: usize,
     /// Whether the CLI executor uses the on-disk run cache (CLI only).
     pub cache: bool,
-    /// `bench-hotpath`'s throughput floor (`--min-sims-per-sec`; CLI only).
-    pub min_sims_per_sec: Option<f64>,
 }
 
 impl Default for Options {
@@ -68,7 +69,6 @@ impl Default for Options {
             coherence: CoherenceKind::default(),
             jobs: Executor::default_jobs(),
             cache: true,
-            min_sims_per_sec: None,
         }
     }
 }
@@ -89,11 +89,9 @@ pub static EXPERIMENT: Command = Command {
         NO_CACHE,
         KERNEL,
         COHERENCE,
-        Flag::value("--min-sims-per-sec", "min_sims_per_sec", "X").cli(),
     ],
-    about: "regenerates one table or figure of the paper's evaluation (`all`: every one)\n\
-            and writes its CSVs under --out; `bench-hotpath` runs `all` cold and appends\n\
-            its throughput to <out>/BENCH_hotpath.json",
+    about: "regenerates one table or figure of the paper's evaluation (`all`: every one),\n\
+            prints its tables and writes its CSVs under --out",
 };
 
 impl Options {
@@ -110,20 +108,17 @@ impl Options {
         opt.coherence = args.coherence()?.unwrap_or(opt.coherence);
         opt.jobs = args.count("jobs")?.unwrap_or(opt.jobs);
         opt.cache = args.switch("cache")?.unwrap_or(opt.cache);
-        opt.min_sims_per_sec = match args.num::<f64>("min_sims_per_sec")? {
-            Some(x) if !(x.is_finite() && x >= 0.0) => {
-                return Err(bad(format!("min_sims_per_sec={x} is not a rate >= 0")))
-            }
-            x => x.or(opt.min_sims_per_sec),
-        };
         args.finish()?;
         Ok((name, opt))
     }
 }
 
-/// Every experiment, in figure order (the `all` command and the CLI
-/// dispatch both iterate this table).
-pub const EXPERIMENTS: &[(&str, fn(&Executor, &Options))] = &[
+/// An experiment: runs its batch on the executor, renders its tables into
+/// the string and writes their CSVs.
+pub type Experiment = fn(&Executor, &Options, &mut String);
+
+/// Every experiment, in figure order.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("table1", table1),
     ("fig08", fig08),
     ("fig09", fig09),
@@ -137,6 +132,77 @@ pub const EXPERIMENTS: &[(&str, fn(&Executor, &Options))] = &[
     ("ablation", ablation),
     ("coherence", coherence),
 ];
+
+/// The experiments `name` selects: the one so named, or `all` of them.
+pub fn select(name: &str) -> Result<&'static [(&'static str, Experiment)], HarnessError> {
+    if name == "all" {
+        return Ok(EXPERIMENTS);
+    }
+    match EXPERIMENTS.iter().position(|&(n, _)| n == name) {
+        Some(i) => Ok(&EXPERIMENTS[i..=i]),
+        None => Err(HarnessError::UnknownExperiment {
+            name: name.to_owned(),
+        }),
+    }
+}
+
+/// `tus-harness <experiment>` and the `Experiment` request. The CLI runs
+/// on an executor of its own (`--jobs`, and its run cache under `--out`
+/// unless `--no-cache`); the daemon runs on its shared one, one experiment
+/// request at a time, since each writes CSVs into its `out`. Each
+/// experiment's cost is a progress line; the reply is the counter headers
+/// and the rendered tables.
+pub fn run(side: Side<'_>, args: Args<'_>, progress: &Progress<'_>) -> Result<Reply, HarnessError> {
+    let base = match side {
+        Side::Cli => Options::default(),
+        Side::Daemon(s) => Options {
+            out: s.opt.out.clone(),
+            jobs: s.opt.jobs,
+            ..Options::default()
+        },
+    };
+    let (name, opt) = Options::from_args(args, base)?;
+    let selected = select(name)?;
+    let own;
+    let (ex, _gate) = match side {
+        Side::Cli => {
+            own = Executor::new(opt.jobs, opt.cache.then(|| opt.out.join(".runcache")));
+            (&own, None)
+        }
+        Side::Daemon(s) => (&s.ex, Some(s.experiment_gate())),
+    };
+    progress(&format!(
+        "running experiment {name} at {} scale",
+        opt.scale.label()
+    ));
+    let (before, started) = (ex.counters(), Instant::now());
+    let mut tables = String::new();
+    for &(name, f) in selected {
+        let (at, clock) = (ex.counters(), Instant::now());
+        f(ex, &opt, &mut tables);
+        let c = ex.counters().since(at);
+        let secs = clock.elapsed().as_secs_f64();
+        let rate = if secs > 0.0 {
+            c.executed as f64 / secs
+        } else {
+            0.0
+        };
+        progress(&format!(
+            "{name}: {secs:.1}s, {} sims ({rate:.1} sims/s), {} memo hits, {} cache hits",
+            c.executed, c.memo_hits, c.disk_hits,
+        ));
+    }
+    let c = ex.counters().since(before);
+    let body = format!(
+        "name={name}\nexecuted={}\nmemo_hits={}\ndisk_hits={}\nseconds={:.6}\ncsv_dir={}\n\n{tables}",
+        c.executed,
+        c.memo_hits,
+        c.disk_hits,
+        started.elapsed().as_secs_f64(),
+        opt.out.display(),
+    );
+    Ok(body.into())
+}
 
 fn spec(w: &Workload, policy: PolicyKind, sb: usize, opt: &Options) -> RunSpec {
     RunSpec {
@@ -155,10 +221,11 @@ fn parsec_suite(opt: &Options) -> Vec<Workload> {
     v
 }
 
-fn emit(t: &Table, opt: &Options, file: &str) {
-    println!("{}", t.render());
+/// Renders `t` into `tables` and writes it to `<out>/<file>.csv`.
+fn emit(t: &Table, opt: &Options, file: &str, tables: &mut String) {
+    let _ = writeln!(tables, "{}", t.render());
     if let Err(e) = t.write_csv(Path::new(&opt.out), file) {
-        eprintln!("warning: could not write {file}.csv: {e}");
+        let _ = writeln!(tables, "warning: could not write {file}.csv: {e}");
     }
 }
 
@@ -176,13 +243,13 @@ fn sweep_specs(
 }
 
 /// Table I: configuration parameters.
-pub fn table1(_ex: &Executor, _opt: &Options) {
-    println!("{}", SimConfig::default().render_table1());
+pub fn table1(_ex: &Executor, _opt: &Options, tables: &mut String) {
+    let _ = writeln!(tables, "{}", SimConfig::default().render_table1());
 }
 
 /// Figure 8: speedup (geomean over each suite) vs SB size for every
 /// policy, normalized to the 114-entry-SB baseline of that suite.
-pub fn fig08(ex: &Executor, opt: &Options) {
+pub fn fig08(ex: &Executor, opt: &Options, tables: &mut String) {
     let sizes = [32usize, 56, 64, 114];
     for (suite_name, workloads) in [
         ("spec-tf-sb-bound", sb_bound_single()),
@@ -222,13 +289,13 @@ pub fn fig08(ex: &Executor, opt: &Options) {
             }
             t.push(format!("SB={sb}"), row);
         }
-        emit(&t, opt, &format!("fig08_{suite_name}"));
+        emit(&t, opt, &format!("fig08_{suite_name}"), tables);
     }
 }
 
 /// Figure 9: SB-induced dispatch stalls (% of cycles) per SB-bound
 /// workload and policy, 114-entry SB. Lower is better.
-pub fn fig09(ex: &Executor, opt: &Options) {
+pub fn fig09(ex: &Executor, opt: &Options, tables: &mut String) {
     let workloads = sb_bound_single();
     let rs = ex.run_set(&sweep_specs(&workloads, &PolicyKind::ALL, 114, opt));
 
@@ -253,44 +320,51 @@ pub fn fig09(ex: &Executor, opt: &Options) {
         t.push(name, vals);
     }
     t.push("mean", means);
-    emit(&t, opt, "fig09");
+    emit(&t, opt, "fig09", tables);
 }
 
 /// Figure 10: speedup S-curve over all applications (left) and the
 /// per-benchmark SB-bound breakdown (right), normalized to the
 /// 114-entry-SB baseline.
-pub fn fig10(ex: &Executor, opt: &Options) {
-    speedup_figure(ex, opt, 114, "Fig. 10", "fig10");
+pub fn fig10(ex: &Executor, opt: &Options, tables: &mut String) {
+    speedup_figure(ex, opt, 114, "Fig. 10", "fig10", tables);
 }
 
 /// Figure 11: EDP normalized to the 114-entry-SB baseline, single-thread
 /// SB-bound workloads. Lower is better.
-pub fn fig11(ex: &Executor, opt: &Options) {
-    edp_figure(ex, opt, 114, "Fig. 11", "fig11", sb_bound_single());
+pub fn fig11(ex: &Executor, opt: &Options, tables: &mut String) {
+    edp_figure(ex, opt, 114, "Fig. 11", "fig11", sb_bound_single(), tables);
 }
 
 /// Figure 12: PARSEC (16 cores) speedup and EDP vs the 114-entry-SB
 /// baseline.
-pub fn fig12(ex: &Executor, opt: &Options) {
-    parallel_figure(ex, opt, 114, "Fig. 12", "fig12");
+pub fn fig12(ex: &Executor, opt: &Options, tables: &mut String) {
+    parallel_figure(ex, opt, 114, "Fig. 12", "fig12", tables);
 }
 
 /// Figure 13: S-curve + breakdown vs the **32-entry-SB** baseline.
-pub fn fig13(ex: &Executor, opt: &Options) {
-    speedup_figure(ex, opt, 32, "Fig. 13", "fig13");
+pub fn fig13(ex: &Executor, opt: &Options, tables: &mut String) {
+    speedup_figure(ex, opt, 32, "Fig. 13", "fig13", tables);
 }
 
 /// Figure 14: PARSEC speedup and EDP vs the 32-entry-SB baseline.
-pub fn fig14(ex: &Executor, opt: &Options) {
-    parallel_figure(ex, opt, 32, "Fig. 14", "fig14");
+pub fn fig14(ex: &Executor, opt: &Options, tables: &mut String) {
+    parallel_figure(ex, opt, 32, "Fig. 14", "fig14", tables);
 }
 
 /// Figure 15: EDP vs the 32-entry-SB baseline, single-thread SB-bound.
-pub fn fig15(ex: &Executor, opt: &Options) {
-    edp_figure(ex, opt, 32, "Fig. 15", "fig15", sb_bound_single());
+pub fn fig15(ex: &Executor, opt: &Options, tables: &mut String) {
+    edp_figure(ex, opt, 32, "Fig. 15", "fig15", sb_bound_single(), tables);
 }
 
-fn speedup_figure(ex: &Executor, opt: &Options, sb: usize, title: &str, file: &str) {
+fn speedup_figure(
+    ex: &Executor,
+    opt: &Options,
+    sb: usize,
+    title: &str,
+    file: &str,
+    tables: &mut String,
+) {
     let bound = sb_bound_single();
     let everything = all_single();
     // One batch covers both panels: the SB-bound suite under every
@@ -325,7 +399,7 @@ fn speedup_figure(ex: &Executor, opt: &Options, sb: usize, title: &str, file: &s
     }
     let mean = right.geomean_row();
     right.push("geomean", mean);
-    emit(&right, opt, &format!("{file}_breakdown"));
+    emit(&right, opt, &format!("{file}_breakdown"), tables);
 
     // Left panel: the S-curve of TUS speedups over *all* applications.
     let mut curve: Vec<(String, f64)> = everything
@@ -345,7 +419,7 @@ fn speedup_figure(ex: &Executor, opt: &Options, sb: usize, title: &str, file: &s
         left.push(name.clone(), vec![*s]);
     }
     left.push("geomean(All)".to_owned(), vec![geomean(curve.iter().map(|c| c.1))]);
-    emit(&left, opt, &format!("{file}_scurve"));
+    emit(&left, opt, &format!("{file}_scurve"), tables);
 }
 
 fn edp_figure(
@@ -355,6 +429,7 @@ fn edp_figure(
     title: &str,
     file: &str,
     workloads: Vec<Workload>,
+    tables: &mut String,
 ) {
     let rs = ex.run_set(&sweep_specs(&workloads, &PolicyKind::ALL, sb, opt));
 
@@ -378,10 +453,17 @@ fn edp_figure(
     }
     let mean = t.geomean_row();
     t.push("geomean", mean);
-    emit(&t, opt, file);
+    emit(&t, opt, file, tables);
 }
 
-fn parallel_figure(ex: &Executor, opt: &Options, sb: usize, title: &str, file: &str) {
+fn parallel_figure(
+    ex: &Executor,
+    opt: &Options,
+    sb: usize,
+    title: &str,
+    file: &str,
+    tables: &mut String,
+) {
     let workloads = parsec_suite(opt);
     let rs = ex.run_set(&sweep_specs(&workloads, &PolicyKind::ALL, sb, opt));
 
@@ -414,13 +496,13 @@ fn parallel_figure(ex: &Executor, opt: &Options, sb: usize, title: &str, file: &
     speed.push("geomean", m);
     let m = edp.geomean_row();
     edp.push("geomean", m);
-    emit(&speed, opt, &format!("{file}_speedup"));
-    emit(&edp, opt, &format!("{file}_edp"));
+    emit(&speed, opt, &format!("{file}_speedup"), tables);
+    emit(&edp, opt, &format!("{file}_edp"), tables);
 }
 
 /// In-text claims: SB/WOQ area & energy ratios, L1D-write reduction,
 /// stall totals, hit rates and memory-boundness.
-pub fn intext(ex: &Executor, opt: &Options) {
+pub fn intext(ex: &Executor, opt: &Options, tables: &mut String) {
     // Structure ratios (analytic model, Section IV / V of the paper).
     let mut t = Table::new(
         "In-text: structure area and search-energy model",
@@ -442,7 +524,7 @@ pub fn intext(ex: &Executor, opt: &Options) {
         "ratio SB32/WOQ",
         vec![sb_area(32) / woq_area(64), sb_search_energy(32) / woq_search_energy(64)],
     );
-    emit(&t, opt, "intext_structures");
+    emit(&t, opt, "intext_structures", tables);
 
     // L1D write reduction, stalls, hit rates, boundness.
     let workloads = sb_bound_single();
@@ -486,7 +568,7 @@ pub fn intext(ex: &Executor, opt: &Options) {
     }
     let mean = t.geomean_row();
     t.push("geomean", mean);
-    emit(&t, opt, "intext_tus_vs_base");
+    emit(&t, opt, "intext_tus_vs_base", tables);
 }
 
 /// The named design points of the ablation (also the memo/cache keys of
@@ -507,7 +589,7 @@ const ABLATION_TWEAKS: &[(&str, Tweak)] = &[
 
 /// Design-space ablations of the TUS parameters called out in DESIGN.md:
 /// WOQ size, WCB count, atomic-group cap, lex bits, prefetch-at-commit.
-pub fn ablation(ex: &Executor, opt: &Options) {
+pub fn ablation(ex: &Executor, opt: &Options, tables: &mut String) {
     let w = tus_workloads::by_name("502.gcc4-like").expect("workload exists");
     let mut specs = vec![
         spec(&w, PolicyKind::Baseline, 114, opt),
@@ -533,7 +615,7 @@ pub fn ablation(ex: &Executor, opt: &Options) {
     for ((label, _), spec) in ABLATION_TWEAKS.iter().zip(&specs[2..]) {
         t.push(*label, vec![rs.get(spec).ipc / base]);
     }
-    emit(&t, opt, "ablation");
+    emit(&t, opt, "ablation", tables);
 }
 
 /// Coherence-backend comparison: TUS vs CSB vs SPB speedup over the
@@ -544,7 +626,7 @@ pub fn ablation(ex: &Executor, opt: &Options) {
 /// interaction — in particular how the TUS unauthorized-line machinery
 /// fares when remote conflicts arrive as lease expiries rather than
 /// invalidations.
-pub fn coherence(ex: &Executor, opt: &Options) {
+pub fn coherence(ex: &Executor, opt: &Options, tables: &mut String) {
     let workloads = sb_bound_single();
     let policies = [PolicyKind::Tus, PolicyKind::Csb, PolicyKind::Spb];
     let cospec = |w: &Workload, p: PolicyKind, co: CoherenceKind| RunSpec {
@@ -583,12 +665,31 @@ pub fn coherence(ex: &Executor, opt: &Options) {
     }
     let mean = t.geomean_row();
     t.push("geomean", mean);
-    emit(&t, opt, "coherence_backends");
+    emit(&t, opt, "coherence_backends", tables);
 }
 
-/// Runs every experiment in figure order.
-pub fn all(ex: &Executor, opt: &Options) {
-    for (_, f) in EXPERIMENTS {
-        f(ex, opt);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The one name lookup the CLI and the daemon share: `all` selects
+    /// every experiment in figure order, a name its one experiment.
+    #[test]
+    fn names_select_experiments() {
+        let names = |sel: &[(&'static str, Experiment)]| -> Vec<&'static str> {
+            sel.iter().map(|(n, _)| *n).collect()
+        };
+        assert_eq!(
+            names(select("all").unwrap()),
+            names(EXPERIMENTS),
+            "all runs every experiment"
+        );
+        assert_eq!(EXPERIMENTS.len(), 12);
+        assert_eq!(names(select("fig10").unwrap()), ["fig10"]);
+        assert_eq!(names(select("coherence").unwrap()), ["coherence"]);
+        for unknown in ["fig99", "bench-hotpath", "ALL", ""] {
+            let e = select(unknown).unwrap_err();
+            assert_eq!(e.kind_token(), "unknown_experiment", "{unknown:?}");
+        }
     }
 }

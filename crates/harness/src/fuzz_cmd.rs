@@ -12,8 +12,10 @@
 //! index order, so generation — and therefore every finding — is
 //! independent of scheduling.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use tus_sim::{CoherenceKind, KernelKind, PolicyKind};
 use tus_tso::check::CheckConfig;
@@ -23,11 +25,11 @@ use tus_tso::fuzz::{
 };
 
 use crate::args::{
-    parse_cli, policy_list, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY,
-    SEED,
+    bad, policy_list, Args, Command, Flag, COHERENCE, JOBS, KERNEL, NO_SHRINK, OUT, POLICY, SEED,
 };
 use crate::errors::HarnessError;
 use crate::executor::{run_indexed, Executor};
+use crate::request::{Progress, Reply, Side};
 
 /// Parsed `fuzz` subcommand options.
 #[derive(Debug)]
@@ -123,211 +125,192 @@ impl FuzzOptions {
     }
 }
 
-/// One confirmed finding of the sweep.
-pub(crate) struct Finding {
-    /// Program index within the sweep (the RNG fork).
-    pub(crate) index: u64,
-    /// The generated litmus case.
-    pub(crate) case: FuzzCase,
-    /// What went wrong (policy, kind, diagnostics).
-    pub(crate) failure: CaseFailure,
+/// `tus-harness fuzz` and the `FuzzSweep` request: the differential
+/// sweep, or on the CLI one of its two other modes, `--replay` and
+/// `--save-corpus`. Each returns its own reply; `violations=` in it sets
+/// the exit code.
+pub fn run(side: Side<'_>, args: Args<'_>, progress: &Progress<'_>) -> Result<Reply, HarnessError> {
+    let base = match side {
+        Side::Cli => FuzzOptions::default(),
+        Side::Daemon(s) => FuzzOptions {
+            programs: 50,
+            out: s.opt.out.clone(),
+            jobs: s.opt.jobs,
+            ..FuzzOptions::default()
+        },
+    };
+    let opt = FuzzOptions::from_args(args, base)?;
+    match &opt.replay {
+        Some(path) => replay(&opt, path),
+        None if opt.save_corpus > 0 => save_corpus(&opt),
+        None => sweep(&opt, progress),
+    }
 }
 
-/// Renders, shrinks and persists one finding. Returns the corpus paths.
-pub(crate) fn report_finding(opt: &FuzzOptions, f: &Finding) -> std::io::Result<Vec<PathBuf>> {
+/// One confirmed finding of the sweep.
+struct Finding {
+    /// Program index within the sweep (the RNG fork).
+    index: u64,
+    /// The generated litmus case.
+    case: FuzzCase,
+    /// What went wrong (policy, kind, diagnostics).
+    failure: CaseFailure,
+}
+
+/// Renders one finding, then shrinks and persists it, listing the corpus
+/// paths written.
+fn report_finding(opt: &FuzzOptions, f: &Finding, progress: &Progress<'_>) -> String {
+    let mut s = format!("--- VIOLATION (program {}) ---\n{}\n", f.index, f.failure);
+    if let FailureKind::Timeout { report, .. } = &f.failure.kind {
+        let _ = writeln!(s, "{report}");
+    }
+    let _ = write!(s, "{}", f.case);
+    if let Err(e) = persist_finding(opt, f, progress, &mut s) {
+        let _ = writeln!(s, "cannot persist counterexample: {e}");
+    }
+    s
+}
+
+/// Persists the finding as generated and, unless `--no-shrink`, shrunk,
+/// rendering the shrunk case and the paths into `s`.
+fn persist_finding(
+    opt: &FuzzOptions,
+    f: &Finding,
+    progress: &Progress<'_>,
+    s: &mut String,
+) -> std::io::Result<()> {
     let corpus = opt.out.join("fuzz-corpus");
     std::fs::create_dir_all(&corpus)?;
     let stem = format!("seed{}-case{}", opt.base_seed, f.index);
-    let mut written = Vec::new();
-
-    eprintln!("--- VIOLATION (program {}) ---", f.index);
-    eprintln!("{}", f.failure);
-    if let FailureKind::Timeout { report, .. } = &f.failure.kind {
-        eprintln!("{report}");
-    }
-    eprint!("{}", f.case);
-
     let orig = corpus.join(format!("{stem}.orig.txt"));
     std::fs::write(&orig, encode_case(&f.case, Some(f.failure.policy), opt.seeds))?;
-    written.push(orig);
-
+    let mut written = vec![orig];
     if opt.shrink {
-        eprintln!("shrinking ...");
+        progress(&format!("shrinking program {}", f.index));
         let policy = [f.failure.policy];
         let (small, small_fail) = shrink_with(&f.case, |c| {
             check_policies(c, &policy, opt.seeds, opt.kernel, opt.coherence)
         });
-        eprintln!(
-            "shrunk to {} thread(s), {} op(s): {}",
-            small.program.threads.len(),
-            small.program.ops(),
-            small_fail
+        let (threads, ops) = (small.program.threads.len(), small.program.ops());
+        let _ = write!(
+            s,
+            "shrunk to {threads} thread(s), {ops} op(s): {small_fail}\n{small}"
         );
-        eprint!("{small}");
         let path = corpus.join(format!("{stem}.txt"));
         std::fs::write(&path, encode_case(&small, Some(small_fail.policy), opt.seeds))?;
         written.push(path);
     }
     for p in &written {
-        eprintln!("persisted: {}", p.display());
+        let _ = writeln!(s, "persisted: {}", p.display());
     }
-    Ok(written)
+    Ok(())
 }
 
-/// Replays one corpus file; returns the process exit code.
-fn replay(opt: &FuzzOptions, path: &Path) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("fuzz: cannot read {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let entry = match decode_case(&text) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("fuzz: cannot parse {}: {e}", path.display());
-            return 2;
-        }
-    };
+/// `--replay FILE`: re-checks one corpus file. An unreadable or
+/// unparsable file is an error.
+fn replay(opt: &FuzzOptions, path: &Path) -> Result<Reply, HarnessError> {
+    let at = path.display();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("cannot read {at}: {e}")))?;
+    let entry = decode_case(&text).map_err(|e| bad(format!("cannot parse {at}: {e}")))?;
     let policy = opt.policy.or(entry.policy);
     let seeds = opt.seeds.max(entry.seeds);
-    eprintln!(
-        "replaying {} ({} thread(s), {} op(s), {} seeds, policy {})",
-        path.display(),
-        entry.case.program.threads.len(),
-        entry.case.program.ops(),
-        seeds,
+    let case = &entry.case;
+    let mut s = format!(
+        "replaying {at} ({} thread(s), {} op(s), {seeds} seeds, policy {})\n{case}",
+        case.program.threads.len(),
+        case.program.ops(),
         policy.map_or("all", |p| p.label()),
     );
-    eprint!("{}", entry.case);
-    match check_policies(&entry.case, policy_list(&policy), seeds, opt.kernel, opt.coherence) {
+    let failure = check_policies(case, policy_list(&policy), seeds, opt.kernel, opt.coherence);
+    match &failure {
         Some(fail) => {
-            eprintln!("still failing: {fail}");
+            let _ = writeln!(s, "still failing: {fail}");
             if let FailureKind::Timeout { report, .. } = &fail.kind {
-                eprintln!("{report}");
+                let _ = writeln!(s, "{report}");
             }
-            1
         }
-        None => {
-            eprintln!("case passes: every outcome TSO-allowed, no hangs");
-            0
-        }
+        None => s += "case passes: every outcome TSO-allowed, no hangs\n",
     }
+    let violations = usize::from(failure.is_some());
+    Ok(format!("programs=1\nseeds={seeds}\nviolations={violations}\n\n{s}").into())
 }
 
-/// Runs the differential sweep itself: `opt.programs` cases of stream
-/// `opt.base_seed` checked on the worker pool, findings returned sorted by
-/// program index. `progress(done, total, violations_so_far)` is invoked
-/// after every checked program — the CLI throttles it to stderr lines, the
-/// daemon streams it as `Progress` frames.
-pub(crate) fn sweep_cases(
-    opt: &FuzzOptions,
-    progress: &(dyn Fn(u64, u64, usize) + Sync),
-) -> Vec<Finding> {
+/// The sweep: `opt.programs` cases of stream `opt.base_seed` checked on
+/// the worker pool, a progress line about every 100 programs, and a reply
+/// with its counts and each finding, in program order, shrunk and
+/// persisted.
+fn sweep(opt: &FuzzOptions, progress: &Progress<'_>) -> Result<Reply, HarnessError> {
+    let started = Instant::now();
     let policies = policy_list(&opt.policy);
+    let (n, sims) = (
+        opt.programs,
+        opt.programs * policies.len() as u64 * opt.seeds,
+    );
+    progress(&format!(
+        "fuzzing {n} programs x {} policies x {} seeds (base seed {}, {} jobs, {} kernel, {} coherence)",
+        policies.len(), opt.seeds, opt.base_seed, opt.jobs, opt.kernel, opt.coherence
+    ));
     let violations = AtomicUsize::new(0);
     let check = |i: usize| {
         let case = case_at(opt.base_seed, i as u64);
         let failure = check_policies(&case, policies, opt.seeds, opt.kernel, opt.coherence)?;
         Some(Finding { index: i as u64, case, failure })
     };
-    let checked = run_indexed(opt.programs as usize, opt.jobs, check, |done, finding| {
+    let checked = run_indexed(n as usize, opt.jobs, check, |done, finding| {
         let found = usize::from(finding.is_some());
         let so_far = violations.fetch_add(found, Ordering::Relaxed) + found;
-        progress(done as u64, opt.programs, so_far);
+        if done % 100 == 0 || done as u64 == n {
+            let secs = started.elapsed().as_secs_f64();
+            progress(&format!(
+                "{done}/{n} programs, {so_far} violation(s), {secs:.1}s"
+            ));
+        }
     });
-    checked.into_iter().flatten().collect()
+    let findings: Vec<Finding> = checked.into_iter().flatten().collect();
+    let rendered: String = findings
+        .iter()
+        .map(|f| report_finding(opt, f, progress))
+        .collect();
+    Ok(format!(
+        "programs={n}\nseeds={}\nsims={sims}\nviolations={}\nseconds={:.6}\n\n{rendered}",
+        opt.seeds,
+        findings.len(),
+        started.elapsed().as_secs_f64(),
+    )
+    .into())
 }
 
 /// `--save-corpus N`: persists the first N cases of the stream within the
 /// model checker's default bounds under `<out>/fuzz-corpus/` in the
-/// replayable corpus format. Deterministic in the base seed; returns the
-/// process exit code.
-fn save_corpus(opt: &FuzzOptions) -> i32 {
+/// replayable corpus format. Deterministic in the base seed.
+fn save_corpus(opt: &FuzzOptions) -> Result<Reply, HarnessError> {
     let corpus = opt.out.join("fuzz-corpus");
-    if let Err(e) = std::fs::create_dir_all(&corpus) {
-        eprintln!("fuzz: cannot create {}: {e}", corpus.display());
-        return 2;
-    }
+    std::fs::create_dir_all(&corpus)?;
     let bounds = CheckConfig::default();
     let (cases, drawn) =
         cases_in_bounds(opt.base_seed, opt.save_corpus, bounds.max_threads, bounds.max_ops);
     for (k, (_, case)) in cases.iter().enumerate() {
         let path = corpus.join(format!("gen-seed{}-{k:03}.txt", opt.base_seed));
-        if let Err(e) = std::fs::write(&path, encode_case(case, None, opt.seeds)) {
-            eprintln!("fuzz: cannot write {}: {e}", path.display());
-            return 2;
-        }
+        std::fs::write(&path, encode_case(case, None, opt.seeds))?;
     }
     if (cases.len() as u64) < opt.save_corpus {
-        eprintln!(
-            "fuzz: generator produced only {}/{} in-bound cases in {drawn} attempts",
+        return Err(bad(format!(
+            "generator produced only {}/{} in-bound cases in {drawn} attempts",
             cases.len(),
             opt.save_corpus
-        );
-        return 2;
+        )));
     }
-    eprintln!(
-        "persisted {} corpus cases (≤{} threads, ≤{} ops) under {}",
+    Ok(format!(
+        "programs={}\nseeds={}\n\npersisted {} corpus cases (≤{} threads, ≤{} ops) under {}\n",
+        cases.len(),
+        opt.seeds,
         cases.len(),
         bounds.max_threads,
         bounds.max_ops,
         corpus.display()
-    );
-    0
-}
-
-/// Runs the fuzz subcommand; returns the process exit code (0 = clean,
-/// 1 = violation found, 2 = usage/IO error).
-pub fn run_fuzz(opt: &FuzzOptions) -> i32 {
-    if let Some(path) = &opt.replay {
-        return replay(opt, &path.clone());
-    }
-    if opt.save_corpus > 0 {
-        return save_corpus(opt);
-    }
-    let started = std::time::Instant::now();
-    let policies = policy_list(&opt.policy).len() as u64;
-    eprintln!(
-        "fuzzing {} programs x {} policies x {} seeds (base seed {}, {} jobs, {} kernel, {} coherence)",
-        opt.programs, policies, opt.seeds, opt.base_seed, opt.jobs, opt.kernel, opt.coherence
-    );
-
-    let findings = sweep_cases(opt, &|d, n, violations| {
-        if d % 100 == 0 || d == n {
-            eprintln!(
-                "[{d}/{n} programs, {violations} violation(s), {:.1}s]",
-                started.elapsed().as_secs_f64()
-            );
-        }
-    });
-    let sims = opt.programs * policies * opt.seeds;
-    let secs = started.elapsed().as_secs_f64();
-    eprintln!(
-        "[fuzz: {:.1}s, {} sims ({:.1} sims/s), {} violation(s)]",
-        secs,
-        sims,
-        if secs > 0.0 { sims as f64 / secs } else { 0.0 },
-        findings.len()
-    );
-    if findings.is_empty() {
-        return 0;
-    }
-    for f in &findings {
-        if let Err(e) = report_finding(opt, f) {
-            eprintln!("fuzz: cannot persist counterexample: {e}");
-        }
-    }
-    1
-}
-
-/// Entry point called from `main` for `tus-harness fuzz ...`.
-pub fn main_fuzz(argv: &[String]) -> ! {
-    let build = |args: Args<'_>| FuzzOptions::from_args(args, FuzzOptions::default());
-    let opt = parse_cli(&FUZZ, "tus-harness fuzz", argv, build)
-        .unwrap_or_else(|code| std::process::exit(code));
-    std::process::exit(run_fuzz(&opt))
+    )
+    .into())
 }
 
 #[cfg(test)]
@@ -368,7 +351,8 @@ mod tests {
             coherence: CoherenceKind::Tardis,
             ..FuzzOptions::default()
         };
-        assert_eq!(run_fuzz(&opt), 0);
+        let reply = sweep(&opt, &|_| {}).unwrap();
+        assert!(reply.body.contains("\nviolations=0\n"), "{reply:?}");
     }
 
     /// A tiny end-to-end sweep is clean and deterministic.
@@ -381,11 +365,15 @@ mod tests {
             jobs: 2,
             ..FuzzOptions::default()
         };
-        assert_eq!(run_fuzz(&opt), 0);
+        let reply = sweep(&opt, &|_| {}).unwrap();
+        assert!(reply
+            .body
+            .starts_with("programs=3\nseeds=2\nsims=30\nviolations=0\n"));
+        assert_eq!(reply.body.split_once("\n\n").unwrap().1, "");
     }
 
-    /// Replay of a hand-written passing corpus file returns 0; garbage
-    /// and an out-of-range location return 2.
+    /// Replay of a hand-written passing corpus file reports no violation;
+    /// garbage and an out-of-range location are errors.
     #[test]
     fn replay_roundtrip() {
         let dir = std::env::temp_dir().join("tus-fuzz-replay-test");
@@ -397,17 +385,27 @@ mod tests {
         )
         .expect("write");
         let opt = FuzzOptions {
-            replay: Some(path.clone()),
             seeds: 2,
             ..FuzzOptions::default()
         };
-        assert_eq!(run_fuzz(&opt), 0);
+        let reply = replay(&opt, &path).unwrap();
+        assert!(
+            reply
+                .body
+                .starts_with("programs=1\nseeds=2\nviolations=0\n"),
+            "{reply:?}"
+        );
+        assert!(reply
+            .body
+            .ends_with("case passes: every outcome TSO-allowed, no hangs\n"));
         std::fs::write(&path, "garbage").expect("write");
-        assert_eq!(run_fuzz(&opt), 2);
+        assert_eq!(replay(&opt, &path).unwrap_err().kind_token(), "protocol");
         // A location index past the decoder's cap is a parse error, not
         // an allocation of the index's size.
         std::fs::write(&path, "tusfuzz v1\nseeds 1\nthread\nst 4000000000000 1\n")
             .expect("write");
-        assert_eq!(run_fuzz(&opt), 2);
+        assert_eq!(replay(&opt, &path).unwrap_err().kind_token(), "protocol");
+        let gone = dir.join("missing.txt");
+        assert_eq!(replay(&opt, &gone).unwrap_err().kind_token(), "io");
     }
 }

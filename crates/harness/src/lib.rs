@@ -16,7 +16,7 @@
 //! | [`experiments::intext`] | In-text claims: SB/WOQ area & energy ratios, L1D write reduction, stall totals |
 //! | [`experiments::ablation`] | Design-space sweeps: WOQ size, WCB count, atomic-group cap, lex bits, prefetch-at-commit |
 //!
-//! Each experiment prints an aligned table and writes a CSV under the
+//! Each experiment renders an aligned table and writes a CSV under the
 //! output directory. [`runner`] executes individual simulations with
 //! warm-up subtraction; [`executor`] batches them — deduplicating,
 //! memoizing (in process and on disk) and running them on a worker
@@ -27,7 +27,9 @@
 //! over a unix socket and/or TCP, speaking the length-prefixed frame
 //! protocol of [`protocol`]. Bad requests — unknown names, malformed
 //! frames, over-budget runs, even panicking simulations — come back as
-//! structured [`HarnessError`] replies, never a dead process.
+//! structured [`HarnessError`] replies, never a dead process. Each
+//! command is a row of [`request::REQUESTS`], run through one function by
+//! the CLI and the daemon alike.
 
 pub mod args;
 pub mod check_cmd;
@@ -37,6 +39,7 @@ pub mod executor;
 pub mod experiments;
 pub mod fuzz_cmd;
 pub mod protocol;
+pub mod request;
 pub mod runner;
 pub mod serve;
 pub mod table;

@@ -33,10 +33,6 @@ use std::io::{Read, Write};
 
 use crate::errors::HarnessError;
 
-/// Protocol version, exchanged in `hello`/`helloed` frames. Bump on any
-/// incompatible frame-layout or body-format change.
-pub const PROTOCOL_VERSION: u32 = 1;
-
 /// Upper bound on a frame body (64 MiB). A length prefix beyond this is
 /// treated as a protocol error rather than an allocation request —
 /// garbage on the wire must not OOM the daemon.
@@ -61,9 +57,9 @@ pub enum FrameKind {
     /// or label is a structured protocol-error reply, like every other
     /// malformed header.
     RunPoint = 0x02,
-    /// Run a named experiment (`name=fig10`, optional `scale=`, `seed=`,
-    /// `kernel=`, `coherence=`, `parallel_cap=`); CSVs land in the
-    /// server's output directory.
+    /// Run a named experiment (`name=fig10`, or `name=all` for every
+    /// one; optional `scale=`, `seed=`, `kernel=`, `coherence=`,
+    /// `parallel_cap=`); CSVs land in the server's output directory.
     Experiment = 0x03,
     /// Run a differential fuzz sweep (optional `programs=`, `seeds=`,
     /// `seed=`, `policy=`, `kernel=`, `coherence=`).
@@ -91,10 +87,12 @@ pub enum FrameKind {
     /// `memo_hits=`, `disk_hits=`, `seconds=`), a blank line, then
     /// [`crate::executor::encode_result`] text.
     RunDone = 0x83,
-    /// Terminal reply to `Experiment`: counter header lines.
+    /// Terminal reply to `Experiment`: counter header lines, a blank
+    /// line, then the rendered tables.
     ExperimentDone = 0x84,
-    /// Terminal reply to `FuzzSweep`: `programs=`, `violations=`,
-    /// `seconds=` headers, a blank line, then rendered findings (if any).
+    /// Terminal reply to `FuzzSweep`: `programs=`, `seeds=`, `sims=`,
+    /// `violations=`, `seconds=` headers, a blank line, then each finding
+    /// with its shrunk repro and the corpus paths written.
     FuzzDone = 0x85,
     /// Terminal reply to `TraceCapture`: Chrome-trace JSON body.
     TraceDone = 0x86,
@@ -107,7 +105,8 @@ pub enum FrameKind {
     /// Terminal reply to `Check`: `programs=`, `verified=`,
     /// `violations=`, `bound_exceeded=`, `explored=`, `memoized=`,
     /// `pruned=`, `seconds=` headers, a blank line, then rendered
-    /// findings and the per-policy stats table.
+    /// findings (a violation with its shrunk repro and path) and the
+    /// per-policy stats table.
     CheckDone = 0x8a,
 }
 

@@ -28,23 +28,18 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::args::{
-    missing, parse_cli, policy_list, Args, Command, Flag, BUDGET, COHERENCE, FULL, JOBS, KERNEL,
+    cli_usage, missing, usage_error, Args, Command, Flag, BUDGET, COHERENCE, FULL, JOBS, KERNEL,
     NORMAL, NO_CACHE, OUT, POLICY, QUICK, SB, SEED,
-};
-use crate::check_cmd::{
-    collect_jobs, persist_finding, render_finding, render_stats, sweep_jobs, CheckOptions, CHECK,
 };
 use crate::errors::{panic_message, workload, HarnessError};
 use crate::executor::{encode_result, Executor};
-use crate::experiments::{Options, EXPERIMENT, EXPERIMENTS};
-use crate::fuzz_cmd::{report_finding, sweep_cases, FuzzOptions, FUZZ};
 use crate::protocol::{encode_error, read_frame, write_frame, Frame, FrameKind, ReadOutcome};
+use crate::request::{by_kind, Progress, Reply, Side};
 use crate::runner::{RunSpec, Scale};
-use crate::trace_cmd::{try_run_traced, write_chrome_trace_to, TraceOptions, TRACE};
 
 /// How long a handler blocks waiting for the next request frame before
 /// re-checking the shutdown flag. Keeps persistent idle connections from
@@ -122,14 +117,14 @@ impl Conn for UnixStream {
 
 /// Shared daemon state: the warm executor plus lifetime counters.
 pub struct Server {
-    opt: ServeOptions,
-    ex: Executor,
+    pub(crate) opt: ServeOptions,
+    pub(crate) ex: Executor,
     shutdown: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
     /// Serializes experiment requests: they write CSV files into the
     /// shared output directory, and interleaved writers would tear them.
-    /// Point/fuzz/trace requests run fully concurrently.
+    /// Point/fuzz/check/trace requests run fully concurrently.
     experiment_gate: Mutex<()>,
     started: Instant,
 }
@@ -169,9 +164,16 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Holds off every other experiment request while it lives.
+    pub(crate) fn experiment_gate(&self) -> MutexGuard<'_, ()> {
+        self.experiment_gate
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The effective cycle budget for a request: the client's ask,
     /// clamped by the server-wide ceiling.
-    fn effective_budget(&self, client: Option<u64>) -> Option<u64> {
+    pub(crate) fn effective_budget(&self, client: Option<u64>) -> Option<u64> {
         match (client, self.opt.max_budget) {
             (Some(c), Some(m)) => Some(c.min(m)),
             (Some(c), None) => Some(c),
@@ -269,7 +271,7 @@ impl BoundServer {
                 let rx = &rx;
                 s.spawn(move || loop {
                     let conn = {
-                        let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                        let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
                         guard.recv()
                     };
                     match conn {
@@ -463,7 +465,8 @@ impl From<std::io::Error> for DispatchError {
 }
 
 /// Handles one request frame. `Ok(true)` closes the connection (only
-/// `Shutdown` does).
+/// `Shutdown` does). A command runs its row of [`crate::request::REQUESTS`],
+/// each progress line sent as a `Progress` frame.
 fn dispatch(
     server: &Server,
     conn: &mut Box<dyn Conn>,
@@ -472,11 +475,6 @@ fn dispatch(
     let body = &frame.body;
     match frame.kind {
         FrameKind::Ping => write_frame(conn, FrameKind::Pong, body)?,
-        FrameKind::RunPoint => handle_run_point(server, conn, body)?,
-        FrameKind::Experiment => handle_experiment(server, conn, body)?,
-        FrameKind::FuzzSweep => handle_fuzz(server, conn, body)?,
-        FrameKind::TraceCapture => handle_trace(server, conn, body)?,
-        FrameKind::Check => handle_check(server, conn, body)?,
         FrameKind::Counters => {
             let c = server.ex.counters();
             let body = format!(
@@ -495,9 +493,20 @@ fn dispatch(
             server.request_shutdown();
             return Ok(true);
         }
-        other => {
-            let what = format!("{other:?} is not a request frame");
-            return Err(HarnessError::Protocol { what }.into());
+        kind => {
+            let Some(req) = by_kind(kind) else {
+                let what = format!("{kind:?} is not a request frame");
+                return Err(HarnessError::Protocol { what }.into());
+            };
+            let args = Args::from_headers(req.cmd, body)?;
+            let shared = Mutex::new(&mut *conn);
+            let progress = |line: &str| {
+                let mut conn = shared.lock().unwrap_or_else(PoisonError::into_inner);
+                let _ = write_frame(&mut **conn, FrameKind::Progress, &format!("{line}\n"));
+            };
+            let reply = (req.run)(Side::Daemon(server), args, &progress)?;
+            let conn = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
+            write_frame(conn, req.reply, &reply.body)?;
         }
     }
     Ok(false)
@@ -541,21 +550,24 @@ pub fn point_spec(mut args: Args<'_>) -> Result<(RunSpec, Option<u64>, Option<u6
     Ok((spec, budget, wall_ms))
 }
 
-fn handle_run_point(
-    server: &Server,
-    conn: &mut Box<dyn Conn>,
-    body: &str,
-) -> Result<(), DispatchError> {
-    let (spec, budget, wall_ms) = point_spec(Args::from_headers(&POINT, body)?)?;
+/// The `RunPoint` request: one point on the daemon's shared executor,
+/// under the request's budgets clamped by the server's ceiling.
+pub(crate) fn run_point(
+    side: Side<'_>,
+    args: Args<'_>,
+    progress: &Progress<'_>,
+) -> Result<Reply, HarnessError> {
+    let Side::Daemon(server) = side else {
+        let what = "point runs on the daemon only".to_owned();
+        return Err(HarnessError::Protocol { what });
+    };
+    let (spec, budget, wall_ms) = point_spec(args)?;
     let budget = server.effective_budget(budget);
     let key = spec.memo_key();
-    write_frame(conn, FrameKind::Progress, &format!("running {key}\n"))?;
+    progress(&format!("running {key}"));
     let before = server.ex.counters();
     let started = Instant::now();
-    let result = server
-        .ex
-        .try_run_one_wall(&spec, budget, wall_ms)
-        .map_err(DispatchError::Reply)?;
+    let result = server.ex.try_run_one_wall(&spec, budget, wall_ms)?;
     let since = server.ex.counters().since(before);
     let reply = format!(
         "executed={}\nmemo_hits={}\ndisk_hits={}\nseconds={:.6}\nkey={}\n\n{}",
@@ -566,188 +578,7 @@ fn handle_run_point(
         key,
         encode_result(&result, &key),
     );
-    write_frame(conn, FrameKind::RunDone, &reply)?;
-    Ok(())
-}
-
-fn handle_experiment(
-    server: &Server,
-    conn: &mut Box<dyn Conn>,
-    body: &str,
-) -> Result<(), DispatchError> {
-    let base = Options {
-        out: server.opt.out.clone(),
-        ..Options::default()
-    };
-    let (name, opt) = Options::from_args(Args::from_headers(&EXPERIMENT, body)?, base)?;
-    let Some(&(name, f)) = EXPERIMENTS.iter().find(|&&(n, _)| n == name) else {
-        return Err(HarnessError::UnknownExperiment { name: name.to_owned() }.into());
-    };
-    write_frame(
-        conn,
-        FrameKind::Progress,
-        &format!("running experiment {name} at {} scale\n", opt.scale.label()),
-    )?;
-    let before = server.ex.counters();
-    let started = Instant::now();
-    {
-        // Experiments write CSVs into the shared out directory: one at a
-        // time. (Simulation results themselves are memo-shared and
-        // deterministic, so serialization is purely about file writes.)
-        let _gate = server
-            .experiment_gate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(&server.ex, &opt);
-    }
-    let since = server.ex.counters().since(before);
-    let reply = format!(
-        "name={}\nexecuted={}\nmemo_hits={}\ndisk_hits={}\nseconds={:.6}\ncsv_dir={}\n",
-        name,
-        since.executed,
-        since.memo_hits,
-        since.disk_hits,
-        started.elapsed().as_secs_f64(),
-        server.opt.out.display(),
-    );
-    write_frame(conn, FrameKind::ExperimentDone, &reply)?;
-    Ok(())
-}
-
-fn handle_fuzz(
-    server: &Server,
-    conn: &mut Box<dyn Conn>,
-    body: &str,
-) -> Result<(), DispatchError> {
-    let base = FuzzOptions {
-        programs: 50,
-        out: server.opt.out.clone(),
-        jobs: server.opt.jobs,
-        ..FuzzOptions::default()
-    };
-    let opt = FuzzOptions::from_args(Args::from_headers(&FUZZ, body)?, base)?;
-    let started = Instant::now();
-    // Stream progress roughly every 100 programs, like the CLI does.
-    let progress: Mutex<&mut Box<dyn Conn>> = Mutex::new(conn);
-    let findings = sweep_cases(&opt, &|done, total, violations| {
-        if done % 100 == 0 || done == total {
-            let mut conn = progress.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = write_frame(
-                &mut **conn,
-                FrameKind::Progress,
-                &format!("{done}/{total} programs, {violations} violation(s)\n"),
-            );
-        }
-    });
-    let conn = progress.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut rendered = String::new();
-    for f in &findings {
-        use std::fmt::Write as _;
-        let _ = writeln!(rendered, "--- VIOLATION (program {}) ---", f.index);
-        let _ = writeln!(rendered, "{}", f.failure);
-        let _ = write!(rendered, "{}", f.case);
-        if let Err(e) = report_finding(&opt, f) {
-            eprintln!("tus-serve: cannot persist counterexample: {e}");
-        }
-    }
-    let reply = format!(
-        "programs={}\nseeds={}\nviolations={}\nseconds={:.6}\n\n{}",
-        opt.programs,
-        opt.seeds,
-        findings.len(),
-        started.elapsed().as_secs_f64(),
-        rendered,
-    );
-    write_frame(conn, FrameKind::FuzzDone, &reply)?;
-    Ok(())
-}
-
-fn handle_check(
-    server: &Server,
-    conn: &mut Box<dyn Conn>,
-    body: &str,
-) -> Result<(), DispatchError> {
-    let base = CheckOptions {
-        out: server.opt.out.clone(),
-        jobs: server.opt.jobs,
-        ..CheckOptions::default()
-    };
-    let opt = CheckOptions::from_args(Args::from_headers(&CHECK, body)?, base)?;
-    let mut cfg = opt.config.clone();
-    let jobs = collect_jobs(&opt, &mut cfg)
-        .map_err(|what| HarnessError::Protocol { what })?;
-    let policies = policy_list(&opt.policy);
-    let started = Instant::now();
-    let progress: Mutex<&mut Box<dyn Conn>> = Mutex::new(conn);
-    let summary = sweep_jobs(&jobs, &cfg, policies, opt.jobs, &|done, total, violations| {
-        if done % 25 == 0 || done == total {
-            let mut conn = progress.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = write_frame(
-                &mut **conn,
-                FrameKind::Progress,
-                &format!("{done}/{total} programs, {violations} violation(s)\n"),
-            );
-        }
-    });
-    let conn = progress.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut rendered = String::new();
-    for f in &summary.findings {
-        rendered.push_str(&render_finding(f));
-        if matches!(f.report.outcome(), tus_tso::check::CheckOutcome::Violated) {
-            match persist_finding(&opt, &cfg, policies, f) {
-                Ok(p) => eprintln!("tus-serve: persisted check repro {}", p.display()),
-                Err(e) => eprintln!("tus-serve: cannot persist check repro: {e}"),
-            }
-        }
-    }
-    rendered.push_str(&render_stats(&summary));
-    let agg = summary.per_policy.iter().fold(
-        tus_tso::check::CheckStats::default(),
-        |mut a, (_, s, _)| {
-            a.absorb(s);
-            a
-        },
-    );
-    let reply = format!(
-        "programs={}\nverified={}\nviolations={}\nbound_exceeded={}\nexplored={}\nmemoized={}\npruned={}\nseconds={:.6}\n\n{}",
-        summary.programs,
-        summary.verified,
-        summary.violations(),
-        summary.bound_exceeded,
-        agg.explored,
-        agg.memoized,
-        agg.pruned,
-        started.elapsed().as_secs_f64(),
-        rendered,
-    );
-    write_frame(conn, FrameKind::CheckDone, &reply)?;
-    Ok(())
-}
-
-fn handle_trace(
-    server: &Server,
-    conn: &mut Box<dyn Conn>,
-    body: &str,
-) -> Result<(), DispatchError> {
-    let mut args = Args::from_headers(&TRACE, body)?;
-    // A capture names its workload; only the CLI has a default.
-    args.require("workload")?;
-    let mut opt = TraceOptions::from_args(args, TraceOptions::default())?;
-    opt.budget = server.effective_budget(opt.budget);
-    let run = try_run_traced(&opt).map_err(|r| DispatchError::Reply(HarnessError::Deadlock(r)))?;
-    let events: usize = run.tracks.iter().map(|(_, r)| r.len()).sum();
-    write_frame(
-        conn,
-        FrameKind::Progress,
-        &format!("{events} events across {} tracks, {} cycles\n", run.tracks.len(), run.cycles),
-    )?;
-    let mut json = Vec::new();
-    write_chrome_trace_to(&mut json, &run.tracks).map_err(DispatchError::Io)?;
-    let json = String::from_utf8(json).map_err(|_| HarnessError::Protocol {
-        what: "trace JSON was not UTF-8".into(),
-    })?;
-    write_frame(conn, FrameKind::TraceDone, &json)?;
-    Ok(())
+    Ok(reply.into())
 }
 
 /// `tus-harness serve`.
@@ -786,8 +617,10 @@ impl ServeOptions {
 
 /// Entry point for `tus-harness serve ...`.
 pub fn main_serve(argv: &[String]) -> ! {
-    let opt = parse_cli(&SERVE, "tus-harness serve", argv, ServeOptions::from_args)
-        .unwrap_or_else(|code| std::process::exit(code));
+    let head = "tus-harness serve";
+    let opt = Args::from_argv(&SERVE, argv)
+        .and_then(ServeOptions::from_args)
+        .unwrap_or_else(|e| std::process::exit(usage_error(head, &e, &cli_usage(&SERVE, head))));
     match bind(opt) {
         Ok(bound) => match bound.run() {
             Ok(()) => std::process::exit(0),

@@ -1,9 +1,9 @@
 //! `tus-harness trace` — run one traced simulation and export it.
 //!
 //! Runs a single workload/policy point with the structured event
-//! recorder armed, then writes a Chrome-trace/Perfetto JSON file
-//! (`trace_<workload>_<policy>.json`) and prints a per-core
-//! stall-attribution breakdown table (also written as CSV).
+//! recorder armed and replies with the Chrome-trace/Perfetto JSON. The
+//! CLI writes it to `trace_<workload>_<policy>.json` and prints a
+//! per-core stall-attribution breakdown table (also written as CSV).
 //!
 //! The JSON is the classic `{"traceEvents": [...]}` array format:
 //! spans are `ph: "X"` complete events, point events are `ph: "i"`
@@ -12,10 +12,12 @@
 //! microseconds, so a 10 k-cycle run reads as a 10 ms timeline in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use crate::args::{parse_cli, Args, Command, Flag, BUDGET, COHERENCE, KERNEL, OUT, POLICY, SB, SEED};
+use crate::args::{Args, Command, Flag, BUDGET, COHERENCE, KERNEL, OUT, POLICY, SB, SEED};
 use crate::errors::{workload, HarnessError};
+use crate::request::{Progress, Reply, Side};
 use crate::runner::{default_budget, RunSpec, Scale};
 use crate::table::Table;
 use tus_sim::stats::names;
@@ -37,7 +39,7 @@ pub struct TraceOptions {
     pub out: PathBuf,
     /// Absolute cycle budget (`None` = the runner's default formula).
     /// Over-budget runs surface the structured [`tus::DeadlockReport`]
-    /// via [`try_run_traced`].
+    /// from [`try_run_traced`].
     pub budget: Option<u64>,
 }
 
@@ -123,18 +125,8 @@ pub struct TracedRun {
 }
 
 /// Runs one simulation with tracing armed and harvests the event
-/// streams and attribution counters.
-///
-/// # Panics
-///
-/// Panics with the rendered report if the run gives up — use
-/// [`try_run_traced`] where the caller must survive (the daemon).
-pub fn run_traced(opt: &TraceOptions) -> TracedRun {
-    try_run_traced(opt).unwrap_or_else(|r| panic!("traced simulation gave up:\n{r}"))
-}
-
-/// Fallible [`run_traced`]: budget exhaustion or a watchdog trip comes
-/// back as the simulator's structured [`tus::DeadlockReport`].
+/// streams and attribution counters. Budget exhaustion or a watchdog trip
+/// comes back as the simulator's structured [`tus::DeadlockReport`].
 pub fn try_run_traced(opt: &TraceOptions) -> Result<TracedRun, Box<tus::DeadlockReport>> {
     let mut sys = opt.spec.system();
     sys.enable_trace(opt.cap);
@@ -165,48 +157,29 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Writes the harvested tracks as Chrome-trace JSON (hand-rolled; the
-/// workspace is std-only). One metadata record names each track's
-/// thread; spans become `ph:"X"` complete events and zero-duration
-/// records become `ph:"i"` thread-scoped instants. `ts`/`dur` are the
-/// simulated cycle numbers interpreted as microseconds.
-pub fn write_chrome_trace(
-    path: &std::path::Path,
-    tracks: &[(String, Vec<TraceRecord>)],
-) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    write_chrome_trace_to(&mut f, tracks)
-}
-
-/// [`write_chrome_trace`] against any writer — the daemon streams the
-/// JSON document into a reply frame instead of a file.
-pub fn write_chrome_trace_to(
-    mut f: &mut dyn std::io::Write,
-    tracks: &[(String, Vec<TraceRecord>)],
-) -> std::io::Result<()> {
-    writeln!(f, "{{\"traceEvents\": [")?;
+/// The harvested tracks as Chrome-trace JSON (hand-rolled; the workspace
+/// is std-only). One metadata record names each track's thread; spans
+/// become `ph:"X"` complete events and zero-duration records become
+/// `ph:"i"` thread-scoped instants. `ts`/`dur` are the simulated cycle
+/// numbers interpreted as microseconds.
+pub fn chrome_trace_json(tracks: &[(String, Vec<TraceRecord>)]) -> String {
+    let mut f = String::from("{\"traceEvents\": [\n");
     let mut first = true;
-    let sep = |f: &mut dyn std::io::Write, first: &mut bool| -> std::io::Result<()> {
-        if *first {
-            *first = false;
-            Ok(())
-        } else {
-            writeln!(f, ",")
+    let mut sep = |f: &mut String| {
+        if !std::mem::take(&mut first) {
+            f.push_str(",\n");
         }
     };
     for (tid, (track, records)) in tracks.iter().enumerate() {
-        sep(&mut f, &mut first)?;
-        write!(
+        sep(&mut f);
+        let _ = write!(
             f,
             "{{\"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \"name\": \"thread_name\", \
              \"args\": {{\"name\": \"{}\"}}}}",
             json_escape(track)
-        )?;
+        );
         for r in records {
-            sep(&mut f, &mut first)?;
+            sep(&mut f);
             let mut args = String::new();
             for (i, (k, v)) in r.ev.args().into_iter().enumerate() {
                 if i > 0 {
@@ -215,26 +188,26 @@ pub fn write_chrome_trace_to(
                 args.push_str(&format!("\"{k}\": \"{}\"", json_escape(&v)));
             }
             let ts = r.at.raw();
-            if r.dur > 0 {
+            let _ = if r.dur > 0 {
                 write!(
                     f,
                     "{{\"ph\": \"X\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{}\", \
                      \"ts\": {ts}, \"dur\": {}, \"args\": {{{args}}}}}",
                     r.ev.name(),
                     r.dur,
-                )?;
+                )
             } else {
                 write!(
                     f,
                     "{{\"ph\": \"i\", \"pid\": 0, \"tid\": {tid}, \"name\": \"{}\", \
                      \"ts\": {ts}, \"s\": \"t\", \"args\": {{{args}}}}}",
                     r.ev.name(),
-                )?;
-            }
+                )
+            };
         }
     }
-    writeln!(f, "\n]}}")?;
-    Ok(())
+    f.push_str("\n]}\n");
+    f
 }
 
 /// Builds the per-core cycle-attribution breakdown table: one column
@@ -257,46 +230,49 @@ pub fn breakdown_table(attributions: &[Attribution], cycles: u64) -> Table {
     t
 }
 
-/// Entry point for the `trace` subcommand.
-pub fn main_trace(argv: &[String]) -> ! {
-    let build = |args: Args<'_>| TraceOptions::from_args(args, TraceOptions::default());
-    let opt = parse_cli(&TRACE, "tus-harness trace [WORKLOAD]", argv, build)
-        .unwrap_or_else(|code| std::process::exit(code));
+/// `tus-harness trace` and the `TraceCapture` request: the reply is the
+/// Chrome-trace JSON. A capture must name its workload, and its budget is
+/// clamped by the daemon's ceiling. The CLI also prints the breakdown
+/// table, writes it as CSV, and writes the reply to
+/// `<out>/trace_<workload>_<policy>.json`.
+pub fn run(
+    side: Side<'_>,
+    mut args: Args<'_>,
+    progress: &Progress<'_>,
+) -> Result<Reply, HarnessError> {
+    if let Side::Daemon(_) = side {
+        args.require("workload")?;
+    }
+    let mut opt = TraceOptions::from_args(args, TraceOptions::default())?;
+    if let Side::Daemon(s) = side {
+        opt.budget = s.effective_budget(opt.budget);
+    }
     let spec = &opt.spec;
-    eprintln!(
-        "[trace: {} {} sb{} {} seed {} — {} insts]",
-        spec.workload.name,
-        spec.policy.label(),
+    let (name, policy) = (spec.workload.name, spec.policy.label());
+    progress(&format!(
+        "trace: {name} {policy} sb{} {} seed {} — {} insts",
         spec.sb_entries,
         spec.kernel.label(),
         spec.seed,
         spec.insts,
-    );
-    let run = run_traced(&opt);
+    ));
+    let run = try_run_traced(&opt)?;
     let events: usize = run.tracks.iter().map(|(_, r)| r.len()).sum();
-    let stem = format!(
-        "trace_{}_{}",
-        spec.workload.name.replace(['.', '/'], "-"),
-        spec.policy.label()
-    );
-    let json = opt.out.join(format!("{stem}.json"));
-    if let Err(e) = write_chrome_trace(&json, &run.tracks) {
-        eprintln!("trace: cannot write {}: {e}", json.display());
-        std::process::exit(2);
-    }
+    let tracks = run.tracks.len();
+    progress(&format!(
+        "{events} events across {tracks} tracks, {} cycles",
+        run.cycles
+    ));
+    let body = chrome_trace_json(&run.tracks);
+    let Side::Cli = side else {
+        return Ok(body.into());
+    };
+    let stem = format!("trace_{}_{policy}", name.replace(['.', '/'], "-"));
     let table = breakdown_table(&run.attributions, run.cycles);
     print!("{}", table.render());
-    if let Err(e) = table.write_csv(&opt.out, &format!("{stem}_breakdown")) {
-        eprintln!("trace: cannot write breakdown CSV: {e}");
-        std::process::exit(2);
-    }
-    eprintln!(
-        "[trace: {} events across {} tracks -> {} — open in chrome://tracing or ui.perfetto.dev]",
-        events,
-        run.tracks.len(),
-        json.display(),
-    );
-    std::process::exit(0);
+    table.write_csv(&opt.out, &format!("{stem}_breakdown"))?;
+    let file = Some(opt.out.join(format!("{stem}.json")));
+    Ok(Reply { body, file })
 }
 
 #[cfg(test)]
@@ -337,7 +313,7 @@ mod tests {
 
     #[test]
     fn traced_run_attributes_every_cycle() {
-        let run = run_traced(&quick_opt());
+        let run = try_run_traced(&quick_opt()).expect("run");
         assert!(run.cycles > 0);
         assert!(!run.attributions.is_empty());
         for attr in &run.attributions {
@@ -348,12 +324,8 @@ mod tests {
 
     #[test]
     fn chrome_trace_json_is_well_formed() {
-        let run = run_traced(&quick_opt());
-        let dir = std::env::temp_dir().join(format!("tus-trace-test-{}", std::process::id()));
-        let path = dir.join("t.json");
-        write_chrome_trace(&path, &run.tracks).expect("write");
-        let body = std::fs::read_to_string(&path).expect("read back");
-        let _ = std::fs::remove_dir_all(&dir);
+        let run = try_run_traced(&quick_opt()).expect("run");
+        let body = chrome_trace_json(&run.tracks);
         assert!(body.starts_with("{\"traceEvents\": ["));
         assert!(body.trim_end().ends_with("]}"));
         // Structural sanity a JSON parser would enforce: balanced braces
@@ -376,7 +348,7 @@ mod tests {
 
     #[test]
     fn breakdown_table_row_sums_match_total_column() {
-        let run = run_traced(&quick_opt());
+        let run = try_run_traced(&quick_opt()).expect("run");
         let t = breakdown_table(&run.attributions, run.cycles);
         assert_eq!(t.columns.len(), AttrClass::COUNT + 1);
         for (_, vals) in &t.rows {

@@ -10,24 +10,15 @@
 //!   panic, and never a process exit (which would end this test binary).
 
 use tus_harness::args::{Arg, Args, Command, Reach};
-use tus_harness::check_cmd::{CheckOptions, CHECK};
+use tus_harness::check_cmd::CheckOptions;
 use tus_harness::client::ClientOptions;
-use tus_harness::experiments::{Options, EXPERIMENT};
-use tus_harness::fuzz_cmd::{FuzzOptions, FUZZ};
-use tus_harness::protocol::FrameKind;
+use tus_harness::experiments::Options;
+use tus_harness::fuzz_cmd::FuzzOptions;
+use tus_harness::request::{by_argv, by_kind, REQUESTS};
 use tus_harness::serve::{point_spec, ServeOptions, POINT, SERVE};
 use tus_harness::trace_cmd::{TraceOptions, TRACE};
 use tus_harness::HarnessError;
 use tus_sim::SimRng;
-
-/// The commands a request can carry (`client <name>`), by frame kind.
-const REQUESTS: [(FrameKind, &Command); 5] = [
-    (FrameKind::RunPoint, &POINT),
-    (FrameKind::Experiment, &EXPERIMENT),
-    (FrameKind::FuzzSweep, &FUZZ),
-    (FrameKind::Check, &CHECK),
-    (FrameKind::TraceCapture, &TRACE),
-];
 
 fn strings(tokens: &[&str]) -> Vec<String> {
     tokens.iter().map(|t| t.to_string()).collect()
@@ -78,7 +69,6 @@ fn sample(key: &str) -> &'static str {
         "name" => "fig10",
         "corpus" | "out" | "replay" | "socket" => "/tmp/x",
         "listen" => "127.0.0.1:0",
-        "min_sims_per_sec" => "1.5",
         _ => "7",
     }
 }
@@ -99,7 +89,8 @@ fn base_argv(cmd: &Command) -> Vec<String> {
 
 #[test]
 fn cli_and_client_build_the_same_options() {
-    for (_, cmd) in REQUESTS {
+    for req in &REQUESTS {
+        let cmd = req.cmd;
         for flag in cmd.flags {
             let mut argv = base_argv(cmd);
             argv.push(flag.flag.to_owned());
@@ -133,7 +124,7 @@ fn cli_and_client_build_the_same_options() {
                     } else {
                         assert!(client.is_err(), "{what}: client forwards a CLI-only flag");
                     }
-                    if cmd.name != "point" {
+                    if req.cli.is_some() {
                         cli(cmd, &argv).unwrap_or_else(|e| panic!("{what}: {e}"));
                     }
                     let base = base_argv(cmd);
@@ -240,18 +231,18 @@ fn invocations(text: &str, all_shell: bool) -> Vec<(Vec<String>, bool)> {
 fn parse_line(argv: &[String]) -> Result<(), HarnessError> {
     let rest = argv.get(1..).unwrap_or_default();
     match argv.first().map(String::as_str) {
-        Some("fuzz") => build(&FUZZ, Args::from_argv(&FUZZ, rest)?).map(drop),
-        Some("check") => build(&CHECK, Args::from_argv(&CHECK, rest)?).map(drop),
-        Some("trace") => build(&TRACE, Args::from_argv(&TRACE, rest)?).map(drop),
         Some("serve") => build(&SERVE, Args::from_argv(&SERVE, rest)?).map(drop),
         Some("client") => {
             let c = ClientOptions::parse(rest)?;
-            if let Some((_, cmd)) = REQUESTS.iter().find(|(k, _)| *k == c.request.0) {
-                let _ = daemon(cmd, &c.request.1);
+            if let Some(req) = by_kind(c.request.0) {
+                let _ = daemon(req.cmd, &c.request.1);
             }
             Ok(())
         }
-        _ => cli(&EXPERIMENT, argv).map(drop),
+        _ => {
+            let (req, rest) = by_argv(argv);
+            cli(req.cmd, rest).map(drop)
+        }
     }
 }
 
@@ -402,8 +393,8 @@ fn mutated_command_lines_and_headers_never_panic() {
                 }
                 text.truncate(cut);
             }
-            for (_, cmd) in REQUESTS {
-                let _ = daemon(cmd, &text);
+            for req in &REQUESTS {
+                let _ = daemon(req.cmd, &text);
             }
             runs += 1;
         }

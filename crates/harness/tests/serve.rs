@@ -437,6 +437,67 @@ fn fuzz_sweep_over_the_wire() {
     server.shutdown();
 }
 
+/// An experiment's reply carries its rendered tables: `table1`'s is
+/// Table I, which the daemon used to print on its own stdout. Each
+/// experiment's cost comes as a progress line.
+#[test]
+fn experiment_reply_holds_its_tables() {
+    let server = start(|_| {});
+    let frames = server.request(FrameKind::Experiment, "name=table1\n");
+    let done = terminal(&frames);
+    assert_eq!(done.kind, FrameKind::ExperimentDone);
+    let h = headers(&done.body);
+    assert_eq!((h["name"], h["executed"]), ("table1", "0"));
+    let (_, tables) = done.body.split_once("\n\n").expect("headers, then tables");
+    let table1 = tus_sim::SimConfig::default().render_table1();
+    assert_eq!(tables, format!("{table1}\n"));
+    assert!(
+        frames
+            .iter()
+            .any(|f| f.kind == FrameKind::Progress && f.body.starts_with("table1: ")),
+        "a per-experiment progress line"
+    );
+    server.shutdown();
+}
+
+/// A fuzz finding's reply carries its shrunk program and the corpus
+/// paths the daemon wrote under its `out`, which the daemon used to print
+/// on its own stderr. Program 20 of stream 4 is the open TUS violation
+/// whose repro is `results/fuzz-open/mesi/seed4-case20.txt` (ROADMAP.md,
+/// item 1): a fix of it moves this test, as it moves
+/// `crates/tso/tests/fuzz_verdicts.rs`.
+#[test]
+fn fuzz_findings_carry_their_repro_and_paths() {
+    let server = start(|_| {});
+    let frames = server.request(FrameKind::FuzzSweep, "programs=21\nseeds=16\nseed=4\n");
+    let done = terminal(&frames);
+    assert_eq!(done.kind, FrameKind::FuzzDone);
+    assert_eq!(headers(&done.body)["violations"], "1");
+    assert!(
+        done.body.contains("--- VIOLATION (program 20) ---\n"),
+        "{}",
+        done.body
+    );
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let repro = std::fs::read_to_string(format!("{root}results/fuzz-open/mesi/seed4-case20.txt"))
+        .expect("the committed repro");
+    let shrunk = tus_tso::fuzz::decode_case(&repro).expect("parses").case;
+    assert!(
+        done.body.contains(&format!("\n{shrunk}")),
+        "shrunk program: {}",
+        done.body
+    );
+    let corpus = server.out.join("fuzz-corpus");
+    for file in ["seed4-case20.orig.txt", "seed4-case20.txt"] {
+        let path = corpus.join(file);
+        let line = format!("persisted: {}\n", path.display());
+        assert!(done.body.contains(&line), "{line}: {}", done.body);
+    }
+    let persisted = std::fs::read_to_string(corpus.join("seed4-case20.txt")).expect("persisted");
+    assert_eq!(persisted, repro);
+    server.shutdown();
+}
+
 /// A bounded model check runs over the wire: the default litmus sweep
 /// verifies every program, streams progress, and reports per-policy
 /// exploration stats; a named-selection check and a generated-program
